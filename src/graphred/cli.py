@@ -18,7 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .construct import knn_graph, normalize_weights
-from .denoisers import Denoiser, lr_denoise_spectral, pnp_admm_denoise
+from .denoisers import (
+    DEFAULT_PNP_ITERS, Denoiser, lr_denoise_spectral, lr_gains, pnp_admm_denoise, pnp_gains,
+)
 from .exceptions import (
     ConfigError,
     GraphRedError,
@@ -27,8 +29,8 @@ from .exceptions import (
     ParseError,
     TrainingError,
 )
-from .graphs import build_laplacian, eigendecompose
-from .red import RedProblem, check_homogeneity, check_passivity, red_cg_solve
+from .graphs import build_laplacian, eigendecompose, gft
+from .red import RedProblem, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve
 from .spectral import ResponseComparison, compare_responses, h_lr, h_red, write_response_csv
 from .unroll import (
     TrainConfig,
@@ -54,7 +56,8 @@ DEFAULT_ALPHA_RANGE = (1e-3, 1e3)
 DEFAULT_RHO_RANGE = (1e-2, 1e2)
 DEFAULT_GRID_POINTS = 20
 DEFAULT_CG_LAYERS = 10
-DEFAULT_PNP_ITERS = 10
+# Signal columns per batched CG solve while tuning; bounds peak memory.
+TUNE_BLOCK_COLUMNS = 100
 
 
 def _load_json_config(path) -> dict:
@@ -112,6 +115,11 @@ def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pn
         return pnp_admm_denoise(
             lap, y, params["alpha_pnp"], params["rho"], iters=pnp_iters, decomp=decomp
         )
+    return solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters).x
+
+
+def solve_with_report(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
+    """Solver report of a red_* method with explicit scalar parameters."""
     if method == "red_lr":
         denoiser = Denoiser(kind="lr", alpha=params["alpha_lr"])
     elif method == "red_pnp":
@@ -119,41 +127,17 @@ def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pn
     else:
         raise ConfigError(f"unknown method {method!r}")
     prob = RedProblem(y=y, alpha_red=params["alpha_red"], denoiser=denoiser, lap=lap, decomp=decomp)
-    return red_cg_solve(prob, cg_layers).x
-
-
-def solve_with_report(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
-    """Like :func:`apply_method` but returns the solver report (red_* only)."""
-    if method == "red_lr":
-        denoiser = Denoiser(kind="lr", alpha=params["alpha_lr"])
-    elif method == "red_pnp":
-        denoiser = Denoiser(kind="pnp", alpha=params["alpha_pnp"], rho=params["rho"], iters=pnp_iters)
-    else:
-        return None
-    prob = RedProblem(y=y, alpha_red=params["alpha_red"], denoiser=denoiser, lap=lap, decomp=decomp)
     return red_cg_solve(prob, cg_layers)
 
 
-def grid_candidates(method, alphas, rhos):
-    """Parameter combinations in ascending lexicographic order.
+def _gain_table(kind, lambdas, alphas, rhos, pnp_iters) -> np.ndarray:
+    """Denoiser gains, one row per grid tuple ``(alpha,)`` or ``(alpha, rho)``.
 
-    The tuner keeps the first minimum it sees, so ties resolve toward the
-    smallest parameter values.
+    Rows run in ascending lexicographic order of the tuple.
     """
-    if method == "lr":
-        return [{"alpha_lr": a} for a in alphas]
-    if method == "pnp":
-        return [{"alpha_pnp": a, "rho": r} for a, r in itertools.product(alphas, rhos)]
-    if method == "red_lr":
-        return [
-            {"alpha_red": ar, "alpha_lr": al} for ar, al in itertools.product(alphas, alphas)
-        ]
-    if method == "red_pnp":
-        return [
-            {"alpha_red": ar, "alpha_pnp": ap, "rho": r}
-            for ar, ap, r in itertools.product(alphas, alphas, rhos)
-        ]
-    raise ConfigError(f"unknown method {method!r}")
+    if kind == "lr":
+        return np.array([lr_gains(lambdas, a) for a in alphas])
+    return np.array([pnp_gains(lambdas, a, r, pnp_iters) for a, r in itertools.product(alphas, rhos)])
 
 
 def tune_method(
@@ -165,27 +149,59 @@ def tune_method(
     rho_range=DEFAULT_RHO_RANGE,
     cg_layers=DEFAULT_CG_LAYERS,
     pnp_iters=DEFAULT_PNP_ITERS,
+    gain_tables=None,
 ):
-    """Exhaustive log-grid search minimizing mean RMSE over ``records``."""
+    """Exhaustive log-grid search minimizing mean RMSE over ``records``.
+
+    Candidates run in ascending lexicographic order of their parameters and
+    ties go to the first.  All are evaluated on GFT coefficients, where RMSE
+    is unchanged (the basis is orthonormal): lr and pnp candidates are gain
+    table rows times the observations, red_* candidates are extra columns of
+    batched CG solves.  A dict passed as ``gain_tables`` to several calls
+    keeps each gain table, keyed by eigenvalues and grid, between them.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
     if grid_points < 1:
         raise ConfigError("grid_points must be >= 1")
     alphas = np.geomspace(alpha_range[0], alpha_range[1], grid_points)
     rhos = np.geomspace(rho_range[0], rho_range[1], grid_points)
-    candidates = grid_candidates(method, alphas, rhos)
     if not _records_share_graph(records):
         raise ConfigError("tuning expects records on a shared graph")
-    lap, decomp = _graph_setup(records[0])
-    y = _stack([np.asarray(r.observed[sigma], dtype=float) for r in records])
-    target = _stack([np.asarray(r.clean, dtype=float) for r in records])
-    best = None
-    best_rmse = np.inf
-    for params in candidates:
-        x = apply_method(method, params, lap, decomp, y, cg_layers, pnp_iters)
-        err = rmse(x, target)
-        if err < best_rmse:
-            best, best_rmse = params, err
-    entry = {"method": method, "sigma": float(sigma), "train_rmse": float(best_rmse)}
-    entry.update({k: float(v) for k, v in best.items()})
+    _, decomp = _graph_setup(records[0])
+    y = gft(decomp, _stack([np.asarray(r.observed[sigma], dtype=float) for r in records]))
+    target = gft(decomp, _stack([np.asarray(r.clean, dtype=float) for r in records]))
+
+    kind = "pnp" if method.endswith("pnp") else "lr"
+    key = (kind, decomp.eigenvalues.tobytes(), alphas.tobytes(), rhos.tobytes(), pnp_iters)
+    tables = {} if gain_tables is None else gain_tables
+    if key not in tables:
+        tables[key] = _gain_table(kind, decomp.eigenvalues, alphas, rhos, pnp_iters)
+    table = tables[key]
+    red = method.startswith("red_")
+    n_rows = len(table)
+    n_nodes, n_rec = y.shape
+    n_cand = n_rows * (grid_points if red else 1)
+    per_block = max(1, TUNE_BLOCK_COLUMNS // n_rec)
+    errors = np.empty(n_cand)
+    for start in range(0, n_cand, per_block):
+        cand = np.arange(start, min(start + per_block, n_cand))
+        gains = np.repeat(table[cand % n_rows].T, n_rec, axis=1)
+        obs = np.tile(y, len(cand))
+        if red:
+            shortfall = 1.0 - gains
+            a_red = np.repeat(alphas[cand // n_rows], n_rec)
+            n_ops = cg_layers + 1
+            x = red_cg_layers(obs, [lambda v: shortfall * v] * n_ops, [a_red] * n_ops).x
+        else:
+            x = gains * obs
+        sq = (x - np.tile(target, len(cand))) ** 2
+        errors[cand] = np.sqrt(sq.reshape(n_nodes, len(cand), n_rec).mean(axis=(0, 2)))
+    best = int(np.argmin(errors))
+    keys = METHOD_PARAM_KEYS[method]
+    picks = np.unravel_index(best, (grid_points,) * len(keys))
+    entry = {"method": method, "sigma": float(sigma), "train_rmse": float(errors[best])}
+    entry.update({k: float((rhos if k == "rho" else alphas)[i]) for k, i in zip(keys, picks)})
     return entry
 
 
@@ -257,6 +273,7 @@ def cmd_tune(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     if not records:
         raise ConfigError("tune: selected split is empty")
     entries = []
+    gain_tables = {}
     for sigma in sigmas:
         for method in methods:
             entries.append(
@@ -269,6 +286,7 @@ def cmd_tune(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
                     rho_range=tuple(cfg.get("rho_range", DEFAULT_RHO_RANGE)),
                     cg_layers=int(cfg.get("cg_layers", DEFAULT_CG_LAYERS)),
                     pnp_iters=int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS)),
+                    gain_tables=gain_tables,
                 )
             )
             print(
@@ -327,16 +345,11 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         rebuild_from = y if rebuild else None
         lap, decomp = _graph_setup(record, rebuild_from, int(dataset.manifest.get("k", 5)))
         if method == "unrolled":
-            x = unrolled_forward(lap, y, uparams, decomp=decomp, pnp_iters=pnp_iters)
-            report = None
-        else:
-            x = apply_method(method, params, lap, decomp, y, cg_layers, pnp_iters)
-            report = (
-                solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters)
-                if save_diag
-                else None
-            )
-        return x, report
+            return unrolled_forward(lap, y, uparams, decomp=decomp, pnp_iters=pnp_iters), None
+        if method in ("lr", "pnp"):
+            return apply_method(method, params, lap, decomp, y, cg_layers, pnp_iters), None
+        report = solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters)
+        return report.x, report if save_diag else None
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         results = list(pool.map(run_one, records))

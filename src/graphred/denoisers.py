@@ -164,7 +164,6 @@ def pnp_admm_denoise(
     rho: float,
     iters: int = DEFAULT_PNP_ITERS,
     decomp: SpectralDecomp | None = None,
-    iterate_data_term: bool = False,
 ) -> np.ndarray:
     """Plug-and-play ADMM denoiser built around the LR smoother.
 
@@ -175,10 +174,7 @@ def pnp_admm_denoise(
     3. ``u <- u + x - v``
 
     and the final ``x`` is returned.  Large ``rho`` pins ``x`` to the
-    denoised ``v``; small ``rho`` pins it to the observation ``y``.  With
-    ``iterate_data_term`` the data term in step 2 uses the previous
-    iterate ``x`` in place of ``y``, which turns the data fidelity into a
-    damping toward the running iterate instead of toward the observation.
+    denoised ``v``; small ``rho`` pins it to the observation ``y``.
     Passing a precomputed ``decomp`` routes the inner smoother through the
     spectral apply.  Raises :class:`DivergenceError` if an iterate stops
     being finite or its norm explodes.
@@ -197,8 +193,7 @@ def pnp_admm_denoise(
             v = lr_denoise_spectral(decomp, x + u, alpha)
         else:
             v = lr_denoise(lap, x + u, alpha)
-        data = x if iterate_data_term else y
-        x = (data + rho * (v - u)) / (1.0 + rho)
+        x = (y + rho * (v - u)) / (1.0 + rho)
         u = u + x - v
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_FACTOR * scale:
             raise DivergenceError(f"PnP-ADMM diverged at iteration {k}", iteration=k)

@@ -19,7 +19,7 @@ batched solve matches column-by-column solves exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,66 +85,39 @@ class RedSolveReport:
         }
 
 
-def _residual_op(prob: RedProblem, alpha_denoiser=None, rho=None):
-    """Return ``reg(v) = v - D(v)`` for the problem's denoiser."""
-    if prob.decomp is not None:
-        gains = denoiser_gains(
-            prob.denoiser, prob.decomp.eigenvalues, alpha=alpha_denoiser, rho=rho
-        )
-        shortfall = 1.0 - gains
+def _reg_ops(prob: RedProblem, a_den=(None,), rho_layers=(None,)):
+    """Observation, per-layer ``reg(v) = v - D(v)`` ops and the two coordinate maps.
 
-        def reg(v):
-            s = shortfall[:, None] if v.ndim == 2 else shortfall
-            return igft(prob.decomp, s * gft(prob.decomp, v))
-
-        return reg
-
-    def reg(v):
-        return v - apply_denoiser(prob.denoiser, prob.lap, v, alpha=alpha_denoiser, rho=rho)
-
-    return reg
-
-
-def _diag_op(shortfall):
-    def reg(v):
-        s = shortfall[:, None] if v.ndim == 2 else shortfall
-        return s * v
-
-    return reg
-
-
-def _node_reg_op(prob, alpha, rho):
-    def reg(v):
-        return v - apply_denoiser(prob.denoiser, prob.lap, v, alpha=alpha, rho=rho)
-
-    return reg
-
-
-def _work_space(prob: RedProblem, a_den, rho_layers):
-    """Observation and per-layer reg ops in solver working coordinates.
-
-    With a decomposition attached, solvers run directly on GFT coefficients
-    where every denoiser is an elementwise gain.  Norms and inner products
-    are preserved by the orthonormal basis, so every recorded diagnostic
-    matches the node-space path; only rounding differs.
+    Returns ``(y, regs, to_work, to_node)`` in solver working coordinates;
+    ``None`` layer values fall back to the problem's denoiser.  With a
+    decomposition attached, the working coordinates are GFT coefficients,
+    where every denoiser is an elementwise gain, computed once per distinct
+    ``(alpha, rho)`` layer tuple.  Norms and inner products are preserved by
+    the orthonormal basis, so every recorded diagnostic matches the
+    node-space path, which is used only without a decomposition; only
+    rounding differs.
     """
-    if prob.decomp is not None:
-        dec = prob.decomp
-        y = gft(dec, prob.y)
+    if prob.decomp is None:
         regs = [
-            _diag_op(1.0 - denoiser_gains(prob.denoiser, dec.eigenvalues, alpha=a, rho=r))
+            lambda v, a=a, r=r: v - apply_denoiser(prob.denoiser, prob.lap, v, alpha=a, rho=r)
             for a, r in zip(a_den, rho_layers)
         ]
-        return y, regs, lambda v: igft(dec, v)
-    regs = [_node_reg_op(prob, a, r) for a, r in zip(a_den, rho_layers)]
-    return prob.y, regs, lambda v: v
+        return prob.y, regs, lambda v: v, lambda v: v
+    dec = prob.decomp
+    ops = {}
+    for key in zip(a_den, rho_layers):
+        if key not in ops:
+            s = 1.0 - denoiser_gains(prob.denoiser, dec.eigenvalues, alpha=key[0], rho=key[1])
+            ops[key] = lambda v, s=s: (s[:, None] if v.ndim == 2 else s) * v
+    regs = [ops[key] for key in zip(a_den, rho_layers)]
+    return gft(dec, prob.y), regs, lambda v: gft(dec, v), lambda v: igft(dec, v)
 
 
 def red_objective(prob: RedProblem, x: np.ndarray):
     """Objective value at ``x`` (per column for batched input)."""
     x = _check_signal(x, prob.lap.n_nodes)
-    reg = _residual_op(prob)
-    r = reg(x)
+    _, (reg,), to_work, to_node = _reg_ops(prob)
+    r = to_node(reg(to_work(x)))
     if not np.all(np.isfinite(r)):
         raise DivergenceError("denoiser returned non-finite values", iteration=0)
     data = 0.5 * np.sum((x - prob.y) ** 2, axis=0)
@@ -154,8 +127,8 @@ def red_objective(prob: RedProblem, x: np.ndarray):
 def red_gradient(prob: RedProblem, x: np.ndarray) -> np.ndarray:
     """Simplified gradient ``x - y + alpha_red (x - D(x))``."""
     x = _check_signal(x, prob.lap.n_nodes)
-    reg = _residual_op(prob)
-    return x - prob.y + prob.alpha_red * reg(x)
+    _, (reg,), to_work, to_node = _reg_ops(prob)
+    return x - prob.y + prob.alpha_red * to_node(reg(to_work(x)))
 
 
 def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveReport:
@@ -168,10 +141,7 @@ def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveR
         raise ValueError("step must be positive")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    y, regs, to_node = _work_space(
-        prob, [prob.denoiser.alpha], [prob.denoiser.rho if prob.denoiser.kind == "pnp" else None]
-    )
-    reg = regs[0]
+    y, (reg,), _, to_node = _reg_ops(prob)
     a = prob.alpha_red
 
     def diagnostics(x, r):
@@ -209,16 +179,14 @@ def _layer_values(scalar, layers, K):
     return layers
 
 
-def red_cg_solve(
-    prob: RedProblem,
-    K: int,
-    alpha_red_layers=None,
-    alpha_denoiser_layers=None,
-    pnp_rho_layers=None,
-) -> RedSolveReport:
-    """Fletcher-Reeves conjugate gradients on the RED objective.
+def red_cg_layers(y: np.ndarray, regs, alpha_red) -> RedSolveReport:
+    """Fletcher-Reeves conjugate gradients on the RED objective, one layer per op.
 
-    Runs K iterations from ``x = 0``:
+    ``regs[k]`` applies ``v - Dk(v)`` in whatever coordinates ``y`` is given
+    (node space, or GFT coefficients where it is an elementwise gain), and
+    ``alpha_red[k]`` is that layer's weight: a scalar or, for ``(N, S)``
+    input, a per-column array.  With K = ``len(regs) - 1`` it runs K
+    iterations from ``x = 0``:
 
         init   x = 0;  g = x - y + a0 (x - D0(x));  p = -g
         loop   tau   = -sum(p . g) / sum(p . (p + ak (p - Dk(p))))
@@ -229,33 +197,22 @@ def red_cg_solve(
 
     where sums and norms run per column.  The line search treats the
     gradient operator as linear in the direction, which is exact for the
-    denoisers here.  Optional per-layer sequences (length K+1; index 0
-    covers the initialization lines, index k the k-th loop body) override
-    the problem's flat parameters and make the solver unrollable.
+    denoisers here.
 
-    Stops early once every column's gradient norm is negligible relative to
-    the observation; raises :class:`StagnationError` if the line-search
-    denominator vanishes while the gradient is still nonzero, and
-    :class:`DivergenceError` on non-finite iterates.
+    A column whose gradient norm is negligible relative to its observation
+    counts as converged and takes no further step, so a column's result
+    does not depend on the columns solved beside it; the loop stops once
+    every column has converged.  Raises :class:`StagnationError` if the
+    line-search denominator vanishes while the gradient is still nonzero,
+    and :class:`DivergenceError` on non-finite iterates.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    a_red = _layer_values(prob.alpha_red, alpha_red_layers, K)
-    a_den = _layer_values(prob.denoiser.alpha, alpha_denoiser_layers, K)
-    if prob.denoiser.kind == "pnp":
-        rho = _layer_values(prob.denoiser.rho, pnp_rho_layers, K)
-    else:
-        if pnp_rho_layers is not None:
-            raise ValueError("pnp_rho_layers only applies to the pnp denoiser")
-        rho = [None] * (K + 1)
-    if any(v < 0 for v in a_red) or any(v < 0 for v in a_den):
-        raise ValueError("layer parameters must be nonnegative")
-
-    y, regs, to_node = _work_space(prob, a_den, rho)
+    K = len(regs) - 1
+    if K < 1 or len(alpha_red) != K + 1:
+        raise ValueError("need K >= 1 reg ops and one alpha_red per op")
 
     def diagnostics(x, r, k):
-        grad = x - y + a_red[k] * r
-        obj = 0.5 * np.sum((x - y) ** 2, axis=0) + 0.5 * a_red[k] * np.sum(x * r, axis=0)
+        grad = x - y + alpha_red[k] * r
+        obj = 0.5 * np.sum((x - y) ** 2, axis=0) + 0.5 * alpha_red[k] * np.sum(x * r, axis=0)
         return grad, obj
 
     scale = np.maximum(np.linalg.norm(y, axis=0), 1.0)
@@ -270,7 +227,7 @@ def red_cg_solve(
     for k in range(1, K + 1):
         if np.all(converged):
             break
-        ap = p + a_red[k] * regs[k](p)
+        ap = p + alpha_red[k] * regs[k](p)
         denom = np.sum(p * ap, axis=0)
         psq = np.sum(p * p, axis=0)
         stalled = np.abs(denom) < STAGNATION_TOL * psq
@@ -279,7 +236,9 @@ def red_cg_solve(
                 f"line-search denominator vanished at iteration {k} "
                 "(direction in the operator's null space)"
             )
-        tau = np.where(converged, 0.0, -np.sum(p * g, axis=0) / np.where(stalled, 1.0, denom))
+        # Converged columns keep x exactly; their direction may have vanished.
+        safe = np.where(stalled | converged, 1.0, denom)
+        tau = np.where(converged, 0.0, -np.sum(p * g, axis=0) / safe)
         x = x + tau * p
         g_new, obj = diagnostics(x, regs[k](x), k)
         if not np.all(np.isfinite(g_new)):
@@ -294,8 +253,38 @@ def red_cg_solve(
         iterations = k
         converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
     return RedSolveReport(
-        x=to_node(x), iterations=iterations, gradient_norm_history=gnorms, objective_history=objs
+        x=x, iterations=iterations, gradient_norm_history=gnorms, objective_history=objs
     )
+
+
+def red_cg_solve(
+    prob: RedProblem,
+    K: int,
+    alpha_red_layers=None,
+    alpha_denoiser_layers=None,
+    pnp_rho_layers=None,
+) -> RedSolveReport:
+    """K iterations of :func:`red_cg_layers` on ``prob``, returned in node space.
+
+    Optional per-layer sequences (length K+1; index 0 covers the
+    initialization lines, index k the k-th loop body) override the
+    problem's flat parameters and make the solver unrollable.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    a_red = _layer_values(prob.alpha_red, alpha_red_layers, K)
+    a_den = _layer_values(prob.denoiser.alpha, alpha_denoiser_layers, K)
+    if prob.denoiser.kind == "pnp":
+        rho = _layer_values(prob.denoiser.rho, pnp_rho_layers, K)
+    else:
+        if pnp_rho_layers is not None:
+            raise ValueError("pnp_rho_layers only applies to the pnp denoiser")
+        rho = [None] * (K + 1)
+    if any(v < 0 for v in a_red) or any(v < 0 for v in a_den):
+        raise ValueError("layer parameters must be nonnegative")
+    y, regs, _, to_node = _reg_ops(prob, a_den, rho)
+    report = red_cg_layers(y, regs, a_red)
+    return replace(report, x=to_node(report.x))
 
 
 def _as_callable(denoiser, lap, decomp):

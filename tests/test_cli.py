@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from graphred.cli import main
+from graphred import Denoiser, RedProblem, build_laplacian, eigendecompose, red_cg_solve
+from graphred.cli import METHOD_PARAM_KEYS, METHODS, apply_method, main, tune_method
+from graphred.datasets import load_dataset
+from graphred.unroll import rmse
 
 
 def write_config(path, payload):
@@ -121,6 +126,36 @@ class TestTune:
         cfg = write_config(tmp_path / "tune.json", {"dataset": str(dataset_dir), "methods": ["tv"]})
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_candidate_loop(self, dataset_dir, method, sigma):
+        records = load_dataset(str(dataset_dir)).train
+        # A constant observation is a fixed point of both denoisers, so its
+        # columns converge before layer K while the others run on.
+        const = dataclasses.replace(
+            records[0], observed={sigma: np.full(len(records[0].clean), 2.0)}
+        )
+        records = records[1:] + [const]
+        entry = tune_method(records, sigma, method, grid_points=4)
+
+        lap = build_laplacian(records[0].graph)
+        decomp = eigendecompose(lap)
+        y = np.column_stack([r.observed[sigma] for r in records])
+        clean = np.column_stack([r.clean for r in records])
+        den = Denoiser(kind="lr", alpha=1.0)
+        prob = RedProblem(y=y[:, -1], alpha_red=1.0, denoiser=den, lap=lap, decomp=decomp)
+        assert red_cg_solve(prob, 10).iterations < 10
+        alphas, rhos = np.geomspace(1e-3, 1e3, 4), np.geomspace(1e-2, 1e2, 4)
+        keys = METHOD_PARAM_KEYS[method]
+        best, best_rmse = None, np.inf
+        for values in itertools.product(*[rhos if k == "rho" else alphas for k in keys]):
+            params = dict(zip(keys, values))
+            err = rmse(apply_method(method, params, lap, decomp, y), clean)
+            if err < best_rmse:
+                best, best_rmse = params, err
+        assert {k: entry[k] for k in keys} == best
+        assert abs(entry["train_rmse"] - best_rmse) <= 1e-12 * best_rmse
+
 
 class TestDenoise:
     def test_explicit_params_outputs(self, dataset_dir, tmp_path):
@@ -220,6 +255,13 @@ class TestDenoise:
         report = json.loads((out / "diagnostics" / "sample_000.json").read_text())
         assert report["iterations"] >= 1
         assert len(report["gradient_norm_history"]) == report["iterations"] + 1
+        denoised = np.loadtxt(out / "denoised" / "sample_000.csv", delimiter=",")
+        assert np.array_equal(denoised, np.asarray(report["x"]))
+        plain_cfg = json.loads(open(cfg).read())
+        plain_cfg["save_diagnostics"] = False
+        plain = write_config(tmp_path / "plain.json", plain_cfg)
+        assert main(["denoise", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+        assert tree_bytes(tmp_path / "plain" / "denoised") == tree_bytes(out / "denoised")
 
 
 class TestTrain:

@@ -158,16 +158,6 @@ class TestPnpAdmm:
         assert np.allclose(one, y, atol=1e-10)
         assert np.allclose(many, one, atol=1e-10)
 
-    def test_iterate_data_term_mode_differs(self):
-        lap = synthetic_lap(7)
-        rng = np.random.default_rng(9)
-        y = rng.standard_normal(lap.n_nodes)
-        default = pnp_admm_denoise(lap, y, 1.0, 1.0, iters=10)
-        damped = pnp_admm_denoise(lap, y, 1.0, 1.0, iters=10, iterate_data_term=True)
-        assert not np.allclose(default, damped)
-        damped_const = pnp_admm_denoise(lap, np.ones(lap.n_nodes), 1.0, 1.0, iters=10, iterate_data_term=True)
-        assert np.allclose(damped_const, 1.0, atol=1e-9)
-
     def test_linearity_hence_homogeneity(self):
         lap = synthetic_lap(8)
         rng = np.random.default_rng(10)

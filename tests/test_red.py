@@ -2,18 +2,25 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import graphred.denoisers
 from graphred import (
     Denoiser,
     DivergenceError,
     RedProblem,
+    StagnationError,
     build_laplacian,
     check_homogeneity,
     check_passivity,
+    denoiser_gains,
     eigendecompose,
+    gft,
+    igft,
     knn_graph,
     lr_denoise,
     normalize_weights,
+    red_cg_layers,
     red_cg_solve,
     red_gradient,
     red_gradient_descent,
@@ -21,6 +28,7 @@ from graphred import (
 )
 from graphred.datasets import generate_sensor_points
 from graphred.graphs import Graph
+from graphred.red import CONVERGED_TOL
 
 
 def setup_graph(seed=0, n=50, k=5):
@@ -250,6 +258,80 @@ class TestCgSolve:
         report = red_cg_solve(prob, 3)
         payload = json.dumps(report.to_dict())
         assert '"iterations"' in payload
+
+
+@pytest.fixture(scope="module")
+def graph30():
+    return setup_graph(10, n=30)
+
+
+class TestSharedCgCore:
+    # (alpha_red, denoiser kind, denoiser alpha, rho, constant observation)
+    COLUMN = st.tuples(
+        st.floats(0.0, 100.0),
+        st.sampled_from(["lr", "pnp"]),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-2, 1e2),
+        st.booleans(),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        columns=st.lists(COLUMN, min_size=1, max_size=5),
+        K=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_per_column_parameters_match_column_solves(self, graph30, columns, K, seed):
+        lap, dec = graph30
+        y = np.random.default_rng(seed).standard_normal((lap.n_nodes, len(columns)))
+        denoisers, a_red = [], np.empty(len(columns))
+        for j, (alpha_red, kind, alpha, rho, constant) in enumerate(columns):
+            if constant:  # a fixed point of both denoisers: converges early
+                y[:, j] = y[0, j]
+            denoisers.append(Denoiser(kind=kind, alpha=alpha, rho=rho if kind == "pnp" else None))
+            a_red[j] = alpha_red
+        shortfall = np.column_stack([1.0 - denoiser_gains(d, dec.eigenvalues) for d in denoisers])
+        report = red_cg_layers(gft(dec, y), [lambda v: shortfall * v] * (K + 1), [a_red] * (K + 1))
+        x = igft(dec, report.x)
+        for j, den in enumerate(denoisers):
+            prob = RedProblem(y=y[:, j], alpha_red=a_red[j], denoiser=den, lap=lap, decomp=dec)
+            single = red_cg_solve(prob, K).x
+            assert np.linalg.norm(x[:, j] - single) <= 1e-12 * np.linalg.norm(single)
+
+    def test_converged_column_keeps_its_iterate(self, graph30):
+        lap, dec = graph30
+        y = np.random.default_rng(4).standard_normal((lap.n_nodes, 2))
+        y[:, 0] = 2.0
+        s = 1.0 - denoiser_gains(Denoiser(kind="lr", alpha=1.0), dec.eigenvalues)
+        reg = lambda v: s[:, None] * v  # noqa: E731
+        one = red_cg_layers(gft(dec, y), [reg] * 2, [1.0] * 2)
+        ten = red_cg_layers(gft(dec, y), [reg] * 11, [1.0] * 11)
+        assert ten.iterations == 10
+        assert ten.gradient_norm_history[1][0] <= CONVERGED_TOL * np.linalg.norm(y[:, 0])
+        assert np.array_equal(ten.x[:, 0], one.x[:, 0])
+        assert not np.array_equal(ten.x[:, 1], one.x[:, 1])
+
+    def test_unconverged_stalled_column_raises(self, graph30):
+        lap, dec = graph30
+        y = gft(dec, np.random.default_rng(3).standard_normal((lap.n_nodes, 2)))
+        a_red = np.array([1.0, 2.0])
+        # Column 1 has reg = -v / alpha_red, so its operator I + alpha_red reg is zero.
+        shortfall = np.column_stack([np.full(lap.n_nodes, 0.5), np.full(lap.n_nodes, -0.5)])
+        with pytest.raises(StagnationError):
+            red_cg_layers(y, [lambda v: shortfall * v] * 4, [a_red] * 4)
+
+    def test_flat_pnp_solve_computes_gains_once(self, graph30, monkeypatch):
+        calls = []
+        real = graphred.denoisers.pnp_gains
+        monkeypatch.setattr(
+            graphred.denoisers, "pnp_gains", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        lap, dec = graph30
+        den = Denoiser(kind="pnp", alpha=1.0, rho=1.0)
+        y = np.arange(lap.n_nodes, dtype=float)
+        prob = RedProblem(y=y, alpha_red=1.0, denoiser=den, lap=lap, decomp=dec)
+        red_cg_solve(prob, 10)
+        assert len(calls) == 1
 
 
 class TestProblemValidation:
