@@ -1,9 +1,9 @@
 """Run the two plug-in denoisers and compare their implementations.
 
 The Laplacian-regularization (LR) denoiser solves (I + alpha L) x = y three
-ways — dense, spectral, and conjugate gradient — and all three agree.  The
-PnP-ADMM denoiser wraps LR in an ADMM loop; for large rho a single
-iteration collapses back to plain LR.
+ways — sparse direct, spectral, and conjugate gradient — and all three
+agree.  The PnP-ADMM denoiser wraps LR in an ADMM loop; for large rho a
+single iteration collapses back to plain LR.
 """
 
 import numpy as np
@@ -34,12 +34,12 @@ def main():
     print(f"observed rmse {rmse(y, x):.4f}")
 
     alpha = 3.0
-    dense = lr_denoise(lap, y, alpha)
+    direct = lr_denoise(lap, y, alpha)
     spectral = lr_denoise_spectral(decomp, y, alpha)
     iterative = lr_denoise_cg(lap, y, alpha, tol=1e-10)
-    print(f"lr denoised rmse {rmse(dense, x):.4f}")
-    print(f"  spectral vs dense  max diff {np.max(np.abs(spectral - dense)):.2e}")
-    print(f"  cg vs dense        max diff {np.max(np.abs(iterative - dense)):.2e}")
+    print(f"lr denoised rmse {rmse(direct, x):.4f}")
+    print(f"  spectral vs direct max diff {np.max(np.abs(spectral - direct)):.2e}")
+    print(f"  cg vs direct       max diff {np.max(np.abs(iterative - direct)):.2e}")
 
     gains = lr_gains(decomp.eigenvalues, alpha)
     print(f"  spectral gains 1/(1+alpha*lambda): DC {gains[0]:.3f}, highest {gains[-1]:.3f}")
@@ -47,7 +47,7 @@ def main():
     pnp = pnp_admm_denoise(lap, y, alpha=alpha, rho=1.0, iters=10, decomp=decomp)
     pnp_stiff = pnp_admm_denoise(lap, y, alpha=alpha, rho=1e6, iters=1, decomp=decomp)
     print(f"pnp denoised rmse {rmse(pnp, x):.4f} (rho=1, 10 iterations)")
-    print(f"  rho=1e6, 1 iteration collapses to lr: max diff {np.max(np.abs(pnp_stiff - dense)):.2e}")
+    print(f"  rho=1e6, 1 iteration collapses to lr: max diff {np.max(np.abs(pnp_stiff - direct)):.2e}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ import numpy as np
 
 from .construct import knn_graph, normalize_weights
 from .denoisers import (
-    DEFAULT_PNP_ITERS, Denoiser, lr_denoise_spectral, lr_gains, pnp_admm_denoise, pnp_gains,
+    DEFAULT_PNP_ITERS, Denoiser, lr_denoise, lr_denoise_spectral, lr_gains, pnp_admm_denoise,
+    pnp_gains,
 )
 from .exceptions import (
     ConfigError,
@@ -84,16 +85,9 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _graph_setup(record: ds.DatasetRecord, rebuild_from=None, k: int | None = None):
-    """Laplacian + decomposition for one record.
-
-    ``rebuild_from`` swaps in a graph built from observed coordinates (the
-    only graph available when denoising real noisy clouds).
-    """
-    graph = record.graph
-    if rebuild_from is not None:
-        graph = normalize_weights(knn_graph(np.asarray(rebuild_from), k))
-    lap = build_laplacian(graph)
+def _graph_setup(record: ds.DatasetRecord):
+    """Laplacian + decomposition of one record's graph."""
+    lap = build_laplacian(record.graph)
     return lap, eigendecompose(lap)
 
 
@@ -108,8 +102,10 @@ def _stack(signals) -> np.ndarray:
 
 
 def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
-    """Run one denoising method with explicit scalar parameters."""
+    """Run one denoising method with explicit scalar parameters (node space if no ``decomp``)."""
     if method == "lr":
+        if decomp is None:
+            return lr_denoise(lap, y, params["alpha_lr"])
         return lr_denoise_spectral(decomp, y, params["alpha_lr"])
     if method == "pnp":
         return pnp_admm_denoise(
@@ -339,16 +335,20 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     if rebuild and dataset.manifest.get("kind") != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
     save_diag = bool(cfg.get("save_diagnostics", False))
+    k = int(dataset.manifest.get("k", 5))
 
+    # One solve per record: node space, with sparse factorizations of
+    # I + alpha L, is cheaper than an eigendecomposition.  A rebuilt graph
+    # comes from the noisy coordinates, the only graph real clouds have.
     def run_one(record):
         y = np.asarray(record.observed[sigma], dtype=float)
-        rebuild_from = y if rebuild else None
-        lap, decomp = _graph_setup(record, rebuild_from, int(dataset.manifest.get("k", 5)))
+        graph = normalize_weights(knn_graph(y, k)) if rebuild else record.graph
+        lap = build_laplacian(graph)
         if method == "unrolled":
-            return unrolled_forward(lap, y, uparams, decomp=decomp, pnp_iters=pnp_iters), None
+            return unrolled_forward(lap, y, uparams, pnp_iters=pnp_iters), None
         if method in ("lr", "pnp"):
-            return apply_method(method, params, lap, decomp, y, cg_layers, pnp_iters), None
-        report = solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters)
+            return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
+        report = solve_with_report(method, params, lap, None, y, cg_layers, pnp_iters)
         return report.x, report if save_diag else None
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:

@@ -15,10 +15,13 @@ from .graphs import Graph
 # Two points closer than this are treated as coincident: an inverse-distance
 # weight would blow up, so we refuse instead of silently clipping.
 MIN_NEIGHBOR_DISTANCE = 1e-12
+# Rows of the distance matrix held at once while picking neighbours.
+KNN_BLOCK_ROWS = 256
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every row of ``a`` and every row of ``b``."""
+    diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
@@ -51,37 +54,42 @@ def knn_graph(
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     if not np.all(np.isfinite(points)):
         raise InvalidGraphError("points must be finite")
-
-    # Dense pairwise distances; fine at the few-hundred-node scale this
-    # toolkit targets.
-    dist = _pairwise_distances(points)
-    np.fill_diagonal(dist, np.inf)
-
-    if values is None:
-        weight_dist = dist
-    else:
+    if values is not None:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != n:
             raise ValueError("values must have one row per point")
-        weight_dist = _pairwise_distances(values)
 
-    # Stable argsort breaks distance ties toward the lower index.
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbors = order[:, :k]
-
+    # Exact distances, KNN_BLOCK_ROWS rows at a time, so memory stays
+    # O(KNN_BLOCK_ROWS * N) instead of O(N^2).
     adjacency = np.zeros((n, n))
-    for i in range(n):
-        for j in neighbors[i]:
-            d = weight_dist[i, j]
-            if weighted and d < MIN_NEIGHBOR_DISTANCE:
-                raise DegenerateDistanceError(
-                    f"points {i} and {j} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
-                )
-            w = 1.0 / d if weighted else 1.0
-            adjacency[i, j] = w
-            adjacency[j, i] = w
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        dist = _pairwise_distances(points[start : start + KNN_BLOCK_ROWS], points)
+        local = np.arange(dist.shape[0])
+        dist[local, local + start] = np.inf
+        # The first k of a stable argsort: every entry below the k-th
+        # smallest, then the lowest-index entries equal to it.
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        tied = dist == kth
+        room = k - np.sum(dist < kth, axis=1, keepdims=True)
+        local, j = np.nonzero((dist < kth) | (tied & (np.cumsum(tied, axis=1) <= room)))
+        i = local + start
+        if values is None:
+            d = dist[local, j]
+        else:
+            diff = values[i] - values[j]
+            d = np.sqrt(np.sum(diff * diff, axis=1))
+        bad = np.flatnonzero(d < MIN_NEIGHBOR_DISTANCE) if weighted else []
+        if len(bad):
+            # Report the pair that a row-by-row scan in neighbour order meets first.
+            first = bad[i[bad] == i[bad[0]]]
+            pick = first[np.lexsort((j[first], dist[local[first], j[first]]))[0]]
+            raise DegenerateDistanceError(
+                f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
+            )
+        # Distances are exactly symmetric: a pair chosen from both ends gets one weight.
+        adjacency[i, j] = adjacency[j, i] = 1.0 / d if weighted else 1.0
     return Graph(adjacency=adjacency)
 
 

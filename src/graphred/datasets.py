@@ -355,6 +355,7 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a bundle; records whose edge lists have identical bytes share one Graph."""
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
@@ -368,16 +369,21 @@ def load_dataset(path) -> Dataset:
     n_nodes = int(manifest["n_nodes"])
     sigmas = [float(s) for s in manifest["sigmas"]]
     splits = {"train": [], "test": []}
+    graphs = {}  # edge-list bytes -> parsed graph
     for split, count_key in (("train", "n_train"), ("test", "n_test")):
         for idx in range(int(manifest[count_key])):
             sample_dir = os.path.join(path, split, f"sample_{idx:03d}")
-            graph = load_edge_list(os.path.join(sample_dir, "graph.edges"), n_nodes=n_nodes)
+            edges_path = os.path.join(sample_dir, "graph.edges")
+            with open(edges_path, "rb") as fh:
+                edges = fh.read()
+            if edges not in graphs:
+                graphs[edges] = load_edge_list(edges_path, n_nodes=n_nodes)
             clean = _load_signal(os.path.join(sample_dir, "clean.csv"))
             observed = {
                 sigma: _load_signal(os.path.join(sample_dir, _sigma_name(sigma)))
                 for sigma in sigmas
             }
             splits[split].append(
-                DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx)
+                DatasetRecord(graph=graphs[edges], clean=clean, observed=observed, split=split, index=idx)
             )
     return Dataset(manifest=manifest, train=splits["train"], test=splits["test"])

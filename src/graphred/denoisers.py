@@ -3,7 +3,7 @@
 Two families:
 
 * Laplacian-regularization (LR): the closed-form smoother
-  ``x = (I + alpha L)^{-1} y``, available as a direct Cholesky solve, a
+  ``x = (I + alpha L)^{-1} y``, available as a sparse direct solve, a
   spectral-domain apply against a precomputed eigendecomposition, and a
   matrix-free conjugate-gradient approximation.
 * Plug-and-play ADMM (PnP): a fixed number of ADMM iterations on the
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceError, DivergenceError, NumericalError
 from .graphs import Laplacian, SpectralDecomp, _check_signal
@@ -58,32 +57,43 @@ class Denoiser:
                 raise ValueError("pnp denoiser needs iters >= 1")
 
 
-def lr_denoise(lap: Laplacian, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve ``(I + alpha L) x = y`` by Cholesky factorization.
+def lr_smoother(lap: Laplacian, alpha: float):
+    """The LR smoother ``v -> (I + alpha L)^{-1} v`` for one ``alpha``.
 
-    The system matrix is symmetric positive definite for ``alpha >= 0``.
-    ``alpha = 0`` returns ``y`` unchanged.  The solution is checked against
-    the residual tolerance ``SOLVE_TOL``.
+    ``I + alpha L`` (symmetric positive definite for ``alpha >= 0``, and as
+    sparse as the graph) is factored once as a sparse LU; each call then
+    costs two triangular solves, and its residual is checked against
+    ``SOLVE_TOL``.  ``alpha = 0`` gives the identity.  A failed
+    factorization or check raises :class:`NumericalError`.
     """
-    y = _check_signal(y, lap.n_nodes)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    n = lap.n_nodes
     if alpha == 0:
-        return y.copy()
-    system = np.eye(lap.n_nodes) + alpha * lap.matrix
+        return lambda v: _check_signal(v, n).copy()
+    import scipy.sparse.linalg  # only node-space solves need it, and it costs memory
+
+    system = scipy.sparse.identity(n, format="csc") + alpha * scipy.sparse.csc_matrix(lap.matrix)
     try:
-        factor = scipy.linalg.cho_factor(system)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, y)
-    y_norm = np.linalg.norm(y)
-    if y_norm > 0:
-        residual = np.linalg.norm(system @ x - y) / y_norm
-        if residual > SOLVE_TOL:
-            raise NumericalError(
-                f"direct solve residual {residual:.3e} exceeds {SOLVE_TOL:.3e}"
-            )
-    return x
+        factor = scipy.sparse.linalg.splu(system)
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
+
+    def smooth(v):
+        v = _check_signal(v, n)
+        x = factor.solve(v)
+        v_norm = np.linalg.norm(v)
+        residual = np.linalg.norm(system @ x - v) / v_norm if v_norm > 0 else 0.0
+        if not residual <= SOLVE_TOL:
+            raise NumericalError(f"direct solve residual {residual:.3e} exceeds {SOLVE_TOL:.3e}")
+        return x
+
+    return smooth
+
+
+def lr_denoise(lap: Laplacian, y: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve ``(I + alpha L) x = y`` once, by :func:`lr_smoother`."""
+    return lr_smoother(lap, alpha)(y)
 
 
 def lr_denoise_spectral(decomp: SpectralDecomp, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -176,10 +186,18 @@ def pnp_admm_denoise(
     and the final ``x`` is returned.  Large ``rho`` pins ``x`` to the
     denoised ``v``; small ``rho`` pins it to the observation ``y``.
     Passing a precomputed ``decomp`` routes the inner smoother through the
-    spectral apply.  Raises :class:`DivergenceError` if an iterate stops
-    being finite or its norm explodes.
+    spectral apply; without one, ``I + alpha L`` is factored once for all
+    iterations.  Raises :class:`DivergenceError` if an iterate stops being
+    finite or its norm explodes.
     """
     y = _check_signal(y, lap.n_nodes)
+    if decomp is None:
+        return _pnp_admm(lr_smoother(lap, alpha), y, rho, iters)
+    return _pnp_admm(lambda v: lr_denoise_spectral(decomp, v, alpha), y, rho, iters)
+
+
+def _pnp_admm(smooth, y: np.ndarray, rho: float, iters: int) -> np.ndarray:
+    """The iterations of :func:`pnp_admm_denoise` around a built LR smoother."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     if iters < 1:
@@ -189,10 +207,7 @@ def pnp_admm_denoise(
     u = np.zeros_like(y)
     scale = max(np.linalg.norm(y), 1.0)
     for k in range(1, iters + 1):
-        if decomp is not None:
-            v = lr_denoise_spectral(decomp, x + u, alpha)
-        else:
-            v = lr_denoise(lap, x + u, alpha)
+        v = smooth(x + u)
         x = (y + rho * (v - u)) / (1.0 + rho)
         u = u + x - v
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_FACTOR * scale:
@@ -247,21 +262,11 @@ def apply_denoiser(
     denoiser: Denoiser,
     lap: Laplacian,
     y: np.ndarray,
-    alpha: float | None = None,
-    rho: float | None = None,
     decomp: SpectralDecomp | None = None,
 ) -> np.ndarray:
-    """Run ``denoiser`` on ``y``; ``alpha``/``rho`` override stored values.
-
-    The overrides let an unrolled solver swap per-layer parameters into a
-    fixed denoiser configuration without rebuilding it.
-    """
-    a = denoiser.alpha if alpha is None else alpha
+    """Run ``denoiser`` on ``y``, in the spectral domain when ``decomp`` is given."""
     if denoiser.kind == "lr":
         if decomp is not None:
-            return lr_denoise_spectral(decomp, y, a)
-        return lr_denoise(lap, y, a)
-    r = denoiser.rho if rho is None else rho
-    return pnp_admm_denoise(
-        lap, y, a, r, iters=denoiser.iters, decomp=decomp
-    )
+            return lr_denoise_spectral(decomp, y, denoiser.alpha)
+        return lr_denoise(lap, y, denoiser.alpha)
+    return pnp_admm_denoise(lap, y, denoiser.alpha, denoiser.rho, iters=denoiser.iters, decomp=decomp)

@@ -119,7 +119,7 @@ def eigendecompose(lap: Laplacian, tol: float = DECOMP_TOL) -> SpectralDecomp:
 
     norm = np.linalg.norm(mat)
     if norm > 0:
-        residual = np.linalg.norm(basis @ np.diag(eigenvalues) @ basis.T - mat) / norm
+        residual = np.linalg.norm((basis * eigenvalues) @ basis.T - mat) / norm
         if residual > tol:
             raise NumericalError(
                 f"eigendecomposition residual {residual:.3e} exceeds tolerance {tol:.3e}"
@@ -195,7 +195,3 @@ def load_edge_list(path, n_nodes: int | None = None) -> Graph:
         adjacency[j, i] = w
     return Graph(adjacency=adjacency)
 
-
-def save_adjacency_csv(graph: Graph, path) -> None:
-    """Dump the dense adjacency matrix as CSV (debugging aid)."""
-    np.savetxt(path, graph.adjacency, delimiter=",", fmt="%.17g")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoisers import Denoiser, apply_denoiser, denoiser_gains
+from .denoisers import Denoiser, _pnp_admm, apply_denoiser, denoiser_gains, lr_smoother
 from .exceptions import DivergenceError, StagnationError
 from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft
 
@@ -89,27 +89,37 @@ def _reg_ops(prob: RedProblem, a_den=(None,), rho_layers=(None,)):
     """Observation, per-layer ``reg(v) = v - D(v)`` ops and the two coordinate maps.
 
     Returns ``(y, regs, to_work, to_node)`` in solver working coordinates;
-    ``None`` layer values fall back to the problem's denoiser.  With a
-    decomposition attached, the working coordinates are GFT coefficients,
-    where every denoiser is an elementwise gain, computed once per distinct
-    ``(alpha, rho)`` layer tuple.  Norms and inner products are preserved by
-    the orthonormal basis, so every recorded diagnostic matches the
-    node-space path, which is used only without a decomposition; only
-    rounding differs.
+    ``None`` layer values fall back to the problem's denoiser, and each
+    distinct ``(alpha, rho)`` layer tuple gets one op.  With a decomposition
+    attached, the working coordinates are GFT coefficients, where every
+    denoiser is an elementwise gain.  Without one, they are node values, and
+    each distinct alpha gets one LR smoother (one sparse factorization).
+    Norms and inner products are preserved by the orthonormal basis, so
+    every recorded diagnostic matches between the two; only rounding differs.
     """
-    if prob.decomp is None:
-        regs = [
-            lambda v, a=a, r=r: v - apply_denoiser(prob.denoiser, prob.lap, v, alpha=a, rho=r)
-            for a, r in zip(a_den, rho_layers)
-        ]
-        return prob.y, regs, lambda v: v, lambda v: v
-    dec = prob.decomp
+    den, dec = prob.denoiser, prob.decomp
+    smoothers = {}
+
+    def make(a, r):
+        if dec is not None:
+            s = 1.0 - denoiser_gains(den, dec.eigenvalues, alpha=a, rho=r)
+            return lambda v: (s[:, None] if v.ndim == 2 else s) * v
+        a = den.alpha if a is None else a
+        if a not in smoothers:
+            smoothers[a] = lr_smoother(prob.lap, a)
+        smooth = smoothers[a]
+        if den.kind == "lr":
+            return lambda v: v - smooth(v)
+        r = den.rho if r is None else r
+        return lambda v: v - _pnp_admm(smooth, v, r, den.iters)
+
     ops = {}
     for key in zip(a_den, rho_layers):
         if key not in ops:
-            s = 1.0 - denoiser_gains(prob.denoiser, dec.eigenvalues, alpha=key[0], rho=key[1])
-            ops[key] = lambda v, s=s: (s[:, None] if v.ndim == 2 else s) * v
+            ops[key] = make(*key)
     regs = [ops[key] for key in zip(a_den, rho_layers)]
+    if dec is None:
+        return prob.y, regs, lambda v: v, lambda v: v
     return gft(dec, prob.y), regs, lambda v: gft(dec, v), lambda v: igft(dec, v)
 
 

@@ -6,7 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from graphred import Denoiser, RedProblem, build_laplacian, eigendecompose, red_cg_solve
+import graphred.cli
+import graphred.graphs
+import graphred.unroll
+from graphred import (
+    Denoiser, RedProblem, UnrolledParams, build_laplacian, eigendecompose, knn_graph,
+    normalize_weights, red_cg_solve, save_params, unrolled_forward,
+)
 from graphred.cli import METHOD_PARAM_KEYS, METHODS, apply_method, main, tune_method
 from graphred.datasets import load_dataset
 from graphred.unroll import rmse
@@ -262,6 +268,71 @@ class TestDenoise:
         plain = write_config(tmp_path / "plain.json", plain_cfg)
         assert main(["denoise", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
         assert tree_bytes(tmp_path / "plain" / "denoised") == tree_bytes(out / "denoised")
+
+
+class TestDenoiseNodeSpace:
+    CASES = {
+        "lr": {"alpha_lr": 3.0},
+        "pnp": {"alpha_pnp": 1.0, "rho": 2.0},
+        "red_lr": {"alpha_red": 2.0, "alpha_lr": 1.0},
+        "red_pnp": {"alpha_red": 3.0, "alpha_pnp": 0.3, "rho": 1.0},
+        "unrolled": None,
+    }
+
+    @staticmethod
+    def forbid_eigendecompose(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("denoise must not eigendecompose")
+
+        for module in (graphred.cli, graphred.graphs, graphred.unroll):
+            monkeypatch.setattr(module, "eigendecompose", forbidden)
+
+    @pytest.mark.parametrize("method", sorted(CASES))
+    def test_no_eigendecomposition_and_matches_spectral_path(self, dataset_dir, tmp_path, monkeypatch, method):
+        payload = {"dataset": str(dataset_dir), "method": method, "sigma": 0.5, "cg_layers": 6}
+        uparams = UnrolledParams.constant(6, "pnp", 2.0, 1.5, 0.5)
+        if method == "unrolled":
+            save_params(uparams, tmp_path / "params.json")
+            payload["unrolled_params"] = str(tmp_path / "params.json")
+        else:
+            payload["params"] = self.CASES[method]
+        cfg = write_config(tmp_path / "den.json", payload)
+        self.forbid_eigendecompose(monkeypatch)
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+        for record in load_dataset(str(dataset_dir)).test:
+            lap = build_laplacian(record.graph)
+            decomp = eigendecompose(lap)
+            y = record.observed[0.5]
+            if method == "unrolled":
+                ref = unrolled_forward(lap, y, uparams, decomp=decomp)
+            else:
+                ref = apply_method(method, self.CASES[method], lap, decomp, y, cg_layers=6)
+            got = np.loadtxt(tmp_path / "out" / "denoised" / f"sample_{record.index:03d}.csv", delimiter=",")
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rebuilt_graph_without_eigendecomposition(self, tmp_path, monkeypatch):
+        gen = write_config(
+            tmp_path / "gen.json",
+            {"kind": "pointcloud", "source": "data/torus.off", "m": 60, "k": 5, "sigmas": [0.1],
+             "n_train": 0, "n_test": 2},
+        )
+        assert main(["generate", "--config", gen, "--out", str(tmp_path / "pc")]) == 0
+        params = {"alpha_red": 3.0, "alpha_lr": 1.0}
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(tmp_path / "pc"), "method": "red_lr", "sigma": 0.1, "params": params,
+             "rebuild_graph_from_observed": True},
+        )
+        self.forbid_eigendecompose(monkeypatch)
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+        for record in load_dataset(str(tmp_path / "pc")).test:
+            y = record.observed[0.1]
+            lap = build_laplacian(normalize_weights(knn_graph(y, 5)))
+            ref = apply_method("red_lr", params, lap, eigendecompose(lap), y)
+            got = np.loadtxt(tmp_path / "out" / "denoised" / f"sample_{record.index:03d}.csv", delimiter=",")
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestTrain:

@@ -1,14 +1,43 @@
 import numpy as np
 import pytest
 
+import graphred.construct
 from graphred import (
     DegenerateDistanceError,
     NoEdgesError,
     knn_graph,
     normalize_weights,
 )
+from graphred.construct import MIN_NEIGHBOR_DISTANCE, _pairwise_distances
 from graphred.datasets import generate_sensor_points
 from graphred.graphs import Graph
+
+
+def knn_oracle(points, k, weighted=True, values=None):
+    """Dense kNN adjacency: full distance matrix, stable argsort, pair-by-pair fill."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    dist = _pairwise_distances(points, points)
+    np.fill_diagonal(dist, np.inf)
+    weight_dist = dist
+    if values is not None:
+        values = np.asarray(values, dtype=float).reshape(n, -1)
+        weight_dist = _pairwise_distances(values, values)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    adjacency = np.zeros((n, n))
+    for i in range(n):
+        for j in neighbors[i]:
+            d = weight_dist[i, j]
+            if weighted and d < MIN_NEIGHBOR_DISTANCE:
+                raise DegenerateDistanceError(
+                    f"points {i} and {j} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
+                )
+            adjacency[i, j] = adjacency[j, i] = 1.0 / d if weighted else 1.0
+    return adjacency
+
+
+def integer_grid(side):
+    return np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2).astype(float)
 
 
 class TestKnnGraph:
@@ -89,6 +118,55 @@ class TestKnnGraph:
             pts = generate_sensor_points(30, seed=seed)
             g = knn_graph(pts, 4)
             assert np.array_equal(g.adjacency, g.adjacency.T)
+
+
+class TestBlockedKnnMatchesDenseOracle:
+    rng = np.random.default_rng(21)
+    CASES = {
+        "uniform_2d": (rng.uniform(0, 10, size=(100, 2)), 5, True, None),
+        "uniform_3d_values": (rng.uniform(0, 10, size=(100, 3)), 8, True, rng.uniform(0, 5, size=(100, 3))),
+        "scalar_values": (rng.uniform(0, 10, size=(100, 2)), 3, True, rng.uniform(0, 5, size=100)),
+        "unweighted": (rng.uniform(0, 10, size=(100, 2)), 6, False, None),
+        # Every interior point has 4 neighbours at distance 1 and 4 at sqrt(2).
+        "tied_grid_k1": (integer_grid(10), 1, True, None),
+        "tied_grid_k3": (integer_grid(10), 3, True, None),
+        "tied_grid_k6": (integer_grid(10), 6, True, None),
+        "tied_grid_unweighted": (integer_grid(10), 5, False, None),
+    }
+
+    @pytest.mark.parametrize("block_rows", [16, 256])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_adjacency(self, case, block_rows, monkeypatch):
+        points, k, weighted, values = self.CASES[case]
+        # 100 rows in blocks of 16 spans seven blocks, the last one partial.
+        monkeypatch.setattr(graphred.construct, "KNN_BLOCK_ROWS", block_rows)
+        got = knn_graph(points, k, weighted=weighted, values=values).adjacency
+        assert np.array_equal(got, knn_oracle(points, k, weighted=weighted, values=values))
+
+    def test_default_blocks_at_several_blocks(self):
+        points = integer_grid(24) + np.random.default_rng(22).uniform(0, 1e-3, size=(576, 2))
+        assert 576 > 2 * graphred.construct.KNN_BLOCK_ROWS
+        assert np.array_equal(knn_graph(points, 7).adjacency, knn_oracle(points, 7))
+        grid = integer_grid(24)
+        assert np.array_equal(knn_graph(grid, 6).adjacency, knn_oracle(grid, 6))
+
+    @pytest.mark.parametrize(
+        "points, k, values",
+        [
+            # 0's neighbours in order are 3 (d=1) then 1 (d=2), both with 0's value.
+            (np.array([[0.0], [2.0], [10.0], [1.0]]), 2, np.array([5.0, 5.0, 0.0, 5.0])),
+            # The first coincident pair lies in a later block.
+            (np.array([[0.0], [3.0], [7.0], [9.0], [12.0], [9.0]]), 1, None),
+            (np.array([[0.0], [3.0], [7.0], [9.0], [12.0], [9.0]]), 3, None),
+        ],
+    )
+    def test_degenerate_message(self, points, k, values, monkeypatch):
+        monkeypatch.setattr(graphred.construct, "KNN_BLOCK_ROWS", 2)
+        with pytest.raises(DegenerateDistanceError) as expected:
+            knn_oracle(points, k, values=values)
+        with pytest.raises(DegenerateDistanceError) as got:
+            knn_graph(points, k, values=values)
+        assert str(got.value) == str(expected.value)
 
 
 class TestNormalizeWeights:

@@ -232,6 +232,27 @@ class TestSyntheticDataset:
             for s in a.observed:
                 assert np.array_equal(a.observed[s], b.observed[s])
 
+    def test_identical_edge_lists_parsed_once(self, tmp_path, monkeypatch):
+        import graphred.datasets
+
+        out = tmp_path / "bundle"
+        save_dataset(generate_synthetic_dataset(small_spec()), out)
+        # One record's file gets different bytes for the same graph.
+        edges = out / "test" / "sample_000" / "graph.edges"
+        edges.write_text("# comment\n" + edges.read_text())
+        calls = []
+        parse = graphred.datasets.load_edge_list
+        monkeypatch.setattr(
+            graphred.datasets, "load_edge_list", lambda *a, **kw: calls.append(a) or parse(*a, **kw)
+        )
+        back = load_dataset(out)
+        assert len(calls) == 2
+        records = back.train + back.test
+        others = [r for r in records if r is not back.test[0]]
+        assert all(r.graph is others[0].graph for r in others)
+        assert back.test[0].graph is not others[0].graph
+        assert np.array_equal(back.test[0].graph.adjacency, others[0].graph.adjacency)
+
     def test_bundle_layout(self, tmp_path):
         out = tmp_path / "bundle"
         save_dataset(generate_synthetic_dataset(small_spec()), out)

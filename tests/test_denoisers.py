@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from graphred import (
     ConvergenceError,
     Denoiser,
+    NumericalError,
     apply_denoiser,
     build_laplacian,
     denoiser_gains,
@@ -15,6 +17,7 @@ from graphred import (
     lr_denoise_cg,
     lr_denoise_spectral,
     lr_gains,
+    lr_smoother,
     normalize_weights,
     pnp_admm_denoise,
 )
@@ -29,6 +32,15 @@ def two_node_lap():
 def synthetic_lap(seed=0, n=50, k=5):
     pts = generate_sensor_points(n, seed=seed)
     return build_laplacian(normalize_weights(knn_graph(pts, k)))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Count sparse LU factorizations."""
+    calls = []
+    real = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
 
 
 class TestLrDenoise:
@@ -84,6 +96,52 @@ class TestLrDenoise:
         x = lr_denoise(lap, y, 1.2)
         for j in range(3):
             assert np.allclose(x[:, j], lr_denoise(lap, y[:, j], 1.2), atol=1e-12)
+
+
+class TestLrSmoother:
+    def test_matches_dense_solve(self):
+        lap = synthetic_lap(14)
+        y = np.random.default_rng(15).standard_normal((lap.n_nodes, 3))
+        for alpha in (0.1, 2.0, 500.0):
+            smooth = lr_smoother(lap, alpha)
+            ref = np.linalg.solve(np.eye(lap.n_nodes) + alpha * lap.matrix, y)
+            assert np.linalg.norm(smooth(y) - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(smooth(y[:, 1]), smooth(y)[:, 1])
+
+    def test_alpha_zero_is_identity_copy(self, splu_calls):
+        y = np.array([1.0, -2.0])
+        x = lr_smoother(two_node_lap(), 0.0)(y)
+        assert np.array_equal(x, y) and x is not y
+        assert splu_calls == []
+
+    def test_factors_once_for_many_solves(self, splu_calls):
+        lap = synthetic_lap(16)
+        smooth = lr_smoother(lap, 1.0)
+        for _ in range(5):
+            smooth(np.ones(lap.n_nodes))
+        assert len(splu_calls) == 1
+
+    def test_failed_factorization_is_numerical_error(self, monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        with pytest.raises(NumericalError, match="singular"):
+            lr_smoother(synthetic_lap(17), 1.0)
+
+    def test_inaccurate_solve_is_numerical_error(self, monkeypatch):
+        class Sloppy:
+            def solve(self, v):
+                return 1.01 * v
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda matrix: Sloppy())
+        smooth = lr_smoother(synthetic_lap(18), 1.0)
+        with pytest.raises(NumericalError, match="residual"):
+            smooth(np.arange(50.0))
+
+    def test_signal_shape_checked(self):
+        with pytest.raises(ValueError):
+            lr_smoother(two_node_lap(), 1.0)(np.ones(3))
 
 
 class TestLrDenoiseSpectral:
@@ -178,6 +236,11 @@ class TestPnpAdmm:
     def test_iters_validated(self):
         with pytest.raises(ValueError):
             pnp_admm_denoise(two_node_lap(), np.ones(2), 1.0, 1.0, iters=0)
+
+    def test_node_path_factors_once(self, splu_calls):
+        lap = synthetic_lap(19)
+        pnp_admm_denoise(lap, np.arange(lap.n_nodes, dtype=float), 1.0, 1.0, iters=10)
+        assert len(splu_calls) == 1
 
 
 class TestGainsAndDispatch:

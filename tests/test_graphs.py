@@ -11,7 +11,6 @@ from graphred import (
     igft,
     load_edge_list,
     quadratic_form,
-    save_adjacency_csv,
     save_edge_list,
 )
 from graphred.datasets import generate_sensor_points
@@ -150,6 +149,21 @@ class TestEigendecompose:
         with pytest.raises(NumericalError):
             eigendecompose(lap, tol=1e-18)
 
+    def test_corrupted_basis_raises_at_default_tol(self, monkeypatch):
+        lap = build_laplacian(random_graph(0))
+        eigh = np.linalg.eigh
+
+        def corrupted(mat):
+            eigenvalues, basis = eigh(mat)
+            basis = basis.copy()
+            basis[:, [3, 4]] = basis[:, [4, 3]]  # eigenvectors paired with the wrong eigenvalues
+            return eigenvalues, basis
+
+        assert eigendecompose(lap).n_nodes == lap.n_nodes
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(NumericalError, match="residual"):
+            eigendecompose(lap)
+
 
 class TestGft:
     def test_eigenvector_maps_to_unit_coefficient(self):
@@ -252,9 +266,3 @@ class TestEdgeListIO:
         path.write_text("0 1 1.0\n0 oops\n")
         with pytest.raises(InvalidGraphError, match=":2:"):
             load_edge_list(path)
-
-    def test_adjacency_csv_written(self, tmp_path):
-        path = tmp_path / "adj.csv"
-        save_adjacency_csv(two_node_graph(), path)
-        rows = [r.split(",") for r in path.read_text().strip().splitlines()]
-        assert np.allclose(np.array(rows, dtype=float), [[0.0, 1.0], [1.0, 0.0]])

@@ -334,6 +334,59 @@ class TestSharedCgCore:
         assert len(calls) == 1
 
 
+class TestNodeSpacePath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        per_layer=st.booleans(),
+        batched=st.booleans(),
+        K=st.integers(1, 10),
+        alpha_red=st.floats(0.0, 100.0),
+        alpha=st.floats(1e-3, 1e3),
+        rho=st.floats(1e-2, 1e2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_spectral_path(self, graph30, kind, per_layer, batched, K, alpha_red, alpha, rho, seed):
+        lap, dec = graph30
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((lap.n_nodes, 3) if batched else lap.n_nodes)
+        den = Denoiser(kind=kind, alpha=alpha, rho=rho if kind == "pnp" else None)
+        layers = {}
+        if per_layer:
+            layers["alpha_red_layers"] = alpha_red * rng.uniform(0.5, 2.0, K + 1)
+            layers["alpha_denoiser_layers"] = alpha * rng.uniform(0.5, 2.0, K + 1)
+            if kind == "pnp":
+                layers["pnp_rho_layers"] = rho * rng.uniform(0.5, 2.0, K + 1)
+        node = red_cg_solve(RedProblem(y=y, alpha_red=alpha_red, denoiser=den, lap=lap), K, **layers)
+        prob = RedProblem(y=y, alpha_red=alpha_red, denoiser=den, lap=lap, decomp=dec)
+        spectral = red_cg_solve(prob, K, **layers)
+        # Rounding in either path grows with the condition bound of the RED
+        # operator times that of I + alpha L; past 1e3 the bound scales with it.
+        a_red_max = np.max(layers.get("alpha_red_layers", alpha_red))
+        alpha_max = np.max(layers.get("alpha_denoiser_layers", alpha))
+        cond = (1.0 + a_red_max) * (1.0 + alpha_max * dec.eigenvalues[-1])
+        tol = 1e-10 * max(1.0, cond / 1e3)
+        assert np.linalg.norm(node.x - spectral.x) <= tol * np.linalg.norm(spectral.x)
+
+    def test_one_factorization_per_distinct_alpha(self, graph30, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        real = scipy.sparse.linalg.splu
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "splu", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        lap, _ = graph30
+        den = Denoiser(kind="pnp", alpha=1.0, rho=1.0)
+        prob = RedProblem(y=np.arange(lap.n_nodes, dtype=float), alpha_red=1.0, denoiser=den, lap=lap)
+        red_cg_solve(prob, 10)
+        assert len(calls) == 1
+        red_cg_solve(prob, 10, pnp_rho_layers=np.linspace(0.5, 2.0, 11))
+        assert len(calls) == 2
+        red_cg_solve(prob, 10, alpha_denoiser_layers=np.linspace(0.5, 2.0, 11))
+        assert len(calls) == 13
+
+
 class TestProblemValidation:
     def test_rejects_nonfinite_observation(self):
         lap, _ = setup_graph(0)
