@@ -1,15 +1,19 @@
 """Run the two plug-in denoisers and compare their implementations.
 
 The Laplacian-regularization (LR) denoiser solves (I + alpha L) x = y three
-ways — sparse direct, spectral, and conjugate gradient — and all three
-agree.  The PnP-ADMM denoiser wraps LR in an ADMM loop; for large rho a
-single iteration collapses back to plain LR.
+ways — sparse direct, conjugate gradient, and as per-frequency gains
+1/(1 + alpha lambda) on the graph Fourier coefficients — and all three
+agree.  The PnP-ADMM denoiser wraps LR in an ADMM loop; it too is one gain
+per frequency, and its spectral apply matches the node-space iterations.
+For large rho a single iteration collapses back to plain LR.
 """
 
 import numpy as np
 
 from graphred import (
+    Denoiser,
     add_noise,
+    apply_denoiser,
     build_laplacian,
     eigendecompose,
     generate_bandlimited,
@@ -17,7 +21,6 @@ from graphred import (
     knn_graph,
     lr_denoise,
     lr_denoise_cg,
-    lr_denoise_spectral,
     lr_gains,
     normalize_weights,
     pnp_admm_denoise,
@@ -35,7 +38,7 @@ def main():
 
     alpha = 3.0
     direct = lr_denoise(lap, y, alpha)
-    spectral = lr_denoise_spectral(decomp, y, alpha)
+    spectral = apply_denoiser(Denoiser(kind="lr", alpha=alpha), lap, y, decomp=decomp)
     iterative = lr_denoise_cg(lap, y, alpha, tol=1e-10)
     print(f"lr denoised rmse {rmse(direct, x):.4f}")
     print(f"  spectral vs direct max diff {np.max(np.abs(spectral - direct)):.2e}")
@@ -44,9 +47,13 @@ def main():
     gains = lr_gains(decomp.eigenvalues, alpha)
     print(f"  spectral gains 1/(1+alpha*lambda): DC {gains[0]:.3f}, highest {gains[-1]:.3f}")
 
-    pnp = pnp_admm_denoise(lap, y, alpha=alpha, rho=1.0, iters=10, decomp=decomp)
-    pnp_stiff = pnp_admm_denoise(lap, y, alpha=alpha, rho=1e6, iters=1, decomp=decomp)
+    pnp = pnp_admm_denoise(lap, y, alpha=alpha, rho=1.0, iters=10)
+    pnp_den = Denoiser(kind="pnp", alpha=alpha, rho=1.0, iters=10)
+    pnp_spectral = apply_denoiser(pnp_den, lap, y, decomp=decomp)
+    stiff_den = Denoiser(kind="pnp", alpha=alpha, rho=1e6, iters=1)
+    pnp_stiff = apply_denoiser(stiff_den, lap, y, decomp=decomp)
     print(f"pnp denoised rmse {rmse(pnp, x):.4f} (rho=1, 10 iterations)")
+    print(f"  spectral vs node max diff {np.max(np.abs(pnp_spectral - pnp)):.2e}")
     print(f"  rho=1e6, 1 iteration collapses to lr: max diff {np.max(np.abs(pnp_stiff - direct)):.2e}")
 
 

@@ -18,10 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .construct import knn_graph, normalize_weights
-from .denoisers import (
-    DEFAULT_PNP_ITERS, Denoiser, lr_denoise, lr_denoise_spectral, lr_gains, pnp_admm_denoise,
-    pnp_gains,
-)
+from .denoisers import DEFAULT_PNP_ITERS, Denoiser, apply_denoiser, lr_gains, pnp_gains
 from .exceptions import (
     ConfigError,
     GraphRedError,
@@ -101,27 +98,30 @@ def _stack(signals) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
+    """The denoiser that ``method`` applies (lr, pnp) or plugs into RED (red_*).
+
+    ``params`` holds the method's scalar parameters, keyed as in ``METHOD_PARAM_KEYS``.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    if method.endswith("lr"):
+        return Denoiser(kind="lr", alpha=params["alpha_lr"])
+    return Denoiser(kind="pnp", alpha=params["alpha_pnp"], rho=params["rho"], iters=pnp_iters)
+
+
 def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
     """Run one denoising method with explicit scalar parameters (node space if no ``decomp``)."""
-    if method == "lr":
-        if decomp is None:
-            return lr_denoise(lap, y, params["alpha_lr"])
-        return lr_denoise_spectral(decomp, y, params["alpha_lr"])
-    if method == "pnp":
-        return pnp_admm_denoise(
-            lap, y, params["alpha_pnp"], params["rho"], iters=pnp_iters, decomp=decomp
-        )
+    if method in ("lr", "pnp"):
+        return apply_denoiser(method_denoiser(method, params, pnp_iters), lap, y, decomp=decomp)
     return solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters).x
 
 
 def solve_with_report(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
     """Solver report of a red_* method with explicit scalar parameters."""
-    if method == "red_lr":
-        denoiser = Denoiser(kind="lr", alpha=params["alpha_lr"])
-    elif method == "red_pnp":
-        denoiser = Denoiser(kind="pnp", alpha=params["alpha_pnp"], rho=params["rho"], iters=pnp_iters)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    if not method.startswith("red_"):
+        raise ConfigError(f"{method!r} is not a RED method")
+    denoiser = method_denoiser(method, params, pnp_iters)
     prob = RedProblem(y=y, alpha_red=params["alpha_red"], denoiser=denoiser, lap=lap, decomp=decomp)
     return red_cg_solve(prob, cg_layers)
 
@@ -441,15 +441,18 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         gradient_method=cfg.get("gradient_method", "finite_difference"),
     )
     init, start_epoch = _resolve_train_init(cfg, K, kind)
+    pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
     lap, decomp = _graph_setup(records[0])
     y = _stack([np.asarray(r.observed[sigma], dtype=float) for r in records])
     target = _stack([np.asarray(r.clean, dtype=float) for r in records]) if mode == "supervised" else None
     samples = [TrainSample(y=y, target=target)]
-    params, history = train(samples, config, init, lap, decomp=decomp, start_epoch=start_epoch)
+    params, history = train(
+        samples, config, init, lap, decomp=decomp, start_epoch=start_epoch, pnp_iters=pnp_iters
+    )
     save_params(params, os.path.join(out_dir, "params.json"))
     save_loss_history(history, os.path.join(out_dir, "loss_history.csv"))
     clean = _stack([np.asarray(r.clean, dtype=float) for r in records])
-    final_rmse = rmse(unrolled_forward(lap, y, params, decomp=decomp), clean)
+    final_rmse = rmse(unrolled_forward(lap, y, params, decomp=decomp, pnp_iters=pnp_iters), clean)
     _write_json(
         os.path.join(out_dir, "train_report.json"),
         {
@@ -489,15 +492,8 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         lap, decomp = _graph_setup(records[0])
         rng = np.random.default_rng(seed)
         for method in methods:
-            if method == "lr":
-                den = Denoiser(kind="lr", alpha=float(cfg.get("alpha_lr", 1.0)))
-            else:
-                den = Denoiser(
-                    kind="pnp",
-                    alpha=float(cfg.get("alpha_pnp", 1.0)),
-                    rho=float(cfg.get("rho", 1.0)),
-                    iters=int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS)),
-                )
+            params = {key: float(cfg.get(key, 1.0)) for key in METHOD_PARAM_KEYS[method]}
+            den = method_denoiser(method, params, int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS)))
             max_dev = 0.0
             max_ratio = 0.0
             for _ in range(n_signals):

@@ -236,6 +236,22 @@ def _checked_noise(clean, sigma, rng):
     return y
 
 
+def _noisy_splits(graph, clean, sigmas, seed, n_train, n_test) -> dict:
+    """Train and test records: one noisy observation of ``clean`` per sample and sigma."""
+    splits = {}
+    for split, count in (("train", n_train), ("test", n_test)):
+        code = SPLIT_CODES[split]
+        records = []
+        for idx in range(count):
+            observed = {}
+            for s_idx, sigma in enumerate(sigmas):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, code, idx, STREAM_NOISE, s_idx]))
+                observed[float(sigma)] = _checked_noise(clean, float(sigma), rng)
+            records.append(DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx))
+        splits[split] = records
+    return splits
+
+
 def generate_synthetic_dataset(spec: SyntheticSpec) -> Dataset:
     """Full synthetic protocol: points, graph, signal, noisy splits."""
     points = generate_sensor_points(spec.n_nodes, spec.side, spec.seed)
@@ -256,20 +272,8 @@ def generate_synthetic_dataset(spec: SyntheticSpec) -> Dataset:
         "n_test": spec.n_test,
         "rng": "pcg64 seeded by SeedSequence([seed, split, sample, stream, sigma_index])",
     }
-    splits = {"train": [], "test": []}
-    for split, count in (("train", spec.n_train), ("test", spec.n_test)):
-        code = SPLIT_CODES[split]
-        for idx in range(count):
-            observed = {}
-            for s_idx, sigma in enumerate(spec.sigmas):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([spec.seed, code, idx, STREAM_NOISE, s_idx])
-                )
-                observed[float(sigma)] = _checked_noise(clean, float(sigma), rng)
-            splits[split].append(
-                DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx)
-            )
-    return Dataset(manifest=manifest, train=splits["train"], test=splits["test"])
+    splits = _noisy_splits(graph, clean, spec.sigmas, spec.seed, spec.n_train, spec.n_test)
+    return Dataset(manifest=manifest, **splits)
 
 
 def generate_pointcloud_dataset(
@@ -306,20 +310,7 @@ def generate_pointcloud_dataset(
         "n_test": n_test,
         "rng": "pcg64 seeded by SeedSequence([seed, split, sample, stream, sigma_index])",
     }
-    splits = {"train": [], "test": []}
-    for split, count in (("train", n_train), ("test", n_test)):
-        code = SPLIT_CODES[split]
-        for idx in range(count):
-            observed = {}
-            for s_idx, sigma in enumerate(sigmas):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, code, idx, STREAM_NOISE, s_idx])
-                )
-                observed[float(sigma)] = _checked_noise(sampled, float(sigma), rng)
-            splits[split].append(
-                DatasetRecord(graph=graph, clean=sampled, observed=observed, split=split, index=idx)
-            )
-    return Dataset(manifest=manifest, train=splits["train"], test=splits["test"])
+    return Dataset(manifest=manifest, **_noisy_splits(graph, sampled, sigmas, seed, n_train, n_test))
 
 
 def _sigma_name(sigma: float) -> str:

@@ -3,15 +3,16 @@
 Two families:
 
 * Laplacian-regularization (LR): the closed-form smoother
-  ``x = (I + alpha L)^{-1} y``, available as a sparse direct solve, a
-  spectral-domain apply against a precomputed eigendecomposition, and a
+  ``x = (I + alpha L)^{-1} y``, available as a sparse direct solve and a
   matrix-free conjugate-gradient approximation.
 * Plug-and-play ADMM (PnP): a fixed number of ADMM iterations on the
   denoising objective, with the LR smoother plugged in as the proximal
   step for the prior.
 
-Everything accepts ``(N,)`` or ``(N, S)`` signals; batches are independent
-columns.
+Both are graph filters: with an eigendecomposition, each is one gain per
+graph frequency (:func:`denoiser_gains`), and that gain vector is the only
+spectral form of a denoiser here.  Everything accepts ``(N,)`` or
+``(N, S)`` signals; batches are independent columns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DivergenceError, NumericalError
-from .graphs import Laplacian, SpectralDecomp, _check_signal
+from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft
 
 SOLVE_TOL = 1e-8
 DEFAULT_PNP_ITERS = 10
@@ -96,22 +97,6 @@ def lr_denoise(lap: Laplacian, y: np.ndarray, alpha: float) -> np.ndarray:
     return lr_smoother(lap, alpha)(y)
 
 
-def lr_denoise_spectral(decomp: SpectralDecomp, y: np.ndarray, alpha: float) -> np.ndarray:
-    """LR denoising in the spectral domain: gain ``1 / (1 + alpha lambda_i)``.
-
-    Equivalent to :func:`lr_denoise` up to rounding, but amortizes the
-    eigendecomposition across many calls.
-    """
-    y = _check_signal(y, decomp.n_nodes)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    gains = 1.0 / (1.0 + alpha * decomp.eigenvalues)
-    spectrum = decomp.basis.T @ y
-    if spectrum.ndim == 2:
-        gains = gains[:, None]
-    return decomp.basis @ (gains * spectrum)
-
-
 def lr_denoise_cg(
     lap: Laplacian,
     y: np.ndarray,
@@ -173,7 +158,6 @@ def pnp_admm_denoise(
     alpha: float,
     rho: float,
     iters: int = DEFAULT_PNP_ITERS,
-    decomp: SpectralDecomp | None = None,
 ) -> np.ndarray:
     """Plug-and-play ADMM denoiser built around the LR smoother.
 
@@ -185,15 +169,12 @@ def pnp_admm_denoise(
 
     and the final ``x`` is returned.  Large ``rho`` pins ``x`` to the
     denoised ``v``; small ``rho`` pins it to the observation ``y``.
-    Passing a precomputed ``decomp`` routes the inner smoother through the
-    spectral apply; without one, ``I + alpha L`` is factored once for all
-    iterations.  Raises :class:`DivergenceError` if an iterate stops being
-    finite or its norm explodes.
+    ``I + alpha L`` is factored once for all iterations.  Raises
+    :class:`DivergenceError` if an iterate stops being finite or its norm
+    explodes.
     """
     y = _check_signal(y, lap.n_nodes)
-    if decomp is None:
-        return _pnp_admm(lr_smoother(lap, alpha), y, rho, iters)
-    return _pnp_admm(lambda v: lr_denoise_spectral(decomp, v, alpha), y, rho, iters)
+    return _pnp_admm(lr_smoother(lap, alpha), y, rho, iters)
 
 
 def _pnp_admm(smooth, y: np.ndarray, rho: float, iters: int) -> np.ndarray:
@@ -264,9 +245,12 @@ def apply_denoiser(
     y: np.ndarray,
     decomp: SpectralDecomp | None = None,
 ) -> np.ndarray:
-    """Run ``denoiser`` on ``y``, in the spectral domain when ``decomp`` is given."""
+    """Run ``denoiser`` on ``y``: its gains on GFT coefficients when ``decomp``
+    is given, otherwise the node-space solve."""
+    if decomp is not None:
+        spectrum = gft(decomp, y)
+        gains = denoiser_gains(denoiser, decomp.eigenvalues)
+        return igft(decomp, (gains[:, None] if spectrum.ndim == 2 else gains) * spectrum)
     if denoiser.kind == "lr":
-        if decomp is not None:
-            return lr_denoise_spectral(decomp, y, denoiser.alpha)
         return lr_denoise(lap, y, denoiser.alpha)
-    return pnp_admm_denoise(lap, y, denoiser.alpha, denoiser.rho, iters=denoiser.iters, decomp=decomp)
+    return pnp_admm_denoise(lap, y, denoiser.alpha, denoiser.rho, iters=denoiser.iters)

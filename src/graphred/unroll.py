@@ -19,12 +19,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
-from .denoisers import DEFAULT_PNP_ITERS, Denoiser
+from .denoisers import DEFAULT_PNP_ITERS, Denoiser, lr_gains
 from .exceptions import ConfigError, TrainingError
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
-from .red import RedProblem, red_cg_solve
+from .red import CONVERGED_TOL, RedProblem, red_cg_solve
 
 FD_STEP = 1e-6
 _N2N_STREAM = 3  # RNG stream tag for re-noising draws
@@ -331,16 +330,16 @@ def _epoch_pairs(samples, config: TrainConfig, epoch: int):
     return pairs
 
 
-def _dataset_loss(pairs, lap, decomp, K, kind, theta):
+def _dataset_loss(pairs, lap, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     params = UnrolledParams.from_theta(K, kind, theta)
     total = 0.0
     for y, target in pairs:
-        total += mse(unrolled_forward(lap, y, params, decomp=decomp), target)
+        total += mse(unrolled_forward(lap, y, params, decomp=decomp, pnp_iters=pnp_iters), target)
     return total / len(pairs)
 
 
-def _fd_loss_grad(pairs, lap, decomp, K, kind, theta):
-    loss = _dataset_loss(pairs, lap, decomp, K, kind, theta)
+def _fd_loss_grad(pairs, lap, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
+    loss = _dataset_loss(pairs, lap, decomp, K, kind, theta, pnp_iters)
     grad = np.zeros_like(theta)
     for j in range(theta.size):
         h = FD_STEP * max(1.0, abs(theta[j]))
@@ -349,8 +348,8 @@ def _fd_loss_grad(pairs, lap, decomp, K, kind, theta):
         minus = theta.copy()
         minus[j] -= h
         grad[j] = (
-            _dataset_loss(pairs, lap, decomp, K, kind, plus)
-            - _dataset_loss(pairs, lap, decomp, K, kind, minus)
+            _dataset_loss(pairs, lap, decomp, K, kind, plus, pnp_iters)
+            - _dataset_loss(pairs, lap, decomp, K, kind, minus, pnp_iters)
         ) / (2.0 * h)
     return loss, grad
 
@@ -360,21 +359,21 @@ def _analytic_loss_grad(pairs, decomp, K, theta):
 
     The whole unrolled recursion is diagonal in the eigenbasis, so the pass
     runs on GFT coefficients; tangents w.r.t. every theta entry are carried
-    alongside each intermediate quantity.  Matches the solver's arithmetic
-    (no early-exit guards), which is exact whenever no column converges
-    early.
+    alongside each intermediate quantity.  Matches the solver's arithmetic,
+    early-exit guards included: a converged column takes no step, and the
+    loop stops once every column has converged.
     """
     lam = decomp.eigenvalues
     n_layer = K + 1
     P = 2 * n_layer
-    th_red, th_lr = theta[:n_layer], theta[n_layer:]
-    a_red = softplus(th_red)
-    a_lr = softplus(th_lr)
-    sig_red = _sigmoid(th_red)
-    sig_lr = _sigmoid(th_lr)
+    a_red = softplus(theta[:n_layer])
+    a_lr = softplus(theta[n_layer:])
+    # softplus' = sigmoid(theta) = 1 - exp(-softplus(theta))
+    sig_red = -np.expm1(-a_red)
+    sig_lr = -np.expm1(-a_lr)
 
-    # Per-layer spectral shortfalls s = 1 - 1/(1 + a λ) and their theta-derivatives.
-    f = 1.0 / (1.0 + a_lr[:, None] * lam[None, :])  # (K+1, N)
+    # Per-layer spectral shortfalls s = 1 - f of the LR gains f, and their theta-derivatives.
+    f = lr_gains(lam[None, :], a_lr[:, None])  # (K+1, N)
     s = 1.0 - f
     ds_lr = lam[None, :] * f * f * sig_lr[:, None]
 
@@ -397,7 +396,11 @@ def _analytic_loss_grad(pairs, decomp, K, theta):
         dp = np.zeros((P, N, S))
         gsq = np.sum(g * g, axis=0)
         dgsq = np.zeros((P, S))
+        scale = np.maximum(np.linalg.norm(z, axis=0), 1.0)
+        converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
         for k in range(1, K + 1):
+            if np.all(converged):
+                break
             jr, jl = k, n_layer + k
             sk = s[k][:, None]
             ar = a_red[k]
@@ -410,8 +413,9 @@ def _analytic_loss_grad(pairs, decomp, K, theta):
             ddenom = np.sum(dp * ap + p * dap, axis=1)
             num = -np.sum(p * g, axis=0)
             dnum = -np.sum(dp * g + p * dg, axis=1)
-            tau = num / denom
-            dtau = (dnum * denom - num * ddenom) / (denom * denom)
+            safe = np.where(converged, 1.0, denom)
+            tau = np.where(converged, 0.0, num / safe)
+            dtau = np.where(converged, 0.0, (dnum * safe - num * ddenom) / (safe * safe))
             x = x + tau * p
             dx = dx + dtau[:, None, :] * p + tau * dp
             sx = sk * x
@@ -421,10 +425,14 @@ def _analytic_loss_grad(pairs, decomp, K, theta):
             dg[jl] += ar * (ds_lr[k][:, None] * x)
             gsq_new = np.sum(g * g, axis=0)
             dgsq_new = 2.0 * np.sum(g * dg, axis=1)
-            gamma = gsq_new / gsq
-            dgamma = (dgsq_new * gsq - gsq_new * dgsq) / (gsq * gsq)
+            nonzero = gsq > 0
+            gsq_safe = np.where(nonzero, gsq, 1.0)
+            gamma = np.where(nonzero, gsq_new / gsq_safe, 0.0)
+            dgamma = (dgsq_new * gsq_safe - gsq_new * dgsq) / (gsq_safe * gsq_safe)
+            dgamma = np.where(nonzero, dgamma, 0.0)
             p, dp = -g + gamma * p, -dg + dgamma[:, None, :] * p + gamma * dp
             gsq, dgsq = gsq_new, dgsq_new
+            converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
 
         resid = x - t
         total_loss += float(np.sum(resid * resid)) / resid.size
@@ -440,13 +448,15 @@ def train(
     lap: Laplacian,
     decomp: SpectralDecomp | None = None,
     start_epoch: int = 0,
+    pnp_iters: int = DEFAULT_PNP_ITERS,
 ):
     """Full-batch Adam over the unrolled parameters.
 
     Returns the final parameters and the per-epoch loss history; each entry
     is the loss at the parameters *before* that epoch's update, so a run
     resumed from serialized parameters reproduces the next epoch's loss.
-    Raises :class:`TrainingError` when the loss stops being finite.
+    ``pnp_iters`` is the ADMM iteration count of a PnP denoiser.  Raises
+    :class:`TrainingError` when the loss stops being finite.
     """
     if not samples:
         raise ValueError("training needs at least one sample")
@@ -463,7 +473,7 @@ def train(
         if config.gradient_method == "analytic_linear":
             loss, grad = _analytic_loss_grad(pairs, decomp, init.K, theta)
         else:
-            loss, grad = _fd_loss_grad(pairs, lap, decomp, init.K, init.denoiser_kind, theta)
+            loss, grad = _fd_loss_grad(pairs, lap, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(float(loss))

@@ -10,8 +10,8 @@ import graphred.cli
 import graphred.graphs
 import graphred.unroll
 from graphred import (
-    Denoiser, RedProblem, UnrolledParams, build_laplacian, eigendecompose, knn_graph,
-    normalize_weights, red_cg_solve, save_params, unrolled_forward,
+    Denoiser, RedProblem, TrainConfig, TrainSample, UnrolledParams, build_laplacian, eigendecompose,
+    knn_graph, normalize_weights, red_cg_solve, save_loss_history, save_params, train, unrolled_forward,
 )
 from graphred.cli import METHOD_PARAM_KEYS, METHODS, apply_method, main, tune_method
 from graphred.datasets import load_dataset
@@ -389,6 +389,33 @@ class TestTrain:
         resumed_first_loss = float((out2 / "loss_history.csv").read_text().strip().splitlines()[1].split(",")[1])
         full_third_loss = float((out3 / "loss_history.csv").read_text().strip().splitlines()[3].split(",")[1])
         assert abs(resumed_first_loss - full_third_loss) <= 1e-12 * max(1.0, abs(full_third_loss))
+
+    def test_pnp_iters_reaches_training(self, dataset_dir, tmp_path):
+        base = {
+            "dataset": str(dataset_dir),
+            "sigma": 0.5,
+            "denoiser": "pnp",
+            "K": 3,
+            "epochs": 2,
+            "init": {"alpha_red": 1.0, "alpha_denoiser": 1.0, "rho": 1.0},
+        }
+        histories = {}
+        for name, extra in (("default", {}), ("three", {"pnp_iters": 3})):
+            cfg = write_config(tmp_path / f"{name}.json", {**base, **extra})
+            out = tmp_path / name
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+            histories[name] = (out / "loss_history.csv").read_bytes()
+        assert histories["three"] != histories["default"]
+        records = load_dataset(dataset_dir).train
+        lap = build_laplacian(records[0].graph)
+        sample = TrainSample(
+            y=np.column_stack([r.observed[0.5] for r in records]),
+            target=np.column_stack([r.clean for r in records]),
+        )
+        init = UnrolledParams.constant(3, "pnp", 1.0, 1.0, 1.0)
+        _, history = train([sample], TrainConfig(epochs=2), init, lap, decomp=eigendecompose(lap), pnp_iters=3)
+        save_loss_history(history, tmp_path / "direct.csv")
+        assert (tmp_path / "direct.csv").read_bytes() == histories["three"]
 
     def test_unrolled_denoise_consumes_trained_params(self, dataset_dir, tmp_path):
         train_cfg = write_config(

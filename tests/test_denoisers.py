@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from graphred import (
     ConvergenceError,
@@ -15,7 +16,6 @@ from graphred import (
     knn_graph,
     lr_denoise,
     lr_denoise_cg,
-    lr_denoise_spectral,
     lr_gains,
     lr_smoother,
     normalize_weights,
@@ -144,21 +144,6 @@ class TestLrSmoother:
             lr_smoother(two_node_lap(), 1.0)(np.ones(3))
 
 
-class TestLrDenoiseSpectral:
-    def test_matches_direct(self):
-        lap = synthetic_lap(5)
-        dec = eigendecompose(lap)
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal(lap.n_nodes)
-        a = lr_denoise(lap, y, 2.0)
-        b = lr_denoise_spectral(dec, y, 2.0)
-        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
-
-    def test_gains_formula(self):
-        lam = np.array([0.0, 0.5, 2.0])
-        assert np.allclose(lr_gains(lam, 2.0), 1.0 / (1.0 + 2.0 * lam), atol=1e-15)
-
-
 class TestLrDenoiseCg:
     def test_matches_dense_solve(self):
         lap = synthetic_lap(0, n=100)
@@ -243,6 +228,12 @@ class TestPnpAdmm:
         assert len(splu_calls) == 1
 
 
+@pytest.fixture(scope="module")
+def graph50():
+    lap = synthetic_lap(11)
+    return lap, eigendecompose(lap)
+
+
 class TestGainsAndDispatch:
     def test_pnp_gains_reproduce_node_run(self):
         lap = synthetic_lap(10)
@@ -254,18 +245,35 @@ class TestGainsAndDispatch:
         via_gains = igft(dec, gains * gft(dec, y))
         assert np.linalg.norm(node - via_gains) <= 1e-10 * np.linalg.norm(node)
 
-    def test_spectral_apply_matches_node_apply(self):
-        lap = synthetic_lap(11)
-        dec = eigendecompose(lap)
-        rng = np.random.default_rng(13)
-        y = rng.standard_normal(lap.n_nodes)
-        for den in (
-            Denoiser(kind="lr", alpha=2.0),
-            Denoiser(kind="pnp", alpha=1.0, rho=1.5, iters=10),
-        ):
-            a = apply_denoiser(den, lap, y)
-            b = apply_denoiser(den, lap, y, decomp=dec)
-            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        alpha=st.floats(1e-3, 1e3),
+        rho=st.floats(1e-2, 1e2),
+        iters=st.integers(1, 20),
+        batched=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectral_apply_matches_node_apply(self, graph50, kind, alpha, rho, iters, batched, seed):
+        lap, dec = graph50
+        den = Denoiser(kind=kind, alpha=alpha, rho=rho if kind == "pnp" else None, iters=iters)
+        y = np.random.default_rng(seed).standard_normal((lap.n_nodes, 3) if batched else lap.n_nodes)
+        node = apply_denoiser(den, lap, y)
+        spectral = apply_denoiser(den, lap, y, decomp=dec)
+        assert spectral.shape == y.shape
+        # Both paths round; their difference grows with the condition of I + alpha L.
+        cond = 1.0 + alpha * dec.eigenvalues[-1]
+        assert np.linalg.norm(node - spectral) <= 1e-13 * cond * np.linalg.norm(node)
+        const = np.full(y.shape, -1.7)
+        for out in (apply_denoiser(den, lap, const), apply_denoiser(den, lap, const, decomp=dec)):
+            assert np.max(np.abs(out - const)) <= 1e-9
+        # The eigenvalue of the constant vector rounds to about -1e-16, so gains may exceed 1 by rounding.
+        assert np.sum(spectral**2) <= (1.0 + 1e-10) * np.sum(y**2)
+        assert np.sum(node**2) <= (1.0 + 1e-10) * np.sum(y**2)
+
+    def test_lr_gains_formula(self):
+        lam = np.array([0.0, 0.5, 2.0])
+        assert np.allclose(lr_gains(lam, 2.0), 1.0 / (1.0 + 2.0 * lam), atol=1e-15)
 
     def test_denoiser_validation(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,23 @@ class TestGradients:
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
         assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
 
+    def test_zero_observation_column_matches_fd(self):
+        # The solver marks an all-zero column converged at once; the exact gradient must too.
+        lap, dec, y, target = setup_training(3, n=50, k=5)
+        y[:, 1] = 0.0
+        K = 6
+        init = UnrolledParams.constant(K, "lr", 1.3, 2.1)
+        theta = init.to_theta()
+        pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
+        l_fd, g_fd = _fd_loss_grad(pairs, lap, dec, K, "lr", theta)
+        l_an, g_an = _analytic_loss_grad(pairs, dec, K, theta)
+        assert np.isfinite(l_an) and np.all(np.isfinite(g_an))
+        assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
+        assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
+        config = TrainConfig(mode="supervised", epochs=3, gradient_method="analytic_linear")
+        _, history = train([TrainSample(y=y, target=target)], config, init, lap, decomp=dec)
+        assert np.all(np.isfinite(history))
+
 
 class TestTraining:
     def test_supervised_loss_decreases(self):
