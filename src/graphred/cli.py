@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .construct import knn_graph, normalize_weights
-from .denoisers import DEFAULT_PNP_ITERS, Denoiser, apply_denoiser, lr_gains, pnp_gains
+from .denoisers import DEFAULT_PNP_ITERS, Denoiser, apply_denoiser, denoiser_gains, gain_filter, gain_table
 from .exceptions import (
     ConfigError,
     GraphRedError,
@@ -28,7 +28,7 @@ from .exceptions import (
     TrainingError,
 )
 from .graphs import build_laplacian, eigendecompose, gft
-from .red import RedProblem, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve
+from .red import RedProblem, candidate_mse, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve
 from .spectral import ResponseComparison, compare_responses, h_lr, h_red, write_response_csv
 from .unroll import (
     TrainConfig,
@@ -54,8 +54,6 @@ DEFAULT_ALPHA_RANGE = (1e-3, 1e3)
 DEFAULT_RHO_RANGE = (1e-2, 1e2)
 DEFAULT_GRID_POINTS = 20
 DEFAULT_CG_LAYERS = 10
-# Signal columns per batched CG solve while tuning; bounds peak memory.
-TUNE_BLOCK_COLUMNS = 100
 
 
 def _load_json_config(path) -> dict:
@@ -80,6 +78,22 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
+    """Write metrics.json: the RMSE of each output, and of each observation, against its clean signal."""
+    per_sample = [rmse(x, record.clean) for x, record in zip(outputs, records)]
+    metrics = {
+        "schema": "graphred-metrics-v1",
+        "sigma": sigma,
+        "n_samples": len(records),
+        **fields,
+        "per_sample_rmse": per_sample,
+        "mean_rmse": float(np.mean(per_sample)),
+        "observed_rmse": float(np.mean([rmse(r.observed[sigma], r.clean) for r in records])),
+    }
+    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
+    return metrics
 
 
 def _graph_setup(record: ds.DatasetRecord):
@@ -126,16 +140,6 @@ def solve_with_report(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYER
     return red_cg_solve(prob, cg_layers)
 
 
-def _gain_table(kind, lambdas, alphas, rhos, pnp_iters) -> np.ndarray:
-    """Denoiser gains, one row per grid tuple ``(alpha,)`` or ``(alpha, rho)``.
-
-    Rows run in ascending lexicographic order of the tuple.
-    """
-    if kind == "lr":
-        return np.array([lr_gains(lambdas, a) for a in alphas])
-    return np.array([pnp_gains(lambdas, a, r, pnp_iters) for a, r in itertools.product(alphas, rhos)])
-
-
 def tune_method(
     records,
     sigma,
@@ -153,8 +157,9 @@ def tune_method(
     ties go to the first.  All are evaluated on GFT coefficients, where RMSE
     is unchanged (the basis is orthonormal): lr and pnp candidates are gain
     table rows times the observations, red_* candidates are extra columns of
-    batched CG solves.  A dict passed as ``gain_tables`` to several calls
-    keeps each gain table, keyed by eigenvalues and grid, between them.
+    batched CG solves (both blocked by :func:`red.candidate_mse`).  A dict
+    passed as ``gain_tables`` to several calls keeps each gain table, keyed
+    by eigenvalues and grid, between them.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -172,27 +177,23 @@ def tune_method(
     key = (kind, decomp.eigenvalues.tobytes(), alphas.tobytes(), rhos.tobytes(), pnp_iters)
     tables = {} if gain_tables is None else gain_tables
     if key not in tables:
-        tables[key] = _gain_table(kind, decomp.eigenvalues, alphas, rhos, pnp_iters)
+        grid = itertools.product(alphas, rhos) if kind == "pnp" else alphas[:, None]
+        tables[key] = gain_table(kind, decomp.eigenvalues, grid, pnp_iters)
     table = tables[key]
     red = method.startswith("red_")
     n_rows = len(table)
-    n_nodes, n_rec = y.shape
-    n_cand = n_rows * (grid_points if red else 1)
-    per_block = max(1, TUNE_BLOCK_COLUMNS // n_rec)
-    errors = np.empty(n_cand)
-    for start in range(0, n_cand, per_block):
-        cand = np.arange(start, min(start + per_block, n_cand))
+    n_rec = y.shape[1]
+    n_ops = cg_layers + 1
+
+    def solve(cand, obs):
         gains = np.repeat(table[cand % n_rows].T, n_rec, axis=1)
-        obs = np.tile(y, len(cand))
-        if red:
-            shortfall = 1.0 - gains
-            a_red = np.repeat(alphas[cand // n_rows], n_rec)
-            n_ops = cg_layers + 1
-            x = red_cg_layers(obs, [lambda v: shortfall * v] * n_ops, [a_red] * n_ops).x
-        else:
-            x = gains * obs
-        sq = (x - np.tile(target, len(cand))) ** 2
-        errors[cand] = np.sqrt(sq.reshape(n_nodes, len(cand), n_rec).mean(axis=(0, 2)))
+        if not red:
+            return gains * obs
+        shortfall = 1.0 - gains
+        a_red = np.repeat(alphas[cand // n_rows], n_rec)
+        return red_cg_layers(obs, [lambda v: shortfall * v] * n_ops, [a_red] * n_ops).x
+
+    errors = np.sqrt(candidate_mse(y, target, n_rows * (grid_points if red else 1), solve))
     best = int(np.argmin(errors))
     keys = METHOD_PARAM_KEYS[method]
     picks = np.unravel_index(best, (grid_points,) * len(keys))
@@ -356,32 +357,19 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
     denoised_dir = os.path.join(out_dir, "denoised")
     os.makedirs(denoised_dir, exist_ok=True)
-    per_sample = []
-    observed_rmse = []
     for record, (x, report) in zip(records, results):
         np.savetxt(
             os.path.join(denoised_dir, f"sample_{record.index:03d}.csv"),
             x, fmt="%.17g", delimiter=",",
         )
-        per_sample.append(rmse(x, record.clean))
-        observed_rmse.append(rmse(record.observed[sigma], record.clean))
         if report is not None:
             _write_json(
                 os.path.join(out_dir, "diagnostics", f"sample_{record.index:03d}.json"),
                 report.to_dict(),
             )
-    metrics = {
-        "schema": "graphred-metrics-v1",
-        "method": method,
-        "sigma": sigma,
-        "split": split,
-        "n_samples": len(records),
-        "params": params if method != "unrolled" else {"file": cfg["unrolled_params"]},
-        "per_sample_rmse": per_sample,
-        "mean_rmse": float(np.mean(per_sample)),
-        "observed_rmse": float(np.mean(observed_rmse)),
-    }
-    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
+    used = params if method != "unrolled" else {"file": cfg["unrolled_params"]}
+    outputs = [x for x, _ in results]
+    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=split, params=used)
     print(f"{method} sigma={sigma:g} mean_rmse={metrics['mean_rmse']:.6g} (observed {metrics['observed_rmse']:.6g})")
 
 
@@ -494,12 +482,13 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         for method in methods:
             params = {key: float(cfg.get(key, 1.0)) for key in METHOD_PARAM_KEYS[method]}
             den = method_denoiser(method, params, int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS)))
+            apply = gain_filter(decomp, denoiser_gains(den, decomp.eigenvalues))
             max_dev = 0.0
             max_ratio = 0.0
             for _ in range(n_signals):
                 x = rng.standard_normal(lap.n_nodes)
-                max_dev = max(max_dev, check_homogeneity(den, x, c, lap=lap, decomp=decomp))
-                max_ratio = max(max_ratio, check_passivity(den, x, lap=lap, decomp=decomp))
+                max_dev = max(max_dev, check_homogeneity(apply, x, c))
+                max_ratio = max(max_ratio, check_passivity(apply, x))
             ones = np.ones(lap.n_nodes)
             rows.append(
                 {
@@ -512,8 +501,8 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             rows.append(
                 {
                     "dataset": str(path), "method": method, "probe": "all_ones", "c": c,
-                    "homogeneity_deviation": check_homogeneity(den, ones, c, lap=lap, decomp=decomp),
-                    "passivity_ratio": check_passivity(den, ones, lap=lap, decomp=decomp),
+                    "homogeneity_deviation": check_homogeneity(apply, ones, c),
+                    "passivity_ratio": check_passivity(apply, ones),
                 }
             )
     _write_json(os.path.join(out_dir, "check_report.json"), {"schema": "graphred-check-v1", "rows": rows})
@@ -575,26 +564,15 @@ def cmd_eval(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     sigma = float(cfg["sigma"])
     split = cfg.get("split", "test")
     records = dataset.split(split)
-    per_sample = []
-    observed_rmse = []
+    outputs = []
     for record in records:
         path = os.path.join(cfg["denoised"], f"sample_{record.index:03d}.csv")
         x = np.loadtxt(path, delimiter=",", ndmin=1)
         if x.shape != np.asarray(record.clean).shape:
             raise ConfigError(f"{path}: shape {x.shape} does not match dataset")
-        per_sample.append(rmse(x, record.clean))
-        observed_rmse.append(rmse(record.observed[sigma], record.clean))
-    metrics = {
-        "schema": "graphred-metrics-v1",
-        "method": cfg.get("method", "unknown"),
-        "sigma": sigma,
-        "split": split,
-        "n_samples": len(records),
-        "per_sample_rmse": per_sample,
-        "mean_rmse": float(np.mean(per_sample)),
-        "observed_rmse": float(np.mean(observed_rmse)),
-    }
-    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
+        outputs.append(x)
+    method = cfg.get("method", "unknown")
+    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=split)
     print(f"eval mean_rmse={metrics['mean_rmse']:.6g} over {len(records)} samples")
 
 

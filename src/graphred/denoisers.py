@@ -239,6 +239,23 @@ def denoiser_gains(
     return pnp_gains(lambdas, a, r, denoiser.iters)
 
 
+def gain_table(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS) -> np.ndarray:
+    """Gains of the ``kind`` denoiser, one row per ``(alpha,)`` (lr) or ``(alpha, rho)`` (pnp)."""
+    if kind == "lr":
+        return np.array([lr_gains(lambdas, float(a)) for (a,) in params])
+    return np.array([pnp_gains(lambdas, float(a), float(r), iters) for a, r in params])
+
+
+def gain_filter(decomp: SpectralDecomp, gains: np.ndarray):
+    """The graph filter ``v -> igft(decomp, gains * gft(decomp, v))``, for ``(N,)`` or ``(N, S)`` signals."""
+
+    def apply(v):
+        spectrum = gft(decomp, v)
+        return igft(decomp, (gains[:, None] if spectrum.ndim == 2 else gains) * spectrum)
+
+    return apply
+
+
 def apply_denoiser(
     denoiser: Denoiser,
     lap: Laplacian,
@@ -248,9 +265,7 @@ def apply_denoiser(
     """Run ``denoiser`` on ``y``: its gains on GFT coefficients when ``decomp``
     is given, otherwise the node-space solve."""
     if decomp is not None:
-        spectrum = gft(decomp, y)
-        gains = denoiser_gains(denoiser, decomp.eigenvalues)
-        return igft(decomp, (gains[:, None] if spectrum.ndim == 2 else gains) * spectrum)
+        return gain_filter(decomp, denoiser_gains(denoiser, decomp.eigenvalues))(y)
     if denoiser.kind == "lr":
         return lr_denoise(lap, y, denoiser.alpha)
     return pnp_admm_denoise(lap, y, denoiser.alpha, denoiser.rho, iters=denoiser.iters)

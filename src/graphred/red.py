@@ -34,6 +34,9 @@ STAGNATION_TOL = 1e-14
 CONVERGED_TOL = 1e-13
 # Objective growth factor treated as divergence in gradient descent.
 DIVERGENCE_OBJECTIVE_FACTOR = 1e6
+# Signal columns per batched solve over candidates (tuning grid points,
+# finite-difference training points); bounds peak memory.
+BLOCK_COLUMNS = 100
 
 
 @dataclass(frozen=True)
@@ -265,6 +268,25 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red) -> RedSolveReport:
     return RedSolveReport(
         x=x, iterations=iterations, gradient_norm_history=gnorms, objective_history=objs
     )
+
+
+def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve) -> np.ndarray:
+    """Mean squared error against ``target`` of each of ``n_cand`` candidates' outputs.
+
+    ``y`` and ``target`` are ``(N, S)``.  Candidates run in blocks of at most
+    ``BLOCK_COLUMNS`` signal columns (one candidate at least):
+    ``solve(cand, obs)`` gets a block's candidate indices and ``y`` tiled
+    once per candidate, so candidate ``cand[i]`` owns columns
+    ``i*S .. (i+1)*S - 1``, and returns the outputs in that layout.
+    """
+    n_nodes, n_sig = y.shape
+    per_block = max(1, BLOCK_COLUMNS // n_sig)
+    out = np.empty(n_cand)
+    for start in range(0, n_cand, per_block):
+        cand = np.arange(start, min(start + per_block, n_cand))
+        x = solve(cand, np.tile(y, len(cand))).reshape(n_nodes, len(cand), n_sig)
+        out[cand] = ((x - target[:, None, :]) ** 2).mean(axis=(0, 2))
+    return out
 
 
 def red_cg_solve(

@@ -8,9 +8,10 @@ minimizes MSE against clean targets; the Noise2Noise mode re-noises each
 observation and uses the original observation as the target, so no clean
 signals are needed.
 
-Gradients come from central finite differences over the decoded parameters
-(denoiser-agnostic) or, for the LR denoiser, from an exact forward-mode
-sweep through the solver recursion in the spectral domain.
+Gradients come from central finite differences (denoiser-agnostic), with
+every parameter point of an epoch evaluated in one batched pass of the
+spectral CG core, or, for the LR denoiser, from an exact forward-mode sweep
+through the solver recursion in the spectral domain.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import DEFAULT_PNP_ITERS, Denoiser, lr_gains
+from .denoisers import DEFAULT_PNP_ITERS, Denoiser, gain_table, lr_gains
 from .exceptions import ConfigError, TrainingError
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
-from .red import CONVERGED_TOL, RedProblem, red_cg_solve
+from .red import CONVERGED_TOL, RedProblem, candidate_mse, red_cg_layers, red_cg_solve
 
 FD_STEP = 1e-6
 _N2N_STREAM = 3  # RNG stream tag for re-noising draws
@@ -330,28 +331,47 @@ def _epoch_pairs(samples, config: TrainConfig, epoch: int):
     return pairs
 
 
-def _dataset_loss(pairs, lap, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
-    params = UnrolledParams.from_theta(K, kind, theta)
-    total = 0.0
-    for y, target in pairs:
-        total += mse(unrolled_forward(lap, y, params, decomp=decomp, pnp_iters=pnp_iters), target)
-    return total / len(pairs)
+def _spectral_pairs(pairs, decomp):
+    """Each (input, target) pair as ``(N, S)`` matrices of GFT coefficients."""
+    for y, t in pairs:
+        if np.shape(y) != np.shape(t):
+            raise ValueError(f"shape mismatch: {np.shape(y)} vs {np.shape(t)}")
+    n = decomp.n_nodes
+    return [(gft(decomp, y).reshape(n, -1), gft(decomp, t).reshape(n, -1)) for y, t in pairs]
 
 
-def _fd_loss_grad(pairs, lap, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
-    loss = _dataset_loss(pairs, lap, decomp, K, kind, theta, pnp_iters)
-    grad = np.zeros_like(theta)
-    for j in range(theta.size):
-        h = FD_STEP * max(1.0, abs(theta[j]))
-        plus = theta.copy()
-        plus[j] += h
-        minus = theta.copy()
-        minus[j] -= h
-        grad[j] = (
-            _dataset_loss(pairs, lap, decomp, K, kind, plus, pnp_iters)
-            - _dataset_loss(pairs, lap, decomp, K, kind, minus, pnp_iters)
-        ) / (2.0 * h)
-    return loss, grad
+def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
+    """Loss at ``theta`` and its central-difference gradient, from one batched pass.
+
+    The 2P+1 points (``theta``, each ``theta + h_j e_j``, each ``theta - h_j e_j``)
+    run as extra columns of batched CG solves on GFT coefficients, where the
+    loss equals its node-space value (the basis is orthonormal).  The layer
+    shortfalls ``1 - D_k`` are rows of one table, one row per distinct
+    denoiser ``(alpha,)`` or ``(alpha, rho)`` among all points and layers.
+    """
+    if not all(np.all(np.isfinite(y)) for y, _ in pairs):
+        raise ValueError("observation must be finite")
+    n, P = K + 1, theta.size
+    h = FD_STEP * np.maximum(1.0, np.abs(theta))
+    decoded = softplus(np.vstack([theta, theta + np.diag(h), theta - np.diag(h)]))
+    a_red = decoded[:, :n]
+    den_rows = np.swapaxes(decoded[:, n:].reshape(len(decoded), -1, n), 1, 2)
+    distinct, index = np.unique(den_rows.reshape(-1, den_rows.shape[2]), axis=0, return_inverse=True)
+    index = index.reshape(a_red.shape)
+    shortfall = 1.0 - gain_table(kind, decomp.eigenvalues, distinct, pnp_iters)
+
+    total = np.zeros(len(decoded))
+    for z, t in _spectral_pairs(pairs, decomp):
+
+        def solve(cand, obs, n_sig=z.shape[1]):
+            cols = np.repeat(cand, n_sig)
+            shorts = [np.repeat(shortfall[index[cand, k]].T, n_sig, axis=1) for k in range(n)]
+            regs = [lambda v, s=s: s * v for s in shorts]
+            return red_cg_layers(obs, regs, [a_red[cols, k] for k in range(n)]).x
+
+        total += candidate_mse(z, t, len(decoded), solve)
+    loss = total / len(pairs)
+    return loss[0], (loss[1 : P + 1] - loss[P + 1 :]) / (2.0 * h)
 
 
 def _analytic_loss_grad(pairs, decomp, K, theta):
@@ -379,21 +399,28 @@ def _analytic_loss_grad(pairs, decomp, K, theta):
 
     total_loss = 0.0
     total_grad = np.zeros(P)
-    for y_node, t_node in pairs:
-        z = gft(decomp, y_node)
-        t = gft(decomp, t_node)
-        squeeze = z.ndim == 1
-        if squeeze:
-            z = z[:, None]
-            t = t[:, None]
+    for z, t in _spectral_pairs(pairs, decomp):
         N, S = z.shape
 
         x = np.zeros_like(z)
-        dx = np.zeros((P, N, S))
         g = -z
-        dg = np.zeros((P, N, S))
         p = z.copy()
-        dp = np.zeros((P, N, S))
+        # Tangents are updated in place (no (P, N, S) array per layer), each
+        # sum keeping the operand order of the formula in its comment.
+        dx, dg, dp = (np.zeros((P, N, S)) for _ in range(3))
+        dap, t1, t2 = (np.empty((P, N, S)) for _ in range(3))
+
+        def pair_sum(a, b, c, d):  # np.sum(a * b + c * d, axis=1)
+            np.multiply(a, b, out=t1)
+            return np.sum(np.add(t1, np.multiply(c, d, out=t2), out=t1), axis=1)
+
+        def op_tangent(out, d, v, k):  # out = d + a_k (s_k d), plus layer k's own partials at v
+            np.multiply(d, s[k][:, None], out=out)
+            out *= a_red[k]
+            out += d
+            out[k] += sig_red[k] * (s[k][:, None] * v)
+            out[n_layer + k] += a_red[k] * (ds_lr[k][:, None] * v)
+
         gsq = np.sum(g * g, axis=0)
         dgsq = np.zeros((P, S))
         scale = np.maximum(np.linalg.norm(z, axis=0), 1.0)
@@ -401,42 +428,40 @@ def _analytic_loss_grad(pairs, decomp, K, theta):
         for k in range(1, K + 1):
             if np.all(converged):
                 break
-            jr, jl = k, n_layer + k
             sk = s[k][:, None]
             ar = a_red[k]
-            sp = sk * p
-            ap = p + ar * sp
-            dap = dp + ar * (sk * dp)
-            dap[jr] += sig_red[k] * sp
-            dap[jl] += ar * (ds_lr[k][:, None] * p)
+            ap = p + ar * (sk * p)
+            op_tangent(dap, dp, p, k)
             denom = np.sum(p * ap, axis=0)
-            ddenom = np.sum(dp * ap + p * dap, axis=1)
+            ddenom = pair_sum(dp, ap, p, dap)
             num = -np.sum(p * g, axis=0)
-            dnum = -np.sum(dp * g + p * dg, axis=1)
+            dnum = -pair_sum(dp, g, p, dg)
             safe = np.where(converged, 1.0, denom)
             tau = np.where(converged, 0.0, num / safe)
             dtau = np.where(converged, 0.0, (dnum * safe - num * ddenom) / (safe * safe))
             x = x + tau * p
-            dx = dx + dtau[:, None, :] * p + tau * dp
-            sx = sk * x
-            g = x - z + ar * sx
-            dg = dx + ar * (sk * dx)
-            dg[jr] += sig_red[k] * sx
-            dg[jl] += ar * (ds_lr[k][:, None] * x)
+            dx += np.multiply(dtau[:, None, :], p, out=t1)  # dx = dx + dtau p + tau dp
+            dx += np.multiply(dp, tau, out=t1)
+            g = x - z + ar * (sk * x)
+            op_tangent(dg, dx, x, k)
             gsq_new = np.sum(g * g, axis=0)
-            dgsq_new = 2.0 * np.sum(g * dg, axis=1)
+            dgsq_new = 2.0 * np.sum(np.multiply(g, dg, out=t1), axis=1)
             nonzero = gsq > 0
             gsq_safe = np.where(nonzero, gsq, 1.0)
             gamma = np.where(nonzero, gsq_new / gsq_safe, 0.0)
             dgamma = (dgsq_new * gsq_safe - gsq_new * dgsq) / (gsq_safe * gsq_safe)
             dgamma = np.where(nonzero, dgamma, 0.0)
-            p, dp = -g + gamma * p, -dg + dgamma[:, None, :] * p + gamma * dp
+            np.multiply(dgamma[:, None, :], p, out=t1)  # dp = -dg + dgamma p + gamma dp
+            t1 -= dg
+            dp *= gamma
+            dp += t1
+            p = -g + gamma * p
             gsq, dgsq = gsq_new, dgsq_new
             converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
 
         resid = x - t
         total_loss += float(np.sum(resid * resid)) / resid.size
-        total_grad += 2.0 * np.sum(resid[None, :, :] * dx, axis=(1, 2)) / resid.size
+        total_grad += 2.0 * np.sum(np.multiply(dx, resid, out=t1), axis=(1, 2)) / resid.size
     n = len(pairs)
     return total_loss / n, total_grad / n
 
@@ -473,7 +498,7 @@ def train(
         if config.gradient_method == "analytic_linear":
             loss, grad = _analytic_loss_grad(pairs, decomp, init.K, theta)
         else:
-            loss, grad = _fd_loss_grad(pairs, lap, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
+            loss, grad = _fd_loss_grad(pairs, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(float(loss))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphred.cli
+import graphred.denoisers
 import graphred.graphs
 import graphred.unroll
 from graphred import (
@@ -468,6 +469,22 @@ class TestCheck:
             assert ratio <= 1.0 + 1e-6
         ones = next(r for r in rows if r["method"] == "lr" and r["probe"] == "all_ones")
         assert abs(ones["passivity_ratio"] - 1.0) <= 1e-12
+
+    def test_gains_computed_once_per_dataset_and_method(self, dataset_dir, tmp_path, monkeypatch):
+        calls = {"lr_gains": 0, "pnp_gains": 0}
+        for name in calls:
+            real = getattr(graphred.denoisers, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(graphred.denoisers, name, counted)
+        datasets = [str(dataset_dir), str(dataset_dir)]
+        cfg = write_config(tmp_path / "check.json", {"datasets": datasets, "n_signals": 30})
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "check")]) == 0
+        # One PnP gain vector per dataset, which starts from the LR gains; one LR vector per dataset.
+        assert calls == {"lr_gains": 2 * len(datasets), "pnp_gains": len(datasets)}
 
 
 class TestSpectrum:

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import graphred.denoisers
+import graphred.red
 from graphred import (
     AdamState,
     ConfigError,
@@ -27,7 +32,7 @@ from graphred import (
     unrolled_forward,
 )
 from graphred.datasets import add_noise, generate_bandlimited, generate_sensor_points
-from graphred.unroll import _analytic_loss_grad, _epoch_pairs, _fd_loss_grad
+from graphred.unroll import FD_STEP, _analytic_loss_grad, _epoch_pairs, _fd_loss_grad
 
 
 def setup_training(seed=0, n=40, k=4, n_samples=3, sigma=0.5):
@@ -212,7 +217,7 @@ class TestGradients:
         params = UnrolledParams.constant(K, "lr", 1.3, 2.1)
         pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
         theta = params.to_theta()
-        l_fd, g_fd = _fd_loss_grad(pairs, lap, dec, K, "lr", theta)
+        l_fd, g_fd = _fd_loss_grad(pairs, dec, K, "lr", theta)
         l_an, g_an = _analytic_loss_grad(pairs, dec, K, theta)
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
         assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
@@ -225,7 +230,7 @@ class TestGradients:
         init = UnrolledParams.constant(K, "lr", 1.3, 2.1)
         theta = init.to_theta()
         pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
-        l_fd, g_fd = _fd_loss_grad(pairs, lap, dec, K, "lr", theta)
+        l_fd, g_fd = _fd_loss_grad(pairs, dec, K, "lr", theta)
         l_an, g_an = _analytic_loss_grad(pairs, dec, K, theta)
         assert np.isfinite(l_an) and np.all(np.isfinite(g_an))
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
@@ -233,6 +238,95 @@ class TestGradients:
         config = TrainConfig(mode="supervised", epochs=3, gradient_method="analytic_linear")
         _, history = train([TrainSample(y=y, target=target)], config, init, lap, decomp=dec)
         assert np.all(np.isfinite(history))
+
+
+def per_point_fd(pairs, lap, dec, K, kind, theta, pnp_iters):
+    """Reference: one unrolled_forward per pair for each of the 2P+1 points."""
+
+    def loss(th):
+        params = UnrolledParams.from_theta(K, kind, th)
+        total = 0.0
+        for y, target in pairs:
+            total += mse(unrolled_forward(lap, y, params, decomp=dec, pnp_iters=pnp_iters), target)
+        return total / len(pairs)
+
+    grad = np.zeros_like(theta)
+    for j in range(theta.size):
+        h = FD_STEP * max(1.0, abs(theta[j]))
+        plus, minus = theta.copy(), theta.copy()
+        plus[j] += h
+        minus[j] -= h
+        grad[j] = (loss(plus) - loss(minus)) / (2.0 * h)
+    return loss(theta), grad
+
+
+@pytest.fixture(scope="module")
+def fd_graph():
+    return setup_training(12, n=30, k=4, n_samples=3)
+
+
+class TestBatchedFiniteDifferences:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        K=st.integers(1, 5),
+        scalars=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        flat=st.booleans(),
+        shape=st.sampled_from(["single", "batch", "zero_column"]),
+        pnp_iters=st.integers(1, 10),
+        block=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_point_oracle(self, fd_graph, kind, K, scalars, flat, shape, pnp_iters, block, seed):
+        lap, dec, y, target = fd_graph
+        a_red, a_den, rho = scalars
+        theta = UnrolledParams.constant(K, kind, a_red, a_den, rho if kind == "pnp" else None).to_theta()
+        rng = np.random.default_rng(seed)
+        if not flat:
+            theta = theta + rng.uniform(-1.0, 1.0, theta.size)
+        if shape == "single":
+            y, target = y[:, 0], target[:, 0]
+        elif shape == "zero_column":
+            y = y.copy()
+            y[:, 1] = 0.0
+        pairs = [(y, target)]
+        # The block size must not change any column's result.
+        with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
+            loss, grad = _fd_loss_grad(pairs, dec, K, kind, theta, pnp_iters)
+        ref_loss, ref_grad = per_point_fd(pairs, lap, dec, K, kind, theta, pnp_iters)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad)
+
+    def test_pnp_gains_once_per_distinct_layer_denoiser(self, fd_graph, monkeypatch):
+        lap, dec, y, target = fd_graph
+        K = 6
+        calls = []
+        real = graphred.denoisers.pnp_gains
+        monkeypatch.setattr(graphred.denoisers, "pnp_gains", lambda *a: calls.append(a) or real(*a))
+        init = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8)
+        theta = init.to_theta() + np.random.default_rng(0).uniform(-1.0, 1.0, init.n_params)
+        _fd_loss_grad([(y, target)], dec, K, "pnp", theta)
+        # Per layer: the centre, alpha +- h and rho +- h.
+        assert len(calls) == 5 * (K + 1)
+        calls.clear()
+        _fd_loss_grad([(y, target)], dec, K, "pnp", init.to_theta())
+        assert len(calls) == 5  # flat layers share all five
+
+    def test_non_finite_observation_rejected(self, fd_graph):
+        lap, dec, y, target = fd_graph
+        y = y.copy()
+        y[0, 0] = np.nan
+        init = UnrolledParams.constant(3, "lr", 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            train([TrainSample(y=y, target=target)], TrainConfig(epochs=1), init, lap, decomp=dec)
+
+    def test_target_shape_checked(self, fd_graph):
+        lap, dec, y, target = fd_graph
+        init = UnrolledParams.constant(3, "lr", 1.0, 1.0)
+        for method in ("finite_difference", "analytic_linear"):
+            config = TrainConfig(epochs=1, gradient_method=method)
+            with pytest.raises(ValueError, match="shape"):
+                train([TrainSample(y=y, target=target[:, 0])], config, init, lap, decomp=dec)
 
 
 class TestTraining:
