@@ -426,7 +426,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             tuple(float(v) for v in cfg["sigma_n2n_range"]) if "sigma_n2n_range" in cfg else None
         ),
         seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
-        gradient_method=cfg.get("gradient_method", "finite_difference"),
+        gradient_method=cfg.get("gradient_method", "exact"),
     )
     init, start_epoch = _resolve_train_init(cfg, K, kind)
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
@@ -560,7 +560,7 @@ def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 def cmd_eval(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     allowed = {"dataset", "denoised", "split", "sigma", "method"}
     _check_keys(cfg, allowed, {"dataset", "denoised", "sigma"}, "eval config")
-    dataset = ds.load_dataset(cfg["dataset"])
+    dataset = ds.load_dataset(cfg["dataset"], graphs=False)
     sigma = float(cfg["sigma"])
     split = cfg.get("split", "test")
     records = dataset.split(split)

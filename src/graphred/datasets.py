@@ -201,7 +201,7 @@ class SyntheticSpec:
 class DatasetRecord:
     """One sample: its graph, the clean signal, and observations per sigma."""
 
-    graph: Graph
+    graph: Graph | None
     clean: np.ndarray
     observed: dict
     split: str
@@ -345,8 +345,12 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
                 _save_signal(os.path.join(sample_dir, _sigma_name(sigma)), y)
 
 
-def load_dataset(path) -> Dataset:
-    """Read a bundle; records whose edge lists have identical bytes share one Graph."""
+def load_dataset(path, graphs: bool = True) -> Dataset:
+    """Read a bundle; records whose edge lists have identical bytes share one Graph.
+
+    With ``graphs=False`` only the signals are read: no edge list is opened
+    and every record's ``graph`` is ``None``.
+    """
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
@@ -360,21 +364,24 @@ def load_dataset(path) -> Dataset:
     n_nodes = int(manifest["n_nodes"])
     sigmas = [float(s) for s in manifest["sigmas"]]
     splits = {"train": [], "test": []}
-    graphs = {}  # edge-list bytes -> parsed graph
+    parsed = {}  # edge-list bytes -> parsed graph
     for split, count_key in (("train", "n_train"), ("test", "n_test")):
         for idx in range(int(manifest[count_key])):
             sample_dir = os.path.join(path, split, f"sample_{idx:03d}")
-            edges_path = os.path.join(sample_dir, "graph.edges")
-            with open(edges_path, "rb") as fh:
-                edges = fh.read()
-            if edges not in graphs:
-                graphs[edges] = load_edge_list(edges_path, n_nodes=n_nodes)
+            graph = None
+            if graphs:
+                edges_path = os.path.join(sample_dir, "graph.edges")
+                with open(edges_path, "rb") as fh:
+                    edges = fh.read()
+                if edges not in parsed:
+                    parsed[edges] = load_edge_list(edges_path, n_nodes=n_nodes)
+                graph = parsed[edges]
             clean = _load_signal(os.path.join(sample_dir, "clean.csv"))
             observed = {
                 sigma: _load_signal(os.path.join(sample_dir, _sigma_name(sigma)))
                 for sigma in sigmas
             }
             splits[split].append(
-                DatasetRecord(graph=graphs[edges], clean=clean, observed=observed, split=split, index=idx)
+                DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx)
             )
     return Dataset(manifest=manifest, train=splits["train"], test=splits["test"])

@@ -246,6 +246,36 @@ def gain_table(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_
     return np.array([pnp_gains(lambdas, float(a), float(r), iters) for a, r in params])
 
 
+def gain_jacobian(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS):
+    """Gains of the ``kind`` denoiser and their derivatives in its parameters.
+
+    ``params`` holds one row per parameter, ``alpha`` (lr) or ``alpha, rho``
+    (pnp), with one value per filter.  Returns the ``(F, N)`` gains and the
+    ``(len(params), F, N)`` Jacobian.  LR has ``dg/dalpha = -lambda g^2``;
+    PnP carries tangents through the :func:`pnp_gains` recursion.
+    """
+    lam = np.asarray(lambdas, dtype=float)[None, :]
+    alpha = np.asarray(params[0], dtype=float)[:, None]
+    f = lr_gains(lam, alpha)
+    df = -lam * f * f
+    if kind == "lr":
+        return f, df[None]
+    rho = np.asarray(params[1], dtype=float)[:, None]
+    x, u = np.ones_like(f), np.zeros_like(f)
+    dx, du = np.zeros((2,) + f.shape), np.zeros((2,) + f.shape)  # d/dalpha, d/drho
+    for _ in range(iters):
+        v = f * (x + u)
+        dv = f * (dx + du)
+        dv[0] += df * (x + u)
+        x_new = (1.0 + rho * (v - u)) / (1.0 + rho)
+        dx = rho * (dv - du) / (1.0 + rho)
+        dx[1] += (v - u - x_new) / (1.0 + rho)
+        du = du + dx - dv
+        u = u + x_new - v
+        x = x_new
+    return x, dx
+
+
 def gain_filter(decomp: SpectralDecomp, gains: np.ndarray):
     """The graph filter ``v -> igft(decomp, gains * gft(decomp, v))``, for ``(N,)`` or ``(N, S)`` signals."""
 

@@ -192,7 +192,7 @@ def _layer_values(scalar, layers, K):
     return layers
 
 
-def red_cg_layers(y: np.ndarray, regs, alpha_red) -> RedSolveReport:
+def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None) -> RedSolveReport:
     """Fletcher-Reeves conjugate gradients on the RED objective, one layer per op.
 
     ``regs[k]`` applies ``v - Dk(v)`` in whatever coordinates ``y`` is given
@@ -218,6 +218,12 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red) -> RedSolveReport:
     every column has converged.  Raises :class:`StagnationError` if the
     line-search denominator vanishes while the gradient is still nonzero,
     and :class:`DivergenceError` on non-finite iterates.
+
+    With a ``tape`` list, each layer run appends what a reverse sweep needs:
+    ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
+    direction, gradient, its squared norm and the converged mask, then the
+    line-search denominator (1 where unused), the step, the new iterate, the
+    new gradient and the Fletcher-Reeves coefficient.
     """
     K = len(regs) - 1
     if K < 1 or len(alpha_red) != K + 1:
@@ -258,6 +264,8 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red) -> RedSolveReport:
             raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
         gsq_new = np.sum(g_new * g_new, axis=0)
         gamma = np.where(gsq > 0, gsq_new / np.where(gsq > 0, gsq, 1.0), 0.0)
+        if tape is not None:
+            tape.append((p, g, gsq, converged, safe, tau, x, g_new, gamma))
         p = -g_new + gamma * p
         g = g_new
         gsq = gsq_new
@@ -285,7 +293,9 @@ def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve) -> np.n
     for start in range(0, n_cand, per_block):
         cand = np.arange(start, min(start + per_block, n_cand))
         x = solve(cand, np.tile(y, len(cand))).reshape(n_nodes, len(cand), n_sig)
-        out[cand] = ((x - target[:, None, :]) ** 2).mean(axis=(0, 2))
+        # Summed node by node, so a one-candidate block rounds as wider blocks do.
+        sq = ((x - target[:, None, :]) ** 2).sum(axis=2)
+        out[cand] = np.cumsum(sq, axis=0)[-1] / (n_nodes * n_sig)
     return out
 
 

@@ -8,10 +8,11 @@ minimizes MSE against clean targets; the Noise2Noise mode re-noises each
 observation and uses the original observation as the target, so no clean
 signals are needed.
 
-Gradients come from central finite differences (denoiser-agnostic), with
-every parameter point of an epoch evaluated in one batched pass of the
-spectral CG core, or, for the LR denoiser, from an exact forward-mode sweep
-through the solver recursion in the spectral domain.
+Gradients are exact by default: one taped forward pass of the spectral CG
+core and one reverse (adjoint) sweep through it, for either denoiser, at
+about the cost of two forward passes whatever the parameter count.  Central
+finite differences (denoiser-agnostic) remain as an option, with every
+parameter point of an epoch evaluated in one batched pass of the same core.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import DEFAULT_PNP_ITERS, Denoiser, gain_table, lr_gains
+from .denoisers import DEFAULT_PNP_ITERS, Denoiser, gain_jacobian, gain_table
 from .exceptions import ConfigError, TrainingError
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
-from .red import CONVERGED_TOL, RedProblem, candidate_mse, red_cg_layers, red_cg_solve
+from .red import RedProblem, candidate_mse, red_cg_layers, red_cg_solve
 
 FD_STEP = 1e-6
 _N2N_STREAM = 3  # RNG stream tag for re-noising draws
@@ -199,7 +200,7 @@ class TrainConfig:
     epochs: int = 200
     sigma_n2n_range: tuple | None = None
     seed: int = 0
-    gradient_method: str = "finite_difference"
+    gradient_method: str = "exact"
 
     def __post_init__(self):
         if self.mode not in ("supervised", "noise2noise"):
@@ -208,7 +209,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.gradient_method not in ("finite_difference", "analytic_linear"):
+        if self.gradient_method not in ("exact", "finite_difference", "analytic_linear"):
             raise ValueError(f"unknown gradient method {self.gradient_method!r}")
         if self.sigma_n2n_range is not None:
             lo, hi = self.sigma_n2n_range
@@ -334,6 +335,8 @@ def _epoch_pairs(samples, config: TrainConfig, epoch: int):
 def _spectral_pairs(pairs, decomp):
     """Each (input, target) pair as ``(N, S)`` matrices of GFT coefficients."""
     for y, t in pairs:
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observation must be finite")
         if np.shape(y) != np.shape(t):
             raise ValueError(f"shape mismatch: {np.shape(y)} vs {np.shape(t)}")
     n = decomp.n_nodes
@@ -343,17 +346,20 @@ def _spectral_pairs(pairs, decomp):
 def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     """Loss at ``theta`` and its central-difference gradient, from one batched pass.
 
-    The 2P+1 points (``theta``, each ``theta + h_j e_j``, each ``theta - h_j e_j``)
+    The points (``theta``, each ``theta + h_j e_j``, each ``theta - h_j e_j``)
     run as extra columns of batched CG solves on GFT coefficients, where the
-    loss equals its node-space value (the basis is orthonormal).  The layer
-    shortfalls ``1 - D_k`` are rows of one table, one row per distinct
-    denoiser ``(alpha,)`` or ``(alpha, rho)`` among all points and layers.
+    loss equals its node-space value (the basis is orthonormal).  Index-0
+    entries are not perturbed: layer 0 only ever sees ``x = 0``, so their
+    gradient is exactly 0.  The layer shortfalls ``1 - D_k`` are rows of one
+    table, one row per distinct denoiser ``(alpha,)`` or ``(alpha, rho)``
+    among all points and layers.
     """
-    if not all(np.all(np.isfinite(y)) for y, _ in pairs):
-        raise ValueError("observation must be finite")
-    n, P = K + 1, theta.size
-    h = FD_STEP * np.maximum(1.0, np.abs(theta))
-    decoded = softplus(np.vstack([theta, theta + np.diag(h), theta - np.diag(h)]))
+    n = K + 1
+    live = np.flatnonzero(np.arange(theta.size) % n)
+    h = FD_STEP * np.maximum(1.0, np.abs(theta[live]))
+    steps = np.zeros((live.size, theta.size))
+    steps[np.arange(live.size), live] = h
+    decoded = softplus(np.vstack([theta, theta + steps, theta - steps]))
     a_red = decoded[:, :n]
     den_rows = np.swapaxes(decoded[:, n:].reshape(len(decoded), -1, n), 1, 2)
     distinct, index = np.unique(den_rows.reshape(-1, den_rows.shape[2]), axis=0, return_inverse=True)
@@ -371,99 +377,64 @@ def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
 
         total += candidate_mse(z, t, len(decoded), solve)
     loss = total / len(pairs)
-    return loss[0], (loss[1 : P + 1] - loss[P + 1 :]) / (2.0 * h)
+    grad = np.zeros(theta.size)
+    grad[live] = (loss[1 : live.size + 1] - loss[live.size + 1 :]) / (2.0 * h)
+    return loss[0], grad
 
 
-def _analytic_loss_grad(pairs, decomp, K, theta):
-    """Exact gradient for the LR variant by forward-mode differentiation.
+def _exact_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
+    """Loss at ``theta`` and its exact gradient, by one reverse sweep per pair.
 
-    The whole unrolled recursion is diagonal in the eigenbasis, so the pass
-    runs on GFT coefficients; tangents w.r.t. every theta entry are carried
-    alongside each intermediate quantity.  Matches the solver's arithmetic,
-    early-exit guards included: a converged column takes no step, and the
-    loop stops once every column has converged.
+    On GFT coefficients layer k's gradient operator is the diagonal
+    ``m_k = 1 + alpha_red[k] (1 - gain_k)``.  The forward pass is a taped
+    :func:`red_cg_layers` run; the reverse sweep walks the tape back and
+    sums ``dL/dm_k`` per frequency over columns, and the chain rule takes
+    that through ``1 - gain_k``, the gain Jacobian and softplus' to
+    ``theta``.  The solver's guards hold in reverse too: a converged column
+    took no step and passes no adjoint through ``tau``, ``gamma`` is 0 where
+    the old gradient vanished, and layers never run get no gradient.
     """
-    lam = decomp.eigenvalues
-    n_layer = K + 1
-    P = 2 * n_layer
-    a_red = softplus(theta[:n_layer])
-    a_lr = softplus(theta[n_layer:])
-    # softplus' = sigmoid(theta) = 1 - exp(-softplus(theta))
-    sig_red = -np.expm1(-a_red)
-    sig_lr = -np.expm1(-a_lr)
-
-    # Per-layer spectral shortfalls s = 1 - f of the LR gains f, and their theta-derivatives.
-    f = lr_gains(lam[None, :], a_lr[:, None])  # (K+1, N)
-    s = 1.0 - f
-    ds_lr = lam[None, :] * f * f * sig_lr[:, None]
-
-    total_loss = 0.0
-    total_grad = np.zeros(P)
+    n = K + 1
+    decoded = softplus(theta).reshape(-1, n)  # alpha_red, then the denoiser's parameters
+    a_red = decoded[0]
+    gains, jac = gain_jacobian(kind, decomp.eigenvalues, decoded[1:], pnp_iters)
+    short = 1.0 - gains
+    m = 1.0 + a_red[:, None] * short
+    regs = [lambda v, s=s[:, None]: s * v for s in short]
+    m_bar = np.zeros_like(m)
+    total = 0.0
     for z, t in _spectral_pairs(pairs, decomp):
-        N, S = z.shape
-
-        x = np.zeros_like(z)
-        g = -z
-        p = z.copy()
-        # Tangents are updated in place (no (P, N, S) array per layer), each
-        # sum keeping the operand order of the formula in its comment.
-        dx, dg, dp = (np.zeros((P, N, S)) for _ in range(3))
-        dap, t1, t2 = (np.empty((P, N, S)) for _ in range(3))
-
-        def pair_sum(a, b, c, d):  # np.sum(a * b + c * d, axis=1)
-            np.multiply(a, b, out=t1)
-            return np.sum(np.add(t1, np.multiply(c, d, out=t2), out=t1), axis=1)
-
-        def op_tangent(out, d, v, k):  # out = d + a_k (s_k d), plus layer k's own partials at v
-            np.multiply(d, s[k][:, None], out=out)
-            out *= a_red[k]
-            out += d
-            out[k] += sig_red[k] * (s[k][:, None] * v)
-            out[n_layer + k] += a_red[k] * (ds_lr[k][:, None] * v)
-
-        gsq = np.sum(g * g, axis=0)
-        dgsq = np.zeros((P, S))
-        scale = np.maximum(np.linalg.norm(z, axis=0), 1.0)
-        converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
-        for k in range(1, K + 1):
-            if np.all(converged):
-                break
-            sk = s[k][:, None]
-            ar = a_red[k]
-            ap = p + ar * (sk * p)
-            op_tangent(dap, dp, p, k)
-            denom = np.sum(p * ap, axis=0)
-            ddenom = pair_sum(dp, ap, p, dap)
-            num = -np.sum(p * g, axis=0)
-            dnum = -pair_sum(dp, g, p, dg)
-            safe = np.where(converged, 1.0, denom)
-            tau = np.where(converged, 0.0, num / safe)
-            dtau = np.where(converged, 0.0, (dnum * safe - num * ddenom) / (safe * safe))
-            x = x + tau * p
-            dx += np.multiply(dtau[:, None, :], p, out=t1)  # dx = dx + dtau p + tau dp
-            dx += np.multiply(dp, tau, out=t1)
-            g = x - z + ar * (sk * x)
-            op_tangent(dg, dx, x, k)
-            gsq_new = np.sum(g * g, axis=0)
-            dgsq_new = 2.0 * np.sum(np.multiply(g, dg, out=t1), axis=1)
-            nonzero = gsq > 0
-            gsq_safe = np.where(nonzero, gsq, 1.0)
-            gamma = np.where(nonzero, gsq_new / gsq_safe, 0.0)
-            dgamma = (dgsq_new * gsq_safe - gsq_new * dgsq) / (gsq_safe * gsq_safe)
-            dgamma = np.where(nonzero, dgamma, 0.0)
-            np.multiply(dgamma[:, None, :], p, out=t1)  # dp = -dg + dgamma p + gamma dp
-            t1 -= dg
-            dp *= gamma
-            dp += t1
-            p = -g + gamma * p
-            gsq, dgsq = gsq_new, dgsq_new
-            converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
-
-        resid = x - t
-        total_loss += float(np.sum(resid * resid)) / resid.size
-        total_grad += 2.0 * np.sum(np.multiply(dx, resid, out=t1), axis=(1, 2)) / resid.size
-    n = len(pairs)
-    return total_loss / n, total_grad / n
+        tape = []
+        resid = red_cg_layers(z, regs, a_red, tape).x - t
+        total += float(np.sum(resid * resid)) / resid.size
+        x_bar = 2.0 * resid / resid.size
+        g_bar, p_bar, gsq_bar = 0.0, 0.0, 0.0  # adjoints of the layer's outputs
+        for k in range(len(tape), 0, -1):
+            p, g, gsq, converged, safe, tau, x, g_new, gamma = tape[k - 1]
+            mk = m[k][:, None]
+            # p_new = -g_new + gamma p;  gamma = gsq_new / gsq where gsq > 0
+            gamma_bar = np.sum(p_bar * p, axis=0)
+            g_bar = g_bar - p_bar
+            p_bar = gamma * p_bar
+            gsq_safe = np.where(gsq > 0, gsq, 1.0)
+            gsq_bar = gsq_bar + np.where(gsq > 0, gamma_bar / gsq_safe, 0.0)
+            gsq_old_bar = np.where(gsq > 0, -gamma_bar * gamma / gsq_safe, 0.0)
+            # gsq_new = sum(g_new^2);  g_new = m_k x - z
+            g_bar = g_bar + 2.0 * gsq_bar * g_new
+            m_bar[k] += np.sum(g_bar * x, axis=1)
+            x_bar = x_bar + mk * g_bar
+            # x = x_old + tau p;  tau = -sum(p g) / sum(p m_k p), 0 where converged
+            tau_bar = np.where(converged, 0.0, np.sum(x_bar * p, axis=0))
+            num_bar = tau_bar / safe
+            den_bar = -tau_bar * tau / safe
+            p_bar = p_bar + tau * x_bar - num_bar * g + 2.0 * den_bar * (mk * p)
+            m_bar[k] += np.sum(den_bar * p * p, axis=1)
+            g_bar = -num_bar * p
+            gsq_bar = gsq_old_bar
+    m_bar /= len(pairs)
+    grad = np.concatenate([np.sum(m_bar * short, axis=1), (-a_red * np.sum(m_bar * jac, axis=2)).ravel()])
+    # softplus' = sigmoid(theta) = 1 - exp(-softplus(theta))
+    return total / len(pairs), grad * -np.expm1(-decoded.ravel())
 
 
 def train(
@@ -488,17 +459,15 @@ def train(
     if decomp is None:
         decomp = eigendecompose(lap)
     if config.gradient_method == "analytic_linear" and init.denoiser_kind != "lr":
-        raise ValueError("analytic gradients are only available for the lr denoiser")
+        raise ValueError("'analytic_linear' is the lr-only name of the exact gradient; use 'exact'")
+    loss_grad = _fd_loss_grad if config.gradient_method == "finite_difference" else _exact_loss_grad
 
     theta = init.to_theta()
     state = AdamState.fresh(theta.size)
     history = []
     for epoch in range(start_epoch, start_epoch + config.epochs):
         pairs = _epoch_pairs(samples, config, epoch)
-        if config.gradient_method == "analytic_linear":
-            loss, grad = _analytic_loss_grad(pairs, decomp, init.K, theta)
-        else:
-            loss, grad = _fd_loss_grad(pairs, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
+        loss, grad = loss_grad(pairs, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(float(loss))

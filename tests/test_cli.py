@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -544,3 +545,24 @@ class TestEval:
         b = json.loads((eval_out / "metrics.json").read_text())
         assert a["mean_rmse"] == pytest.approx(b["mean_rmse"], rel=1e-12)
         assert a["per_sample_rmse"] == pytest.approx(b["per_sample_rmse"], rel=1e-12)
+
+    def test_reads_no_edge_list(self, dataset_dir, tmp_path):
+        den_cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "lr", "sigma": 1.0, "params": {"alpha_lr": 2.0}},
+        )
+        den_out = tmp_path / "den"
+        assert main(["denoise", "--config", den_cfg, "--out", str(den_out)]) == 0
+        bundle = tmp_path / "signals_only"
+        shutil.copytree(dataset_dir, bundle)
+        for edges in bundle.glob("*/sample_*/graph.edges"):
+            edges.unlink()
+        outs = {}
+        for name, path in (("full", dataset_dir), ("signals_only", bundle)):
+            cfg = write_config(
+                tmp_path / f"eval_{name}.json",
+                {"dataset": str(path), "denoised": str(den_out / "denoised"), "sigma": 1.0, "method": "lr"},
+            )
+            assert main(["eval", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outs[name] = (tmp_path / name / "metrics.json").read_bytes()
+        assert outs["signals_only"] == outs["full"]

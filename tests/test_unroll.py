@@ -32,7 +32,9 @@ from graphred import (
     unrolled_forward,
 )
 from graphred.datasets import add_noise, generate_bandlimited, generate_sensor_points
-from graphred.unroll import FD_STEP, _analytic_loss_grad, _epoch_pairs, _fd_loss_grad
+from graphred.graphs import gft
+from graphred.red import CONVERGED_TOL
+from graphred.unroll import FD_STEP, _epoch_pairs, _exact_loss_grad, _fd_loss_grad
 
 
 def setup_training(seed=0, n=40, k=4, n_samples=3, sigma=0.5):
@@ -218,7 +220,7 @@ class TestGradients:
         pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
         theta = params.to_theta()
         l_fd, g_fd = _fd_loss_grad(pairs, dec, K, "lr", theta)
-        l_an, g_an = _analytic_loss_grad(pairs, dec, K, theta)
+        l_an, g_an = _exact_loss_grad(pairs, dec, K, "lr", theta)
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
         assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
 
@@ -231,7 +233,7 @@ class TestGradients:
         theta = init.to_theta()
         pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
         l_fd, g_fd = _fd_loss_grad(pairs, dec, K, "lr", theta)
-        l_an, g_an = _analytic_loss_grad(pairs, dec, K, theta)
+        l_an, g_an = _exact_loss_grad(pairs, dec, K, "lr", theta)
         assert np.isfinite(l_an) and np.all(np.isfinite(g_an))
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
         assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
@@ -306,27 +308,133 @@ class TestBatchedFiniteDifferences:
         init = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8)
         theta = init.to_theta() + np.random.default_rng(0).uniform(-1.0, 1.0, init.n_params)
         _fd_loss_grad([(y, target)], dec, K, "pnp", theta)
-        # Per layer: the centre, alpha +- h and rho +- h.
-        assert len(calls) == 5 * (K + 1)
+        # Per layer: the centre, alpha +- h and rho +- h; layer 0 is never perturbed.
+        assert len(calls) == 5 * K + 1
         calls.clear()
         _fd_loss_grad([(y, target)], dec, K, "pnp", init.to_theta())
         assert len(calls) == 5  # flat layers share all five
+
+    def test_block_width_does_not_change_bits(self, fd_graph):
+        lap, dec, y, target = fd_graph
+        K = 4
+        theta = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8).to_theta()
+        theta = theta + np.random.default_rng(2).uniform(-1.0, 1.0, theta.size)
+        runs = []
+        for block in (y.shape[1], 2 * y.shape[1], 100):  # one, two, several candidates per block
+            with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
+                runs.append(_fd_loss_grad([(y, target)], dec, K, "pnp", theta))
+        for loss, grad in runs[1:]:
+            assert loss == runs[0][0] and np.array_equal(grad, runs[0][1])
 
     def test_non_finite_observation_rejected(self, fd_graph):
         lap, dec, y, target = fd_graph
         y = y.copy()
         y[0, 0] = np.nan
         init = UnrolledParams.constant(3, "lr", 1.0, 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            train([TrainSample(y=y, target=target)], TrainConfig(epochs=1), init, lap, decomp=dec)
+        for method in ("finite_difference", "exact"):
+            config = TrainConfig(epochs=1, gradient_method=method)
+            with pytest.raises(ValueError, match="finite"):
+                train([TrainSample(y=y, target=target)], config, init, lap, decomp=dec)
 
     def test_target_shape_checked(self, fd_graph):
         lap, dec, y, target = fd_graph
         init = UnrolledParams.constant(3, "lr", 1.0, 1.0)
-        for method in ("finite_difference", "analytic_linear"):
+        for method in ("finite_difference", "analytic_linear", "exact"):
             config = TrainConfig(epochs=1, gradient_method=method)
             with pytest.raises(ValueError, match="shape"):
                 train([TrainSample(y=y, target=target[:, 0])], config, init, lap, decomp=dec)
+
+
+def complex_step_loss_grad(pairs, dec, K, kind, theta, pnp_iters, h=1e-30):
+    """Reference: the loss and its complex-step gradient ``Im L(theta + i h e_j) / h``.
+
+    A small batched forward pass of the spectral CG recursion, written apart
+    from the package with layer operators ``m_k = 1 + alpha_red[k] (1 - gain_k)``;
+    complex arithmetic carries the derivative, and the guards (converged
+    mask, ``gsq > 0``) are taken on real parts, as the solver takes them.
+    Also returns the smallest relative gradient norm of any column the
+    solver stepped, which bounds how well the solve determines a derivative.
+    """
+    lam = dec.eigenvalues
+    smallest = [np.inf]
+
+    def loss(th):
+        decoded = np.log1p(np.exp(th)).reshape(-1, K + 1)  # softplus, analytic
+        gains = 1.0 / (1.0 + decoded[1][:, None] * lam)
+        if kind == "pnp":
+            rho = decoded[2][:, None]
+            x, u = np.ones_like(gains), np.zeros_like(gains)
+            for _ in range(pnp_iters):
+                v = gains * (x + u)
+                x = (1.0 + rho * (v - u)) / (1.0 + rho)
+                u = u + x - v
+            gains = x
+        m = 1.0 + decoded[0][:, None] * (1.0 - gains)
+        total = 0.0
+        for y, target in pairs:
+            z = gft(dec, y).reshape(len(lam), -1) + 0j
+            t = gft(dec, target).reshape(len(lam), -1)
+            scale = np.maximum(np.linalg.norm(z.real, axis=0), 1.0)
+            x, g, p = np.zeros_like(z), -z, z
+            gsq = np.sum(g * g, axis=0)
+            for k in range(1, K + 1):
+                converged = np.sqrt(gsq.real) <= CONVERGED_TOL * scale
+                if np.all(converged):
+                    break
+                smallest[0] = min(smallest[0], np.min(np.sqrt(gsq.real[~converged]) / scale[~converged]))
+                denom = np.where(converged, 1.0, np.sum(p * m[k][:, None] * p, axis=0))
+                x = x + np.where(converged, 0.0, -np.sum(p * g, axis=0) / denom) * p
+                g_new = m[k][:, None] * x - z
+                gsq_new = np.sum(g_new * g_new, axis=0)
+                gamma = np.where(gsq.real > 0, gsq_new / np.where(gsq.real > 0, gsq, 1.0), 0.0)
+                p, g, gsq = -g_new + gamma * p, g_new, gsq_new
+            total = total + np.sum((x - t) ** 2) / x.size
+        return total / len(pairs)
+
+    grad = np.array([loss(theta + 1j * h * e).imag / h for e in np.eye(theta.size)])
+    return loss(theta + 0j).real, grad, smallest[0]
+
+
+class TestExactGradient:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        K=st.integers(1, 10),
+        scalars=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        flat=st.booleans(),
+        shape=st.sampled_from(["single", "batch", "zero_column", "converging_column"]),
+        pnp_iters=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_complex_step(self, fd_graph, kind, K, scalars, flat, shape, pnp_iters, seed):
+        lap, dec, y, target = fd_graph
+        a_red, a_den, rho = scalars
+        theta = UnrolledParams.constant(K, kind, a_red, a_den, rho if kind == "pnp" else None).to_theta()
+        if not flat:
+            theta = theta + np.random.default_rng(seed).uniform(-1.0, 1.0, theta.size)
+        y = y.copy()
+        if shape == "single":
+            y, target = y[:, 0], target[:, 0]
+        elif shape == "zero_column":
+            y[:, 1] = 0.0
+        elif shape == "converging_column":
+            # A constant is the zero-frequency eigenvector: its column converges at layer 1.
+            y[:, 1] = 3.0
+        loss, grad = _exact_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
+        ref_loss, ref_grad, smallest = complex_step_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        # A derivative through a column whose gradient norm has fallen to r
+        # (relative) carries about eps / r relative rounding in any method.
+        tol = 1e-8 + 0.1 * np.finfo(float).eps / smallest
+        assert np.linalg.norm(grad - ref_grad) <= tol * np.linalg.norm(ref_grad)
+
+    def test_index_zero_gradient_is_exactly_zero(self, fd_graph):
+        lap, dec, y, target = fd_graph
+        K = 4
+        theta = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8).to_theta()
+        theta = theta + np.random.default_rng(1).uniform(-1.0, 1.0, theta.size)
+        _, grad = _exact_loss_grad([(y, target)], dec, K, "pnp", theta)
+        assert np.all(grad[:: K + 1] == 0.0) and np.all(grad[1 : K + 1] != 0.0)
 
 
 class TestTraining:
@@ -390,6 +498,24 @@ class TestTraining:
         _, h_fd = train(samples, cfg_fd, init, lap, decomp=dec)
         _, h_an = train(samples, cfg_an, init, lap, decomp=dec)
         assert np.allclose(h_fd, h_an, rtol=1e-6)
+
+    def test_exact_pnp_training_lowers_loss(self):
+        lap, dec, y, target = setup_training(11)
+        init = UnrolledParams.constant(5, "pnp", 5.0, 5.0, 1.0)
+        config = TrainConfig(mode="supervised", epochs=10, learning_rate=0.1, gradient_method="exact")
+        _, history = train([TrainSample(y=y, target=target)], config, init, lap, decomp=dec)
+        assert history[-1] < 0.9 * history[0]
+
+    def test_analytic_linear_is_exact_for_lr(self):
+        lap, dec, y, target = setup_training(10)
+        init = UnrolledParams.constant(4, "lr", 1.0, 1.0)
+        samples = [TrainSample(y=y, target=target)]
+        runs = [
+            train(samples, TrainConfig(epochs=5, gradient_method=method), init, lap, decomp=dec)
+            for method in ("analytic_linear", "exact")
+        ]
+        assert runs[0][1] == runs[1][1]
+        assert np.array_equal(runs[0][0].to_theta(), runs[1][0].to_theta())
 
     def test_config_validated(self):
         with pytest.raises(ValueError):
