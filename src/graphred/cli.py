@@ -3,7 +3,8 @@
 Subcommands: generate, tune, denoise, train, check, spectrum, eval.  Every
 command reads a JSON config (validated strictly: unknown keys are rejected)
 plus the global flags ``--config``, ``--seed``, ``--out``, ``--threads``.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or input
+error (a missing file, a malformed point cloud or edge list).
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ def _graph_setup(record: ds.DatasetRecord):
 
 
 def _records_share_graph(records) -> bool:
-    first = records[0].graph.adjacency
-    return all(np.array_equal(r.graph.adjacency, first) for r in records[1:])
+    first = records[0].graph
+    arrays = lambda g: (g.indptr, g.indices, g.weights)
+    return all(r.graph is first or all(map(np.array_equal, arrays(r.graph), arrays(first))) for r in records[1:])
 
 
 def _stack(signals) -> np.ndarray:

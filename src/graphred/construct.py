@@ -2,7 +2,7 @@
 
 k-nearest-neighbour graphs with inverse-distance weights, plus the weight
 normalization that keeps regularization parameters comparable across graphs
-of different scale.
+of different scale, on the sparse :class:`Graph` arrays: no N x N array.
 """
 
 from __future__ import annotations
@@ -16,13 +16,21 @@ from .graphs import Graph
 # weight would blow up, so we refuse instead of silently clipping.
 MIN_NEIGHBOR_DISTANCE = 1e-12
 # Rows of the distance matrix held at once while picking neighbours.
-KNN_BLOCK_ROWS = 256
+KNN_BLOCK_ROWS = 128
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every row of ``a`` and every row of ``b``."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Euclidean distances between every row of ``a`` and every row of ``b``.
+
+    Squares are summed in place one coordinate at a time, as numpy sums a
+    short last axis, so the bits match ``sqrt(sum(diff**2, axis=2))`` below
+    8 coordinates; from 8 on numpy sums pairwise and they may differ.
+    """
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for c in range(a.shape[1]):
+        diff = a[:, c, None] - b[None, :, c]
+        sq += np.multiply(diff, diff, out=diff)
+    return np.sqrt(sq, out=sq)
 
 
 def knn_graph(
@@ -61,9 +69,9 @@ def knn_graph(
         if values.shape[0] != n:
             raise ValueError("values must have one row per point")
 
-    # Exact distances, KNN_BLOCK_ROWS rows at a time, so memory stays
-    # O(KNN_BLOCK_ROWS * N) instead of O(N^2).
-    adjacency = np.zeros((n, n))
+    # Exact distances, KNN_BLOCK_ROWS rows at a time; only the selected
+    # pairs are kept, so memory stays O(KNN_BLOCK_ROWS * N + N k).
+    pairs = []
     for start in range(0, n, KNN_BLOCK_ROWS):
         dist = _pairwise_distances(points[start : start + KNN_BLOCK_ROWS], points)
         local = np.arange(dist.shape[0])
@@ -89,8 +97,9 @@ def knn_graph(
                 f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
             )
         # Distances are exactly symmetric: a pair chosen from both ends gets one weight.
-        adjacency[i, j] = adjacency[j, i] = 1.0 / d if weighted else 1.0
-    return Graph(adjacency=adjacency)
+        pairs.append((i, j, 1.0 / d if weighted else np.ones(len(i))))
+    i, j, w = (np.concatenate(part) for part in zip(*pairs))
+    return Graph.from_edges(i, j, w, n)
 
 
 def normalize_weights(graph: Graph) -> Graph:
@@ -101,7 +110,7 @@ def normalize_weights(graph: Graph) -> Graph:
     here lets one parameter range serve graphs built at different spatial
     scales.
     """
-    w_max = graph.adjacency.max()
+    w_max = graph.weights.max(initial=0.0)
     if w_max <= 0:
         raise NoEdgesError("graph has no edges to normalize")
-    return Graph(adjacency=graph.adjacency / w_max)
+    return Graph(graph.indptr, graph.indices, graph.weights / w_max, graph.n_nodes)

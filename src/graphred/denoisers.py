@@ -74,7 +74,11 @@ def lr_smoother(lap: Laplacian, alpha: float):
         return lambda v: _check_signal(v, n).copy()
     import scipy.sparse.linalg  # only node-space solves need it, and it costs memory
 
-    system = scipy.sparse.identity(n, format="csc") + alpha * scipy.sparse.csc_matrix(lap.matrix)
+    # I + alpha L from the (symmetric, so also CSC) rows: the sparse sum gives the
+    # entries, order and dropped zeros that identity + alpha * csc(dense L) gave.
+    g = lap.graph
+    off = scipy.sparse.csc_matrix((alpha * -g.weights, g.indices, g.indptr), shape=(n, n))
+    system = off + scipy.sparse.diags(1.0 + alpha * lap.degree, format="csc")
     try:
         factor = scipy.sparse.linalg.splu(system)
     except RuntimeError as exc:
@@ -122,7 +126,7 @@ def lr_denoise_cg(
         return np.zeros_like(y)
 
     def apply(v):
-        return v + alpha * (lap.matrix @ v)
+        return v + alpha * lap.matvec(v)
 
     x = np.zeros_like(y)
     r = y - apply(x)

@@ -1,5 +1,10 @@
 """Weighted undirected graphs, Laplacians, and the graph Fourier transform.
 
+Graphs are compressed sparse rows (CSR) in plain numpy arrays (importing
+``scipy.sparse`` costs 20 MB and 0.24 s per process).  Only
+:func:`eigendecompose` builds an N x N array; the dense ``Graph.adjacency``
+and ``Laplacian.matrix`` views are for tests, demos and inspection.
+
 Signals are plain numpy arrays with one value per node.  Functions accept
 either a single signal of shape ``(N,)`` or a batch of independent signals
 stacked as columns of an ``(N, S)`` array; the output matches the input
@@ -15,61 +20,116 @@ import numpy as np
 
 from .exceptions import InvalidGraphError, NumericalError
 
-# Default tolerances: decomposition residuals vs. algebraic identities.
+# Relative residual allowed of an eigendecomposition.
 DECOMP_TOL = 1e-8
-ALGEBRA_TOL = 1e-10
+# Entries of the dense scratch rows in which build_laplacian sums degrees.
+DEGREE_BLOCK_ENTRIES = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph given by its adjacency matrix.
-
-    The adjacency matrix must be square (N >= 2), exactly symmetric,
-    nonnegative, with a zero diagonal.
+    """Undirected weighted graph in compressed sparse rows: row i's neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with positive ``weights`` at the
+    same positions.  Exactly symmetric and finite, empty diagonal, ``n_nodes >= 2``.
     """
 
-    adjacency: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    n_nodes: int
 
     def __post_init__(self):
-        w = np.asarray(self.adjacency, dtype=float)
+        n = int(self.n_nodes)
+        indptr, indices = np.asarray(self.indptr, dtype=np.intp), np.asarray(self.indices, dtype=np.intp)
+        w = np.asarray(self.weights, dtype=float)
+        for name, value in (("indptr", indptr), ("indices", indices), ("weights", w), ("n_nodes", n)):
+            object.__setattr__(self, name, value)
+        if n < 2:
+            raise InvalidGraphError("graph needs at least 2 nodes")
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0) or w.shape != indices.shape
+                or indices.shape != (indptr[-1],) or np.any((indices < 0) | (indices >= n))):
+            raise InvalidGraphError(f"malformed CSR arrays for {n} nodes")
+        rows = self._rows()
+        flip = np.lexsort((rows, indices))  # the transpose's entries in row order
+        for ok, problem in (
+            (np.all(np.isfinite(w)), "weights must be finite"),
+            (np.all(w >= 0), "weights must be nonnegative"),
+            (not np.any(rows == indices), "diagonal must be zero"),
+            (np.all(w != 0) and np.all(np.diff(rows * n + indices) > 0), "rows must be ascending, distinct, nonzero"),
+            (all(map(np.array_equal, (indices[flip], rows[flip], w[flip]), (rows, indices, w))), "must be symmetric"),
+        ):
+            if not ok:
+                raise InvalidGraphError(f"adjacency {problem}")
+
+    @classmethod
+    def from_dense(cls, w) -> Graph:
+        """Graph of a dense adjacency matrix; zero entries are absent edges."""
+        w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidGraphError(f"adjacency must be square, got shape {w.shape}")
-        if w.shape[0] < 2:
-            raise InvalidGraphError("graph needs at least 2 nodes")
-        if not np.all(np.isfinite(w)):
-            raise InvalidGraphError("adjacency weights must be finite")
-        if np.any(w < 0):
-            raise InvalidGraphError("adjacency weights must be nonnegative")
-        if not np.array_equal(w, w.T):
-            raise InvalidGraphError("adjacency must be symmetric")
-        if np.any(np.diag(w) != 0):
-            raise InvalidGraphError("adjacency diagonal must be zero")
-        object.__setattr__(self, "adjacency", w)
+        rows, cols = np.nonzero(w)
+        return cls(np.searchsorted(rows, np.arange(len(w) + 1)), cols, w[rows, cols], len(w))
+
+    @classmethod
+    def from_edges(cls, i, j, w, n_nodes: int) -> Graph:
+        """Graph with weight ``w[e]`` on the pair ``(i[e], j[e])``; a pair given
+        again (in either order) takes its last weight, and zero weights are dropped."""
+        i, j, w = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp), np.asarray(w, dtype=float)
+        _, first = np.unique((np.minimum(i, j) * n_nodes + np.maximum(i, j))[::-1], return_index=True)
+        last = len(w) - 1 - first
+        last = last[w[last] != 0]
+        rows, cols = np.concatenate([i[last], j[last]]), np.concatenate([j[last], i[last]])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
+        return cls(indptr, cols[order], np.tile(w[last], 2)[order], n_nodes)
+
+    def _rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
 
     @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+    def adjacency(self) -> np.ndarray:
+        """Read-only dense N x N weight matrix (tests, demos, inspection)."""
+        w = np.zeros((self.n_nodes, self.n_nodes))
+        w[self._rows(), self.indices] = self.weights
+        w.flags.writeable = False
+        return w
 
     @property
     def n_edges(self) -> int:
-        return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
+        return len(self.indices) // 2
 
     def edges(self) -> list:
-        """Edge list as (i, j, weight) tuples with integer indices, i < j."""
-        i, j = np.nonzero(np.triu(self.adjacency, k=1))
-        return [(int(a), int(b), float(self.adjacency[a, b])) for a, b in zip(i, j)]
+        """Edge list as (i, j, weight) tuples with integer indices, i < j, in row order."""
+        rows = self._rows()
+        upper = self.indices > rows
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Laplacian:
-    """Combinatorial Laplacian ``L = degree - adjacency`` of a :class:`Graph`."""
+    """Combinatorial Laplacian ``L = diag(degree) - adjacency`` of a :class:`Graph`, kept sparse."""
 
-    matrix: np.ndarray
+    graph: Graph
     degree: np.ndarray  # diagonal entries of the degree matrix
 
     @property
     def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+        return self.graph.n_nodes
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense ``L``; :func:`eigendecompose` is its one production caller."""
+        mat = np.diag(self.degree) - self.graph.adjacency
+        mat.flags.writeable = False
+        return mat
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``L @ x`` from the sparse rows, for ``(N,)`` or ``(N, S)`` ``x``."""
+        g, col = self.graph, (slice(None),) + (None,) * (x.ndim - 1)
+        wx = np.zeros(x.shape)
+        np.add.at(wx, g._rows(), g.weights[col] * x[g.indices])
+        return self.degree[col] * x - wx
 
 
 @dataclass(frozen=True)
@@ -88,11 +148,20 @@ def build_laplacian(graph: Graph) -> Laplacian:
     """Return the combinatorial Laplacian of ``graph``.
 
     The result is symmetric with zero row sums and is positive semidefinite.
+    Degrees keep the bits of the dense ``adjacency.sum(axis=1)`` (numpy sums
+    a row pairwise by position): rows are scattered a block at a time into
+    one reused ``(B, N)`` buffer and summed there, O(B N) memory but O(N^2)
+    time, milliseconds at N = 2000 and a cost to revisit at 100k nodes.
     """
-    w = graph.adjacency
-    degree = w.sum(axis=1)
-    matrix = np.diag(degree) - w
-    return Laplacian(matrix=matrix, degree=degree)
+    n, rows, cols = graph.n_nodes, graph._rows(), graph.indices
+    block = max(1, DEGREE_BLOCK_ENTRIES // n)
+    buf, degree = np.zeros((min(block, n), n)), np.empty(n)
+    for start in range(0, n, block):
+        part = slice(graph.indptr[start], graph.indptr[min(start + block, n)])
+        buf[rows[part] - start, cols[part]] = graph.weights[part]
+        degree[start : start + block] = buf[: n - start].sum(axis=1)
+        buf[rows[part] - start, cols[part]] = 0.0
+    return Laplacian(graph=graph, degree=degree)
 
 
 def eigendecompose(lap: Laplacian, tol: float = DECOMP_TOL) -> SpectralDecomp:
@@ -103,9 +172,7 @@ def eigendecompose(lap: Laplacian, tol: float = DECOMP_TOL) -> SpectralDecomp:
     deterministic across runs.  Raises :class:`NumericalError` if the solver
     fails or the reconstruction residual exceeds ``tol``.
     """
-    mat = lap.matrix
-    if not np.allclose(mat, mat.T, atol=0, rtol=0):
-        raise InvalidGraphError("Laplacian matrix must be symmetric")
+    mat = lap.matrix  # production code densifies here and nowhere else
     try:
         eigenvalues, basis = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -153,21 +220,22 @@ def quadratic_form(lap: Laplacian, x: np.ndarray):
     is therefore nonnegative.
     """
     x = _check_signal(x, lap.n_nodes)
-    return np.sum(x * (lap.matrix @ x), axis=0)
+    return np.sum(x * lap.matvec(x), axis=0)
 
 
 def save_edge_list(graph: Graph, path) -> None:
     """Write the graph as text lines ``i j w`` (0-based, each edge once)."""
     with open(path, "w", encoding="ascii") as fh:
-        for i, j, w in graph.edges():
-            fh.write(f"{int(i)} {int(j)} {w:.17g}\n")
+        fh.writelines(f"{i} {j} {w:.17g}\n" for i, j, w in graph.edges())
 
 
 def load_edge_list(path, n_nodes: int | None = None) -> Graph:
     """Read a graph from the ``i j w`` edge-list format.
 
     ``n_nodes`` defaults to the largest index seen plus one; pass it
-    explicitly if trailing nodes are isolated.
+    explicitly if trailing nodes are isolated.  A pair's last line sets its
+    weight, and a zero weight leaves it out.  Malformed lines, self loops and
+    indices outside ``[0, n_nodes)`` raise :class:`InvalidGraphError` at ``path:line``.
     """
     entries = []
     with open(path, "r", encoding="ascii") as fh:
@@ -184,14 +252,10 @@ def load_edge_list(path, n_nodes: int | None = None) -> Graph:
                 raise InvalidGraphError(f"{path}:{line_no}: {exc}") from exc
             if i == j:
                 raise InvalidGraphError(f"{path}:{line_no}: self loops are not allowed")
+            if min(i, j) < 0 or (n_nodes is not None and max(i, j) >= n_nodes):
+                raise InvalidGraphError(f"{path}:{line_no}: node index out of range in {line!r}")
             entries.append((i, j, w))
     if not entries:
         raise InvalidGraphError(f"{path}: no edges found")
-    max_index = max(max(i, j) for i, j, _ in entries)
-    n = max_index + 1 if n_nodes is None else n_nodes
-    adjacency = np.zeros((n, n))
-    for i, j, w in entries:
-        adjacency[i, j] = w
-        adjacency[j, i] = w
-    return Graph(adjacency=adjacency)
-
+    i, j, w = zip(*entries)
+    return Graph.from_edges(i, j, w, max(i + j) + 1 if n_nodes is None else n_nodes)

@@ -213,9 +213,10 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None) -> RedSolveReport:
     denoisers here.
 
     A column whose gradient norm is negligible relative to its observation
-    counts as converged and takes no further step, so a column's result
-    does not depend on the columns solved beside it; the loop stops once
-    every column has converged.  Raises :class:`StagnationError` if the
+    counts as converged: it takes no step, and its direction restarts
+    (``gamma = 0``) in case a later layer's operator un-converges it.  A
+    column's result does not depend on the columns solved beside it; the
+    loop stops once every column has converged.  Raises :class:`StagnationError` if the
     line-search denominator vanishes while the gradient is still nonzero,
     and :class:`DivergenceError` on non-finite iterates.
 
@@ -263,7 +264,8 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None) -> RedSolveReport:
         if not np.all(np.isfinite(g_new)):
             raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
         gsq_new = np.sum(g_new * g_new, axis=0)
-        gamma = np.where(gsq > 0, gsq_new / np.where(gsq > 0, gsq, 1.0), 0.0)
+        # Converged columns restart: a ratio over a rounding-level gsq amplifies noise.
+        gamma = np.where(converged, 0.0, gsq_new / np.where(converged, 1.0, gsq))
         if tape is not None:
             tape.append((p, g, gsq, converged, safe, tau, x, g_new, gamma))
         p = -g_new + gamma * p

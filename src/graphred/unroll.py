@@ -391,8 +391,8 @@ def _exact_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS)
     sums ``dL/dm_k`` per frequency over columns, and the chain rule takes
     that through ``1 - gain_k``, the gain Jacobian and softplus' to
     ``theta``.  The solver's guards hold in reverse too: a converged column
-    took no step and passes no adjoint through ``tau``, ``gamma`` is 0 where
-    the old gradient vanished, and layers never run get no gradient.
+    took no step and passes no adjoint through ``tau`` or ``gamma`` (its
+    direction restarts), and layers never run get no gradient.
     """
     n = K + 1
     decoded = softplus(theta).reshape(-1, n)  # alpha_red, then the denoiser's parameters
@@ -412,13 +412,13 @@ def _exact_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS)
         for k in range(len(tape), 0, -1):
             p, g, gsq, converged, safe, tau, x, g_new, gamma = tape[k - 1]
             mk = m[k][:, None]
-            # p_new = -g_new + gamma p;  gamma = gsq_new / gsq where gsq > 0
-            gamma_bar = np.sum(p_bar * p, axis=0)
+            # p_new = -g_new + gamma p;  gamma = gsq_new / gsq, 0 where converged
+            gamma_bar = np.where(converged, 0.0, np.sum(p_bar * p, axis=0))
             g_bar = g_bar - p_bar
             p_bar = gamma * p_bar
-            gsq_safe = np.where(gsq > 0, gsq, 1.0)
-            gsq_bar = gsq_bar + np.where(gsq > 0, gamma_bar / gsq_safe, 0.0)
-            gsq_old_bar = np.where(gsq > 0, -gamma_bar * gamma / gsq_safe, 0.0)
+            gsq_safe = np.where(converged, 1.0, gsq)
+            gsq_bar = gsq_bar + gamma_bar / gsq_safe
+            gsq_old_bar = -gamma_bar * gamma / gsq_safe
             # gsq_new = sum(g_new^2);  g_new = m_k x - z
             g_bar = g_bar + 2.0 * gsq_bar * g_new
             m_bar[k] += np.sum(g_bar * x, axis=1)

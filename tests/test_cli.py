@@ -247,6 +247,19 @@ class TestDenoise:
         )
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("line", ["-1 2 0.25", "0 50 0.25"])
+    def test_bad_edge_index_is_input_error(self, dataset_dir, tmp_path, line, capsys):
+        bundle = tmp_path / "dset"
+        shutil.copytree(dataset_dir, bundle)
+        edges = bundle / "test" / "sample_001" / "graph.edges"
+        edges.write_text(edges.read_text() + line + "\n")
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(bundle), "method": "lr", "sigma": 0.5, "params": {"alpha_lr": 1.0}},
+        )
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+        assert "graph.edges:" in capsys.readouterr().err
+
     def test_diagnostics_written_for_red(self, dataset_dir, tmp_path):
         cfg = write_config(
             tmp_path / "den.json",

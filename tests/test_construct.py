@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphred.construct
 from graphred import (
@@ -169,6 +170,23 @@ class TestBlockedKnnMatchesDenseOracle:
         assert str(got.value) == str(expected.value)
 
 
+class TestPairwiseDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        rows=st.integers(1, 30),
+        cols=st.integers(1, 30),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_difference_tensor_sum(self, d, rows, cols, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal((rows, d))
+        b = np.vstack([a[: cols // 2], scale * rng.standard_normal((cols - cols // 2, d))])
+        diff = a[:, None, :] - b[None, :, :]
+        assert _pairwise_distances(a, b).tobytes() == np.sqrt(np.sum(diff * diff, axis=2)).tobytes()
+
+
 class TestNormalizeWeights:
     def test_already_normalized_unchanged(self):
         pts = np.array([[0.0], [1.0], [3.0]])
@@ -180,7 +198,7 @@ class TestNormalizeWeights:
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 2.0
         w[1, 2] = w[2, 1] = 4.0
-        g = normalize_weights(Graph(adjacency=w))
+        g = normalize_weights(Graph.from_dense(w))
         assert sorted(x for _, _, x in g.edges()) == [0.5, 1.0]
 
     def test_idempotent(self):
@@ -196,4 +214,4 @@ class TestNormalizeWeights:
 
     def test_no_edges_rejected(self):
         with pytest.raises(NoEdgesError):
-            normalize_weights(Graph(adjacency=np.zeros((3, 3))))
+            normalize_weights(Graph.from_dense(np.zeros((3, 3))))

@@ -26,7 +26,7 @@ from graphred.graphs import Graph
 
 
 def two_node_lap():
-    return build_laplacian(Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]])))
+    return build_laplacian(Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def synthetic_lap(seed=0, n=50, k=5):
@@ -142,6 +142,16 @@ class TestLrSmoother:
     def test_signal_shape_checked(self):
         with pytest.raises(ValueError):
             lr_smoother(two_node_lap(), 1.0)(np.ones(3))
+
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0, 5e-324])
+    def test_factors_the_matrix_a_dense_build_gives(self, alpha):
+        # The system comes from the sparse rows; SuperLU must see the matrix
+        # that summing the identity and alpha times the dense Laplacian makes.
+        lap = synthetic_lap(4, n=80)
+        y = np.random.default_rng(8).standard_normal((80, 2))
+        dense = scipy.sparse.identity(80, format="csc") + alpha * scipy.sparse.csc_matrix(lap.matrix)
+        assert lr_smoother(lap, alpha)(y).tobytes() == scipy.sparse.linalg.splu(dense).solve(y).tobytes()
 
 
 class TestLrDenoiseCg:

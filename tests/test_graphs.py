@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphred import (
     Graph,
@@ -13,23 +16,35 @@ from graphred import (
     quadratic_form,
     save_edge_list,
 )
+import graphred.graphs
 from graphred.datasets import generate_sensor_points
 from graphred.construct import knn_graph, normalize_weights
 
 
 def two_node_graph():
-    return Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def path_graph():
     # 3-node path with weights (1, 0.5)
     w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
-    return Graph(adjacency=w)
+    return Graph.from_dense(w)
 
 
 def random_graph(seed, n=40, k=4):
     pts = generate_sensor_points(n, seed=seed)
     return normalize_weights(knn_graph(pts, k))
+
+
+def random_weights(n, density, n_isolated, seed):
+    """Dense symmetric weights over n nodes, spread over 12 decades, some nodes isolated."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(size=(n, n)) < density, k=1) * 10.0 ** rng.uniform(-6, 6, size=(n, n))
+    w = upper + upper.T
+    isolated = rng.choice(n, size=min(n_isolated, n), replace=False)
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    return w
 
 
 class TestGraphType:
@@ -47,30 +62,87 @@ class TestGraphType:
     def test_rejects_asymmetric(self):
         w = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(InvalidGraphError):
-            Graph(adjacency=w)
+            Graph.from_dense(w)
 
     def test_rejects_negative_weight(self):
         w = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(InvalidGraphError):
-            Graph(adjacency=w)
+            Graph.from_dense(w)
 
     def test_rejects_nonzero_diagonal(self):
         w = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InvalidGraphError):
-            Graph(adjacency=w)
+            Graph.from_dense(w)
 
     def test_rejects_single_node(self):
         with pytest.raises(InvalidGraphError):
-            Graph(adjacency=np.zeros((1, 1)))
+            Graph.from_dense(np.zeros((1, 1)))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidGraphError):
-            Graph(adjacency=np.zeros((2, 3)))
+            Graph.from_dense(np.zeros((2, 3)))
 
     def test_rejects_nonfinite(self):
         w = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(InvalidGraphError):
-            Graph(adjacency=w)
+            Graph.from_dense(w)
+
+
+class TestSparseCore:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        density=st.floats(0.0, 1.0),
+        n_isolated=st.integers(0, 5),
+        block_entries=st.integers(1, 4000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_forms(self, tmp_path_factory, n, density, n_isolated, block_entries, seed):
+        w = random_weights(n, density, n_isolated, seed)
+        g = Graph.from_dense(w)
+        # Degrees are summed in blocks of rows; the block size must not change a bit.
+        with mock.patch.object(graphred.graphs, "DEGREE_BLOCK_ENTRIES", block_entries):
+            lap = build_laplacian(g)
+        assert g.adjacency.tobytes() == w.tobytes()
+        assert lap.degree.tobytes() == w.sum(axis=1).tobytes()
+        assert lap.matrix.tobytes() == (np.diag(w.sum(axis=1)) - w).tobytes()
+        assert g.n_edges == np.count_nonzero(np.triu(w, k=1))
+        path = tmp_path_factory.mktemp("edges") / "g.edges"
+        save_edge_list(g, path)
+        if g.n_edges:
+            back = load_edge_list(path, n_nodes=n)
+            assert back.edges() == g.edges()
+            assert back.adjacency.tobytes() == w.tobytes()
+        x = np.random.default_rng(seed).standard_normal((n, 3))
+        scale = np.abs(lap.matrix) @ np.abs(x)
+        assert np.all(np.abs(lap.matvec(x) - lap.matrix @ x) <= 1e-12 * scale)
+        assert np.all(np.abs(lap.matvec(x[:, 0]) - lap.matrix @ x[:, 0]) <= 1e-12 * scale[:, 0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+    def test_rejects_asymmetric_or_negative_csr(self, n, seed):
+        g = Graph.from_dense(random_weights(n, 0.5, 0, seed))
+        if not g.n_edges:
+            return
+        e = np.random.default_rng(seed).integers(len(g.weights))
+        skewed = g.weights.copy()
+        skewed[e] *= 1.0 + 2.0**-52
+        with pytest.raises(InvalidGraphError, match="symmetric"):
+            Graph(indptr=g.indptr, indices=g.indices, weights=skewed, n_nodes=n)
+        with pytest.raises(InvalidGraphError, match="nonnegative"):
+            Graph(indptr=g.indptr, indices=g.indices, weights=-g.weights, n_nodes=n)
+
+    def test_rejects_malformed_rows(self):
+        with pytest.raises(InvalidGraphError, match="ascending"):
+            Graph(indptr=[0, 2, 3, 4], indices=[2, 1, 0, 0], weights=[1.0, 1.0, 1.0, 1.0], n_nodes=3)
+        with pytest.raises(InvalidGraphError, match="malformed"):
+            Graph(indptr=[0, 1, 2], indices=[1, 2], weights=[1.0, 1.0], n_nodes=2)
+
+    def test_dense_views_are_read_only(self):
+        lap = build_laplacian(path_graph())
+        for view in (lap.graph.adjacency, lap.matrix):
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
 
 
 class TestBuildLaplacian:
@@ -113,7 +185,7 @@ class TestEigendecompose:
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
-        dec = eigendecompose(build_laplacian(Graph(adjacency=w)))
+        dec = eigendecompose(build_laplacian(Graph.from_dense(w)))
         assert np.sum(np.abs(dec.eigenvalues) <= 1e-10) == 2
 
     def test_orthonormal_and_reconstructs(self):
@@ -260,6 +332,32 @@ class TestEdgeListIO:
         g = load_edge_list(path)
         assert g.n_nodes == 3
         assert g.n_edges == 2
+
+    @pytest.mark.parametrize("line", ["-1 2 0.25", "2 4 0.25", "7 0 1"])
+    def test_index_outside_node_range_reports_line(self, tmp_path, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1 1.0\n{line}\n")
+        with pytest.raises(InvalidGraphError, match=":2: node index out of range"):
+            load_edge_list(path, n_nodes=4)
+
+    def test_negative_index_rejected_without_node_count(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("0 1 1.0\n1 -2 0.5\n")
+        with pytest.raises(InvalidGraphError, match=":2:"):
+            load_edge_list(path)
+
+    def test_last_line_for_a_pair_wins(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1 1.0\n1 2 0.5\n1 0 0.25\n")
+        assert load_edge_list(path).edges() == [(0, 1, 0.25), (1, 2, 0.5)]
+
+    def test_zero_weight_drops_the_pair(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1 1.0\n1 2 0.5\n1 0 0\n2 3 0\n")
+        g = load_edge_list(path)
+        assert g.n_nodes == 4 and g.edges() == [(1, 2, 0.5)]
+        path.write_text("0 1 0\n1 0 2.0\n")
+        assert load_edge_list(path).edges() == [(0, 1, 2.0)]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.edges"

@@ -66,7 +66,7 @@ class TestObjective:
         assert abs(red_objective(prob, x) - 0.5 * np.sum((x - y) ** 2)) <= 1e-12
 
     def test_two_node_hand_value(self):
-        lap = build_laplacian(Graph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]])))
+        lap = build_laplacian(Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
         y = np.array([1.0, 0.0])
         prob = lr_problem(y, 1.0, 1.0, lap)
         # x = y: data 0, regularizer x^T (x - (2/3, 1/3)) / 2 = 1/6

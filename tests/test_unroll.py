@@ -350,8 +350,9 @@ def complex_step_loss_grad(pairs, dec, K, kind, theta, pnp_iters, h=1e-30):
 
     A small batched forward pass of the spectral CG recursion, written apart
     from the package with layer operators ``m_k = 1 + alpha_red[k] (1 - gain_k)``;
-    complex arithmetic carries the derivative, and the guards (converged
-    mask, ``gsq > 0``) are taken on real parts, as the solver takes them.
+    complex arithmetic carries the derivative, and the converged mask (no
+    step, then a restarted direction) is taken on real parts, as the solver
+    takes it.
     Also returns the smallest relative gradient norm of any column the
     solver stepped, which bounds how well the solve determines a derivative.
     """
@@ -386,13 +387,40 @@ def complex_step_loss_grad(pairs, dec, K, kind, theta, pnp_iters, h=1e-30):
                 x = x + np.where(converged, 0.0, -np.sum(p * g, axis=0) / denom) * p
                 g_new = m[k][:, None] * x - z
                 gsq_new = np.sum(g_new * g_new, axis=0)
-                gamma = np.where(gsq.real > 0, gsq_new / np.where(gsq.real > 0, gsq, 1.0), 0.0)
+                gamma = np.where(converged, 0.0, gsq_new / np.where(converged, 1.0, gsq))
                 p, g, gsq = -g_new + gamma * p, g_new, gsq_new
             total = total + np.sum((x - t) ** 2) / x.size
         return total / len(pairs)
 
     grad = np.array([loss(theta + 1j * h * e).imag / h for e in np.eye(theta.size)])
     return loss(theta + 0j).real, grad, smallest[0]
+
+
+def check_exact_against_complex_step(fd_graph, kind, K, scalars, flat, shape, pnp_iters, seed):
+    lap, dec, y, target = fd_graph
+    a_red, a_den, rho = scalars
+    theta = UnrolledParams.constant(K, kind, a_red, a_den, rho if kind == "pnp" else None).to_theta()
+    if not flat:
+        theta = theta + np.random.default_rng(seed).uniform(-1.0, 1.0, theta.size)
+    y = y.copy()
+    if shape == "single":
+        y, target = y[:, 0], target[:, 0]
+    elif shape == "zero_column":
+        y[:, 1] = 0.0
+    elif shape == "converging_column":
+        # A constant is the zero-frequency eigenvector: its column converges at layer 1.
+        y[:, 1] = 3.0
+    elif shape == "eigenvector_column":
+        # One non-constant eigenvector converges at layer 1 too, but each
+        # per-layer operator scales it differently, so it can un-converge.
+        y[:, 1] = 3.0 * dec.basis[:, 4]
+    loss, grad = _exact_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
+    ref_loss, ref_grad, smallest = complex_step_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    # A derivative through a column whose gradient norm has fallen to r
+    # (relative) carries about eps / r relative rounding in any method.
+    tol = 1e-8 + 0.1 * np.finfo(float).eps / smallest
+    assert np.linalg.norm(grad - ref_grad) <= tol * np.linalg.norm(ref_grad)
 
 
 class TestExactGradient:
@@ -402,31 +430,25 @@ class TestExactGradient:
         K=st.integers(1, 10),
         scalars=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
         flat=st.booleans(),
-        shape=st.sampled_from(["single", "batch", "zero_column", "converging_column"]),
+        shape=st.sampled_from(["single", "batch", "zero_column", "converging_column", "eigenvector_column"]),
         pnp_iters=st.integers(1, 10),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_complex_step(self, fd_graph, kind, K, scalars, flat, shape, pnp_iters, seed):
-        lap, dec, y, target = fd_graph
-        a_red, a_den, rho = scalars
-        theta = UnrolledParams.constant(K, kind, a_red, a_den, rho if kind == "pnp" else None).to_theta()
-        if not flat:
-            theta = theta + np.random.default_rng(seed).uniform(-1.0, 1.0, theta.size)
-        y = y.copy()
-        if shape == "single":
-            y, target = y[:, 0], target[:, 0]
-        elif shape == "zero_column":
-            y[:, 1] = 0.0
-        elif shape == "converging_column":
-            # A constant is the zero-frequency eigenvector: its column converges at layer 1.
-            y[:, 1] = 3.0
-        loss, grad = _exact_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
-        ref_loss, ref_grad, smallest = complex_step_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
-        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
-        # A derivative through a column whose gradient norm has fallen to r
-        # (relative) carries about eps / r relative rounding in any method.
-        tol = 1e-8 + 0.1 * np.finfo(float).eps / smallest
-        assert np.linalg.norm(grad - ref_grad) <= tol * np.linalg.norm(ref_grad)
+        check_exact_against_complex_step(fd_graph, kind, K, scalars, flat, shape, pnp_iters, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        K=st.integers(2, 10),
+        scalars=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        pnp_iters=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_restarted_column_matches_complex_step(self, fd_graph, kind, K, scalars, pnp_iters, seed):
+        # Per-layer parameters un-converge the eigenvector column after layer 1;
+        # its direction must restart rather than scale rounding noise up.
+        check_exact_against_complex_step(fd_graph, kind, K, scalars, False, "eigenvector_column", pnp_iters, seed)
 
     def test_index_zero_gradient_is_exactly_zero(self, fd_graph):
         lap, dec, y, target = fd_graph
