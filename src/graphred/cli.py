@@ -22,6 +22,7 @@ from .construct import knn_graph, normalize_weights
 from .denoisers import DEFAULT_PNP_ITERS, Denoiser, apply_denoiser, denoiser_gains, gain_filter, gain_table
 from .exceptions import (
     ConfigError,
+    DivergenceError,
     GraphRedError,
     InvalidGraphError,
     NumericalError,
@@ -29,7 +30,9 @@ from .exceptions import (
     TrainingError,
 )
 from .graphs import build_laplacian, eigendecompose, gft
-from .red import RedProblem, candidate_mse, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve
+from .red import (
+    RedProblem, candidate_mse, check_homogeneity, check_passivity, krylov_screen_mse, red_cg_layers, red_cg_solve,
+)
 from .spectral import ResponseComparison, compare_responses, h_lr, h_red, write_response_csv
 from .unroll import (
     TrainConfig,
@@ -55,6 +58,9 @@ DEFAULT_ALPHA_RANGE = (1e-3, 1e3)
 DEFAULT_RHO_RANGE = (1e-2, 1e2)
 DEFAULT_GRID_POINTS = 20
 DEFAULT_CG_LAYERS = 10
+# Relative RMSE slack on each screened red_* candidate, for the rounding
+# that separates the screen from the CG core when the basis is orthogonal.
+SCREEN_MARGIN = 1e-6
 
 
 def _load_json_config(path) -> dict:
@@ -142,6 +148,30 @@ def solve_with_report(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYER
     return red_cg_solve(prob, cg_layers)
 
 
+def _screened_errors(y, target, table, alphas, cg_layers, solve):
+    """The red_* candidates the Krylov screen leaves, and their CG RMSE.
+
+    Each candidate's CG RMSE is bracketed by its screened MSE plus or minus
+    the screen's spread, widened by ``SCREEN_MARGIN``; the candidates whose
+    bracket reaches below every upper end are confirmed by the CG core.
+    Returns ``(close, errors)``, where ``errors`` holds the CG RMSE of every
+    candidate in a block holding one of ``close`` (NaN elsewhere), or
+    ``None`` when the screen is not trusted: it diverged, or a confirmed CG
+    value fell outside its bracket.
+    """
+    try:
+        mse, spread = krylov_screen_mse(y, target, 1.0 - table, alphas, cg_layers)
+    except DivergenceError:
+        return None  # the CG pass decides, and diverges where it would have
+    low = np.sqrt(np.maximum(mse - spread, 0.0)) * (1.0 - SCREEN_MARGIN)
+    high = np.sqrt(mse + spread) * (1.0 + SCREEN_MARGIN)
+    close = np.flatnonzero(low <= high.min())
+    errors = np.sqrt(candidate_mse(y, target, len(mse), solve, needed=close))
+    if not np.all((low[close] <= errors[close]) & (errors[close] <= high[close])):
+        return None
+    return close, errors
+
+
 def tune_method(
     records,
     sigma,
@@ -153,15 +183,24 @@ def tune_method(
     pnp_iters=DEFAULT_PNP_ITERS,
     gain_tables=None,
 ):
-    """Exhaustive log-grid search minimizing mean RMSE over ``records``.
+    """Log-grid search minimizing mean RMSE over ``records``.
 
     Candidates run in ascending lexicographic order of their parameters and
     ties go to the first.  All are evaluated on GFT coefficients, where RMSE
     is unchanged (the basis is orthonormal): lr and pnp candidates are gain
     table rows times the observations, red_* candidates are extra columns of
-    batched CG solves (both blocked by :func:`red.candidate_mse`).  A dict
-    passed as ``gain_tables`` to several calls keeps each gain table, keyed
-    by eigenvalues and grid, between them.
+    batched CG solves (both blocked by :func:`red.candidate_mse`).
+
+    red_* candidates are screened first by :func:`red.krylov_screen_mse`.
+    Those that may be the minimum, given the screen's spread and
+    ``SCREEN_MARGIN``, are re-solved by the CG core, in the blocks a full
+    pass would run them in, and the pick is the first minimum of their CG
+    values, so picks and ``train_rmse`` carry the bits of the exhaustive CG
+    pass.  If the screen diverges, or a confirmed CG value falls outside the
+    range the screen gave it, every candidate runs through the CG core.
+
+    A dict passed as ``gain_tables`` to several calls keeps each gain table,
+    keyed by eigenvalues and grid, between them.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -195,8 +234,12 @@ def tune_method(
         a_red = np.repeat(alphas[cand // n_rows], n_rec)
         return red_cg_layers(obs, [lambda v: shortfall * v] * n_ops, [a_red] * n_ops).x
 
-    errors = np.sqrt(candidate_mse(y, target, n_rows * (grid_points if red else 1), solve))
-    best = int(np.argmin(errors))
+    n_cand = n_rows * (grid_points if red else 1)
+    found = _screened_errors(y, target, table, alphas, cg_layers, solve) if red else None
+    if found is None:
+        found = np.arange(n_cand), np.sqrt(candidate_mse(y, target, n_cand, solve))
+    pool, errors = found
+    best = int(pool[np.argmin(errors[pool])])
     keys = METHOD_PARAM_KEYS[method]
     picks = np.unravel_index(best, (grid_points,) * len(keys))
     entry = {"method": method, "sigma": float(sigma), "train_rmse": float(errors[best])}

@@ -77,11 +77,17 @@ def knn_graph(
         local = np.arange(dist.shape[0])
         dist[local, local + start] = np.inf
         # The first k of a stable argsort: every entry below the k-th
-        # smallest, then the lowest-index entries equal to it.
+        # smallest, then the lowest-index entries equal to it.  Only a row
+        # with more than k entries at or below the k-th needs the tie rule.
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-        tied = dist == kth
-        room = k - np.sum(dist < kth, axis=1, keepdims=True)
-        local, j = np.nonzero((dist < kth) | (tied & (np.cumsum(tied, axis=1) <= room)))
+        keep = dist <= kth
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        if len(over):
+            sub, sub_kth = dist[over], kth[over]
+            tied = sub == sub_kth
+            room = k - np.sum(sub < sub_kth, axis=1, keepdims=True)
+            keep[over] = (sub < sub_kth) | (tied & (np.cumsum(tied, axis=1) <= room))
+        local, j = np.nonzero(keep)
         i = local + start
         if values is None:
             d = dist[local, j]

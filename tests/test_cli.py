@@ -3,6 +3,8 @@ import itertools
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from graphred import (
 )
 from graphred.cli import METHOD_PARAM_KEYS, METHODS, apply_method, main, tune_method
 from graphred.datasets import load_dataset
+from graphred.denoisers import gain_table
+from graphred.exceptions import DivergenceError
+from graphred.graphs import gft
+from graphred.red import candidate_mse, red_cg_layers
 from graphred.unroll import rmse
 
 
@@ -163,6 +169,97 @@ class TestTune:
                 best, best_rmse = params, err
         assert {k: entry[k] for k in keys} == best
         assert abs(entry["train_rmse"] - best_rmse) <= 1e-12 * best_rmse
+
+
+def exhaustive_red_tune(records, sigma, method, grid_points, cg_layers=10):
+    """The exhaustive oracle: every red_* grid candidate through the CG core, first minimum wins."""
+    decomp = eigendecompose(build_laplacian(records[0].graph))
+    y = gft(decomp, np.column_stack([r.observed[sigma] for r in records]))
+    target = gft(decomp, np.column_stack([r.clean for r in records]))
+    alphas, rhos = np.geomspace(1e-3, 1e3, grid_points), np.geomspace(1e-2, 1e2, grid_points)
+    kind = method[len("red_"):]
+    grid = itertools.product(alphas, rhos) if kind == "pnp" else alphas[:, None]
+    table = gain_table(kind, decomp.eigenvalues, grid)
+    n_rows, n_rec = len(table), y.shape[1]
+
+    def solve(cand, obs):
+        shortfall = 1.0 - np.repeat(table[cand % n_rows].T, n_rec, axis=1)
+        a_red = np.repeat(alphas[cand // n_rows], n_rec)
+        return red_cg_layers(obs, [lambda v: shortfall * v] * (cg_layers + 1), [a_red] * (cg_layers + 1)).x
+
+    errors = np.sqrt(candidate_mse(y, target, n_rows * grid_points, solve))
+    best = int(np.argmin(errors))
+    keys = METHOD_PARAM_KEYS[method]
+    picks = np.unravel_index(best, (grid_points,) * len(keys))
+    entry = {"method": method, "sigma": float(sigma), "train_rmse": float(errors[best])}
+    entry.update({k: float((rhos if k == "rho" else alphas)[i]) for k, i in zip(keys, picks)})
+    return entry
+
+
+class TestScreenedTune:
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        real = graphred.cli.candidate_mse
+        monkeypatch.setattr(
+            graphred.cli, "candidate_mse", lambda *a, **kw: calls.append(kw.get("needed")) or real(*a, **kw)
+        )
+        return calls
+
+    @staticmethod
+    def records(dataset_dir, sigma, shape):
+        records = load_dataset(str(dataset_dir)).train
+        if shape == "one_record":
+            return records[:1]
+        # A constant observation exhausts its Krylov space at once.
+        const = dataclasses.replace(records[0], observed={sigma: np.full(len(records[0].clean), 2.0)})
+        return records[1:] + [const]
+
+    @pytest.mark.parametrize("shape", ["with_constant", "one_record"])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("method", ["red_lr", "red_pnp"])
+    def test_equals_exhaustive_cg_grid(self, dataset_dir, method, sigma, shape, spy):
+        records = self.records(dataset_dir, sigma, shape)
+        entry = tune_method(records, sigma, method, grid_points=5)
+        assert entry == exhaustive_red_tune(records, sigma, method, 5)
+        # One confirming pass, over a few blocks, and no fallback.
+        assert len(spy) == 1 and 1 <= len(spy[0]) < 5
+
+    @pytest.mark.parametrize("fault", ["reorder", "diverge"])
+    @pytest.mark.parametrize("method", ["red_lr", "red_pnp"])
+    def test_untrusted_screen_falls_back_to_cg(self, dataset_dir, method, fault, spy, monkeypatch):
+        records = self.records(dataset_dir, 1.0, "with_constant")
+        real = graphred.cli.krylov_screen_mse
+
+        def faulty(*args):
+            if fault == "diverge":
+                raise DivergenceError("screen", iteration=0)
+            mse, spread = real(*args)
+            worst = int(np.argmax(mse))
+            mse[worst] = 0.5 * mse.min()  # the worst candidate now screens best
+            return mse, spread
+
+        monkeypatch.setattr(graphred.cli, "krylov_screen_mse", faulty)
+        entry = tune_method(records, 1.0, method, grid_points=5)
+        assert entry == exhaustive_red_tune(records, 1.0, method, 5)
+        assert spy[-1] is None  # the exhaustive pass ran
+
+    def test_overflowing_alpha_range_exits_3(self, dataset_dir, tmp_path):
+        # 1e309 overflows to inf when parsed.  The grid's own geomspace warns
+        # about it, so the CLI runs in a process of its own, as users run it.
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(
+            '{"dataset": %s, "methods": ["red_lr", "red_pnp"], "grid_points": 4, '
+            '"alpha_range": [1e-3, 1e309]}' % json.dumps(str(dataset_dir))
+        )
+        src = os.path.dirname(os.path.dirname(graphred.cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "graphred.cli", "tune", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert out.returncode == 3, out.stderr
+        assert "numerical failure" in out.stderr
+        assert not (tmp_path / "o" / "tuned.json").exists()
 
 
 class TestDenoise:

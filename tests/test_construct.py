@@ -144,6 +144,26 @@ class TestBlockedKnnMatchesDenseOracle:
         got = knn_graph(points, k, weighted=weighted, values=values).adjacency
         assert np.array_equal(got, knn_oracle(points, k, weighted=weighted, values=values))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        side=st.integers(2, 12),
+        k=st.integers(1, 12),
+        block_rows=st.integers(1, 64),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integer_grid_subsets(self, d, side, k, block_rows, weighted, seed):
+        # Distinct integer points: ties at the k-th distance in most rows.
+        grid = np.stack(np.meshgrid(*[np.arange(side)] * d), axis=-1).reshape(-1, d).astype(float)
+        rng = np.random.default_rng(seed)
+        points = grid[rng.permutation(len(grid))[: rng.integers(2, min(len(grid), 200) + 1)]]
+        k = min(k, len(points) - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphred.construct, "KNN_BLOCK_ROWS", block_rows)
+            got = knn_graph(points, k, weighted=weighted).adjacency
+        assert np.array_equal(got, knn_oracle(points, k, weighted=weighted))
+
     def test_default_blocks_at_several_blocks(self):
         points = integer_grid(24) + np.random.default_rng(22).uniform(0, 1e-3, size=(576, 2))
         assert 576 > 2 * graphred.construct.KNN_BLOCK_ROWS

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graphred.denoisers
 from graphred import (
@@ -28,7 +28,9 @@ from graphred import (
 )
 from graphred.datasets import generate_sensor_points
 from graphred.graphs import Graph
-from graphred.red import CONVERGED_TOL
+from graphred.cli import SCREEN_MARGIN
+from graphred.denoisers import gain_table
+from graphred.red import CONVERGED_TOL, candidate_mse, krylov_screen_mse
 
 
 def setup_graph(seed=0, n=50, k=5):
@@ -311,6 +313,17 @@ class TestSharedCgCore:
         assert np.array_equal(ten.x[:, 0], one.x[:, 0])
         assert not np.array_equal(ten.x[:, 1], one.x[:, 1])
 
+    @pytest.mark.parametrize("blowup, iteration", [(np.inf, 1), (1e200, 2)])
+    def test_divergence_is_reported_at_its_layer(self, graph30, blowup, iteration):
+        lap, dec = graph30
+        y = gft(dec, np.random.default_rng(8).standard_normal((lap.n_nodes, 2)))
+        # Layer 1's op returns inf (a non-finite gradient there) or 1e200 (a
+        # finite gradient whose squared norm overflows, non-finite one layer on).
+        regs = [lambda v: 0.5 * v, lambda v: np.full_like(v, blowup), lambda v: 0.5 * v]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            red_cg_layers(y, regs, [1.0] * 3)
+        assert err.value.iteration == iteration
+
     def test_unconverged_stalled_column_raises(self, graph30):
         lap, dec = graph30
         y = gft(dec, np.random.default_rng(3).standard_normal((lap.n_nodes, 2)))
@@ -332,6 +345,89 @@ class TestSharedCgCore:
         prob = RedProblem(y=y, alpha_red=1.0, denoiser=den, lap=lap, decomp=dec)
         red_cg_solve(prob, 10)
         assert len(calls) == 1
+
+
+class TestKrylovScreen:
+    @staticmethod
+    def cg_mse(y, target, shortfalls, alpha_red, K):
+        """The oracle: every candidate as columns of the CG core, alpha-major as the screen orders them."""
+        n_rows, n_sig = len(shortfalls), y.shape[1]
+
+        def solve(cand, obs):
+            shortfall = np.repeat(shortfalls[cand % n_rows].T, n_sig, axis=1)
+            a_red = np.repeat(alpha_red[cand // n_rows], n_sig)
+            return red_cg_layers(obs, [lambda v: shortfall * v] * (K + 1), [a_red] * (K + 1)).x
+
+        return candidate_mse(y, target, n_rows * len(alpha_red), solve)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(5, 60),
+        K=st.integers(1, 12),
+        kind=st.sampled_from(["lr", "pnp"]),
+        params=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-2, 1e2)), min_size=1, max_size=3),
+        alpha_red=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+        n_random=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Basis far from orthogonal: screen and core differ by 2.3e-6 relative,
+    # which only the spread covers.
+    @example(
+        n=60, K=11, kind="pnp", params=[(56.34030417634007, 0.03282252828174962), (0.24458458188085258, 1.120268075074834)],
+        alpha_red=[385.19109420359695], n_random=1, seed=529351283,
+    )
+    def test_matches_cg_core(self, n, K, kind, params, alpha_red, n_random, seed):
+        rng = np.random.default_rng(seed)
+        lap, dec = setup_graph(seed % 7, n=n, k=min(4, n - 1))
+        j = int(rng.integers(1, n))
+        # Columns that exhaust their Krylov space early: a constant and a
+        # single eigenvector in node space, the same eigenvector exactly in
+        # coefficients (breakdown at beta = 0), and a zero observation.
+        node = np.column_stack([np.full(n, 2.5), 3.0 * dec.basis[:, j], rng.normal(0, 10, (n, n_random))])
+        exact = np.zeros((n, 2))
+        exact[j, 0] = -4.0
+        y = np.hstack([gft(dec, node), exact])
+        target = gft(dec, rng.normal(0, 10, (n, y.shape[1])))
+        grid = [(a,) for a, _ in params] if kind == "lr" else params
+        shortfalls = 1.0 - gain_table(kind, dec.eigenvalues, grid)
+        alpha_red = np.array(alpha_red)
+        screened, spread = krylov_screen_mse(y, target, shortfalls, alpha_red, K)
+        expected = self.cg_mse(y, target, shortfalls, alpha_red, K)
+        assert np.all(np.abs(screened - expected) <= spread + SCREEN_MARGIN / 100 * expected)
+
+    def test_breakdown_keeps_zero_and_eigenvector_columns_exact(self, graph30):
+        lap, dec = graph30
+        y = np.zeros((lap.n_nodes, 2))
+        y[3, 1] = 2.0
+        target = np.ones_like(y)
+        shortfalls = 1.0 - gain_table("lr", dec.eigenvalues, [(1.0,)])
+        # x = 0 for the zero column; x = 2 e_3 / (1 + a s_3) for the eigenvector.
+        x3 = 2.0 / (1.0 + 5.0 * shortfalls[0, 3])
+        expected = (2 * lap.n_nodes - 1 + (x3 - 1.0) ** 2) / (2 * lap.n_nodes)
+        got, spread = krylov_screen_mse(y, target, shortfalls, np.array([5.0]), 6)
+        assert abs(got[0] - expected) <= 1e-15 * expected
+        assert spread[0] == 0.0
+
+    def test_needed_candidates_run_in_the_blocks_of_a_full_pass(self):
+        rng = np.random.default_rng(9)
+        y, target = rng.standard_normal((2, 7, 3))
+        # An output that depends on the whole block shows any change of blocking.
+        solve = lambda cand, obs: obs * cand.sum()  # noqa: E731
+        full = candidate_mse(y, target, 250, solve)
+        part = candidate_mse(y, target, 250, solve, needed=[5, 40, 41, 249])
+        ran = np.flatnonzero(~np.isnan(part))
+        # BLOCK_COLUMNS = 100 over 3 signals: blocks of 33 candidates.
+        assert np.array_equal(ran, np.r_[0:66, 231:250])
+        assert part[ran].tobytes() == full[ran].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_diverges(self, graph30, bad):
+        lap, dec = graph30
+        y = gft(dec, np.random.default_rng(6).standard_normal((lap.n_nodes, 2)))
+        shortfalls = 1.0 - gain_table("lr", dec.eigenvalues, [(1.0,)])
+        for K in (1, 4):
+            with pytest.raises(DivergenceError):
+                krylov_screen_mse(y, y, shortfalls, np.array([1.0, bad]), K)
 
 
 class TestNodeSpacePath:
