@@ -200,12 +200,17 @@ def tune_method(
     range the screen gave it, every candidate runs through the CG core.
 
     A dict passed as ``gain_tables`` to several calls keeps each gain table,
-    keyed by eigenvalues and grid, between them.
+    keyed by eigenvalues and grid, between them.  A grid bound that is zero,
+    negative or NaN raises :class:`ConfigError`.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if grid_points < 1:
         raise ConfigError("grid_points must be >= 1")
+    for name, bounds in (("alpha_range", alpha_range), ("rho_range", rho_range)):
+        # NaN fails too; an infinite bound is left to the solvers, which raise on it.
+        if len(bounds) != 2 or not all(float(b) > 0 for b in bounds):
+            raise ConfigError(f"{name} must be two positive bounds, got {list(bounds)}")
     alphas = np.geomspace(alpha_range[0], alpha_range[1], grid_points)
     rhos = np.geomspace(rho_range[0], rho_range[1], grid_points)
     if not _records_share_graph(records):
@@ -362,7 +367,8 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         "cg_layers", "pnp_iters", "rebuild_graph_from_observed", "save_diagnostics",
     }
     _check_keys(cfg, allowed, {"dataset", "method", "sigma"}, "denoise config")
-    dataset = ds.load_dataset(cfg["dataset"])
+    rebuild = bool(cfg.get("rebuild_graph_from_observed", False))
+    dataset = ds.load_dataset(cfg["dataset"], graphs=not rebuild)  # a rebuild never reads the stored graphs
     method = cfg["method"]
     if method != "unrolled" and method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -377,7 +383,6 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     uparams = load_params(cfg["unrolled_params"]) if method == "unrolled" else None
     cg_layers = int(cfg.get("cg_layers", DEFAULT_CG_LAYERS))
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
-    rebuild = bool(cfg.get("rebuild_graph_from_observed", False))
     if rebuild and dataset.manifest.get("kind") != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
     save_diag = bool(cfg.get("save_diagnostics", False))

@@ -214,14 +214,18 @@ def pnp_gains(lambdas: np.ndarray, alpha: float, rho: float, iters: int) -> np.n
     is obtained by running the three-step recursion on spectral coefficients
     with an input coefficient of 1.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
     if rho <= 0:
         raise ValueError("rho must be positive")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    return _pnp_recursion(np.asarray(lambdas, dtype=float), alpha, rho, iters)
+
+
+def _pnp_recursion(lambdas, alpha, rho, iters):
+    """The :func:`pnp_gains` recursion; ``alpha`` and ``rho`` may be ``(R, 1)`` columns, one row each."""
     f = lr_gains(lambdas, alpha)
-    x = np.ones_like(lambdas)
-    u = np.zeros_like(lambdas)
+    x = np.ones_like(f)
+    u = np.zeros_like(f)
     for _ in range(iters):
         v = f * (x + u)
         x = (1.0 + rho * (v - u)) / (1.0 + rho)
@@ -244,10 +248,16 @@ def denoiser_gains(
 
 
 def gain_table(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS) -> np.ndarray:
-    """Gains of the ``kind`` denoiser, one row per ``(alpha,)`` (lr) or ``(alpha, rho)`` (pnp)."""
+    """Gains of the ``kind`` denoiser, one row per ``(alpha,)`` (lr) or ``(alpha, rho)`` (pnp).
+
+    All rows run one broadcast recursion, whose elementwise operations are
+    those of :func:`lr_gains` and :func:`pnp_gains`, so each row has their bits.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    params = np.array(list(params), dtype=float).reshape(-1, 1 if kind == "lr" else 2)
     if kind == "lr":
-        return np.array([lr_gains(lambdas, float(a)) for (a,) in params])
-    return np.array([pnp_gains(lambdas, float(a), float(r), iters) for a, r in params])
+        return lr_gains(lam, params)
+    return _pnp_recursion(lam, params[:, :1], params[:, 1:], iters)
 
 
 def gain_jacobian(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS):

@@ -78,7 +78,8 @@ class RedProblem:
 class RedSolveReport:
     """Solver output plus per-iteration diagnostics.
 
-    Histories have length ``iterations + 1`` (the initial point is entry 0).
+    Histories have length ``iterations + 1`` (the initial point is entry 0;
+    a resumed :func:`red_cg_layers` run records only the layers it ran).
     For batched input each history entry is a per-column array.
     """
 
@@ -200,7 +201,12 @@ def _layer_values(scalar, layers, K):
     return layers
 
 
-def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None) -> RedSolveReport:
+def _flat_from(regs, alpha_red, k) -> bool:
+    """Whether every layer from ``k`` on runs layer k's op object with an equal weight."""
+    return all(regs[i] is regs[k] and np.array_equal(alpha_red[i], alpha_red[k]) for i in range(k + 1, len(regs)))
+
+
+def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=None) -> RedSolveReport:
     """Fletcher-Reeves conjugate gradients on the RED objective, one layer per op.
 
     ``regs[k]`` applies ``v - Dk(v)`` in whatever coordinates ``y`` is given
@@ -223,38 +229,67 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None) -> RedSolveReport:
     A column whose gradient norm is negligible relative to its observation
     counts as converged: it takes no step, and its direction restarts
     (``gamma = 0``) in case a later layer's operator un-converges it.  A
-    column's result does not depend on the columns solved beside it; the
-    loop stops once every column has converged.  Raises :class:`StagnationError` if the
-    line-search denominator vanishes while the gradient is still nonzero,
-    and :class:`DivergenceError` on non-finite iterates.
+    column's result does not depend on the columns solved beside it, as long
+    as ``(N, S)`` arrays have two columns at least (numpy sums a lone column
+    pairwise, wider ones row by row).  The loop stops early only once every
+    column has converged, no column is due to join, and every layer left
+    runs the op object and an equal weight of the layer that judged them
+    converged; anything else could un-converge a column.  Raises
+    :class:`StagnationError` if the line-search denominator vanishes while
+    the gradient is still nonzero, and :class:`DivergenceError` on
+    non-finite iterates.
 
     With a ``tape`` list, each layer run appends what a reverse sweep needs:
     ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
     direction, gradient, its squared norm and the converged mask, then the
     line-search denominator (1 where unused), the step, the new iterate, the
     new gradient and the Fletcher-Reeves coefficient.
+
+    ``start = (j, (x, p, g, gsq))`` resumes at layer j from the state
+    entering it (the iterate, and the incoming entries of layer j's tape
+    row), and ``joins`` maps later layers to the states of further columns,
+    appended on the right as that layer begins.  ``y`` then holds every
+    column's observation in the final column order, ``regs[k]`` and
+    ``alpha_red[k]`` act on the columns present at layer k (entries before
+    j are unused), and the histories hold the layers run, not the start.
+    Given states equal to another run's, the columns compute what that run
+    computes for them.
     """
     K = len(regs) - 1
     if K < 1 or len(alpha_red) != K + 1:
         raise ValueError("need K >= 1 reg ops and one alpha_red per op")
+    joins = dict(joins or {})
+    if joins and (start is None or min(joins) <= start[0]):
+        raise ValueError("columns can only join a resumed run, after its first layer")
+    full_scale = np.maximum(np.linalg.norm(y, axis=0), 1.0)
+    obs, scale = y, full_scale
 
     def diagnostics(x, r, k):
-        d = x - y
+        d = x - obs
         grad = d + alpha_red[k] * r
         obj = 0.5 * np.sum(d**2, axis=0) + 0.5 * alpha_red[k] * np.sum(x * r, axis=0)
         return grad, obj
 
-    scale = np.maximum(np.linalg.norm(y, axis=0), 1.0)
-    x = np.zeros_like(y)
-    g, obj = diagnostics(x, regs[0](x), 0)
-    p = -g
-    gsq = np.sum(g * g, axis=0)
-    gnorms = [np.sqrt(gsq)]
-    objs = [obj]
+    if start is None:
+        first = 1
+        x = np.zeros_like(y)
+        g, obj = diagnostics(x, regs[0](x), 0)
+        p = -g
+        gsq = np.sum(g * g, axis=0)
+        gnorms = [np.sqrt(gsq)]
+        objs = [obj]
+    else:
+        first, (x, p, g, gsq) = start
+        obs, scale = y[:, : x.shape[1]], full_scale[: x.shape[1]]
+        gnorms, objs = [], []
     iterations = 0
     converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
-    for k in range(1, K + 1):
-        if np.all(converged):
+    for k in range(first, K + 1):
+        if k in joins:
+            x, p, g, gsq = (np.concatenate(pair, axis=-1) for pair in zip((x, p, g, gsq), joins.pop(k)))
+            obs, scale = y[:, : x.shape[1]], full_scale[: x.shape[1]]
+            converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
+        if np.all(converged) and not joins and _flat_from(regs, alpha_red, k - 1):
             break
         ap = p + alpha_red[k] * regs[k](p)
         denom = np.sum(p * ap, axis=0)

@@ -11,8 +11,9 @@ signals are needed.
 Gradients are exact by default: one taped forward pass of the spectral CG
 core and one reverse (adjoint) sweep through it, for either denoiser, at
 about the cost of two forward passes whatever the parameter count.  Central
-finite differences (denoiser-agnostic) remain as an option, with every
-parameter point of an epoch evaluated in one batched pass of the same core.
+finite differences (denoiser-agnostic) remain as an option: the centre runs
+once through the same core, and each perturbed point runs as an extra column
+of a batched solve from the centre's state entering the layer it perturbs.
 """
 
 from __future__ import annotations
@@ -344,15 +345,27 @@ def _spectral_pairs(pairs, decomp):
 
 
 def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
-    """Loss at ``theta`` and its central-difference gradient, from one batched pass.
+    """Loss at ``theta`` and its central-difference gradient, each point run from the layer it perturbs.
 
     The points (``theta``, each ``theta + h_j e_j``, each ``theta - h_j e_j``)
-    run as extra columns of batched CG solves on GFT coefficients, where the
-    loss equals its node-space value (the basis is orthonormal).  Index-0
-    entries are not perturbed: layer 0 only ever sees ``x = 0``, so their
-    gradient is exactly 0.  The layer shortfalls ``1 - D_k`` are rows of one
-    table, one row per distinct denoiser ``(alpha,)`` or ``(alpha, rho)``
-    among all points and layers.
+    run on GFT coefficients, where the loss equals its node-space value (the
+    basis is orthonormal).  Index-0 entries are not perturbed: layer 0 only
+    ever sees ``x = 0``, so their gradient is exactly 0.  The layer
+    shortfalls ``1 - D_k`` are rows of one table, one row per distinct
+    denoiser ``(alpha,)`` or ``(alpha, rho)`` among all points and layers.
+
+    A point that perturbs layer j computes layers 1 .. j-1 exactly as the
+    centre ``theta`` does.  So the centre runs once, taped, and every other
+    point starts from the centre's state entering its layer.  Ordered by
+    that layer, the points run as extra columns of blocked CG solves
+    (:func:`red.candidate_mse`); a block resumes at its earliest layer and
+    takes each later point on when that point's layer begins.  Per signal
+    that is K + sum over points of (K - j + 1) column-layers, against
+    (2P + 1) K for running every point from ``x = 0``, and every column does
+    the arithmetic of such a full run, so loss and gradient keep their bits.
+    numpy sums a lone column in another order than wider arrays, so a single
+    signal keeps every point a lone column, as a one-signal solve does, and
+    no point's bits depend on the block it lands in.
     """
     n = K + 1
     live = np.flatnonzero(np.arange(theta.size) % n)
@@ -365,17 +378,39 @@ def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     distinct, index = np.unique(den_rows.reshape(-1, den_rows.shape[2]), axis=0, return_inverse=True)
     index = index.reshape(a_red.shape)
     shortfall = 1.0 - gain_table(kind, decomp.eigenvalues, distinct, pnp_iters)
+    perturbed = np.tile(live % n, 2)  # the layer each of points 1 .. 2P perturbs
+    order = 1 + np.argsort(perturbed, kind="stable")
+    layer = perturbed[order - 1]
 
     total = np.zeros(len(decoded))
     for z, t in _spectral_pairs(pairs, decomp):
+        n_sig = z.shape[1]
 
-        def solve(cand, obs, n_sig=z.shape[1]):
-            cols = np.repeat(cand, n_sig)
-            shorts = [np.repeat(shortfall[index[cand, k]].T, n_sig, axis=1) for k in range(n)]
-            regs = [lambda v, s=s: s * v for s in shorts]
-            return red_cg_layers(obs, regs, [a_red[cols, k] for k in range(n)]).x
+        def layer_op(points, k):
+            """Layer k's op and weights on the columns of ``points``."""
+            s = np.repeat(shortfall[index[points, k]].T, n_sig, axis=1)
+            return (lambda v: s * v), np.repeat(a_red[points, k], n_sig)
 
-        total += candidate_mse(z, t, len(decoded), solve)
+        tape = []
+        centre = [layer_op([0], k) for k in range(n)]  # an op object per layer: no early stop, every layer taped
+        total[0] += candidate_mse(z, t, 1, lambda cand, obs: red_cg_layers(obs, *zip(*centre), tape).x)[0]
+        iterates = [np.zeros_like(z)] + [row[6] for row in tape]
+        entering = [None] + [(iterates[k - 1],) + tape[k - 1][:3] for k in range(1, n)]  # x, p, g, gsq
+
+        def resume(cand, obs):
+            points, lay = order[cand], layer[cand]
+            first = int(lay[0])
+            state = lambda k: tuple(np.tile(a, np.count_nonzero(lay == k)) for a in entering[k])
+            ops = [(None, None)] * first + [layer_op(points[: np.count_nonzero(lay <= k)], k) for k in range(first, n)]
+            joins = {k: state(k) for k in set(lay.tolist()) if k > first}  # np.unique would import numpy.ma
+            return red_cg_layers(obs, *zip(*ops), start=(first, state(first)), joins=joins).x
+
+        def run_block(cand, obs):  # not recursive: a self-calling closure is a cycle that would hold the tape
+            if n_sig == 1:  # a lone signal: every point stays a lone column
+                return np.hstack([resume(cand[i : i + 1], obs[:, i : i + 1]) for i in range(len(cand))])
+            return resume(cand, obs)
+
+        total[order] += candidate_mse(z, t, len(order), run_block)
     loss = total / len(pairs)
     grad = np.zeros(theta.size)
     grad[live] = (loss[1 : live.size + 1] - loss[live.size + 1 :]) / (2.0 * h)

@@ -244,6 +244,19 @@ class TestScreenedTune:
         assert entry == exhaustive_red_tune(records, 1.0, method, 5)
         assert spy[-1] is None  # the exhaustive pass ran
 
+    @pytest.mark.parametrize("method", ["lr", "red_pnp"])
+    @pytest.mark.parametrize(
+        "key, bounds", [("alpha_range", [-1, 1]), ("alpha_range", [0, 1]), ("rho_range", [1, "NaN"])]
+    )
+    def test_non_positive_range_is_config_error(self, dataset_dir, tmp_path, method, key, bounds):
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(
+            '{"dataset": %s, "methods": ["%s"], "grid_points": 3, "%s": [%s, %s]}'
+            % (json.dumps(str(dataset_dir)), method, key, *bounds)
+        )
+        assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "tuned.json").exists()
+
     def test_overflowing_alpha_range_exits_3(self, dataset_dir, tmp_path):
         # 1e309 overflows to inf when parsed.  The grid's own geomspace warns
         # about it, so the CLI runs in a process of its own, as users run it.
@@ -445,6 +458,28 @@ class TestDenoiseNodeSpace:
             ref = apply_method("red_lr", params, lap, eigendecompose(lap), y)
             got = np.loadtxt(tmp_path / "out" / "denoised" / f"sample_{record.index:03d}.csv", delimiter=",")
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rebuild_reads_no_edge_list(self, tmp_path):
+        gen = write_config(
+            tmp_path / "gen.json",
+            {"kind": "pointcloud", "source": "data/torus.off", "m": 60, "k": 5, "sigmas": [0.1],
+             "n_train": 0, "n_test": 2},
+        )
+        assert main(["generate", "--config", gen, "--out", str(tmp_path / "pc")]) == 0
+        bundle = tmp_path / "signals_only"
+        shutil.copytree(tmp_path / "pc", bundle)
+        for edges in bundle.glob("*/sample_*/graph.edges"):
+            edges.unlink()
+        outs = {}
+        for name in ("pc", "signals_only"):
+            cfg = write_config(
+                tmp_path / f"den_{name}.json",
+                {"dataset": str(tmp_path / name), "method": "red_lr", "sigma": 0.1,
+                 "params": {"alpha_red": 3.0, "alpha_lr": 1.0}, "rebuild_graph_from_observed": True},
+            )
+            assert main(["denoise", "--config", cfg, "--out", str(tmp_path / f"out_{name}")]) == 0
+            outs[name] = tree_bytes(tmp_path / f"out_{name}" / "denoised")
+        assert outs["signals_only"] == outs["pc"]
 
 
 class TestTrain:

@@ -22,6 +22,7 @@ from graphred import (
     pnp_admm_denoise,
 )
 from graphred.datasets import generate_sensor_points
+from graphred.denoisers import gain_table, pnp_gains
 from graphred.graphs import Graph
 
 
@@ -320,3 +321,17 @@ class TestGainsAndDispatch:
         lam = np.linspace(0.0, 3.0, 7)
         den = Denoiser(kind="lr", alpha=1.0)
         assert np.allclose(denoiser_gains(den, lam, alpha=3.0), lr_gains(lam, 3.0), atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        rows=st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(1e-2, 1e2)), min_size=1, max_size=30),
+        iters=st.integers(1, 20),
+    )
+    def test_gain_table_rows_equal_per_row_gains(self, graph50, kind, rows, iters):
+        # One broadcast recursion over all rows runs each row's elementwise steps.
+        lam = graph50[1].eigenvalues
+        params = [row[:1] for row in rows] if kind == "lr" else rows
+        table = gain_table(kind, lam, iter(params), iters)
+        for row, p in zip(table, params):
+            assert np.array_equal(row, lr_gains(lam, p[0]) if kind == "lr" else pnp_gains(lam, *p, iters))

@@ -313,6 +313,74 @@ class TestSharedCgCore:
         assert np.array_equal(ten.x[:, 0], one.x[:, 0])
         assert not np.array_equal(ten.x[:, 1], one.x[:, 1])
 
+    def test_later_layer_unconverges_a_lone_column(self):
+        # An exact eigenvector converges in one layer; a later layer's weight un-converges it.
+        s = np.linspace(0.1, 0.9, 6)
+        e = np.zeros((6, 1))
+        e[2] = 1.0
+        reg = lambda v: s[:, None] * v  # noqa: E731
+        a_red = [1.0, 1.0, 5.0, 5.0]
+        alone = red_cg_layers(np.hstack([e, e]), [reg] * 4, a_red).x
+        beside = red_cg_layers(np.hstack([e, np.random.default_rng(0).standard_normal((6, 3))]), [reg] * 4, a_red).x
+        assert np.array_equal(alone[:, 0], beside[:, 0])
+        assert alone[2, 0] == pytest.approx(1.0 / (1.0 + 5.0 * s[2]), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["eigenvector", "constant", "zero", "random"]), min_size=2, max_size=5),
+        # (alpha_red, LR alpha) per layer, from few values so that layers repeat
+        layers=st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 5.0]), st.sampled_from([0.3, 2.0])), min_size=2, max_size=9
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Layers 2-3 repeat one op and weight, but layer 1, which converges the eigenvector, differs.
+    @example(kinds=["eigenvector", "random"], layers=[(1.0, 2.0), (1.0, 2.0), (5.0, 2.0), (5.0, 2.0)], seed=0)
+    def test_column_output_does_not_depend_on_its_neighbours(self, graph30, kinds, layers, seed):
+        lap, dec = graph30
+        rng = np.random.default_rng(seed)
+        columns = {
+            "eigenvector": lambda: 3.0 * dec.basis[:, rng.integers(1, lap.n_nodes)],
+            "constant": lambda: np.full(lap.n_nodes, 2.0),
+            "zero": lambda: np.zeros(lap.n_nodes),
+            "random": lambda: rng.standard_normal(lap.n_nodes),
+        }
+        z = gft(dec, np.column_stack([columns[kind]() for kind in kinds]))
+        ops = {}  # equal layers share one op object, as red_cg_solve's layers do
+        for a_red, alpha in layers:
+            if alpha not in ops:
+                s = 1.0 - denoiser_gains(Denoiser(kind="lr", alpha=alpha), dec.eigenvalues)
+                ops[alpha] = lambda v, s=s[:, None]: s * v
+        regs = [ops[alpha] for _, alpha in layers]
+        a_red = [a for a, _ in layers]
+        batch = red_cg_layers(z, regs, a_red).x
+        for j in range(len(kinds)):
+            # Two copies: numpy sums a lone column in another order than wider arrays.
+            alone = red_cg_layers(np.tile(z[:, j : j + 1], 2), regs, a_red).x
+            assert np.array_equal(alone[:, 0], batch[:, j]) and np.array_equal(alone[:, 1], batch[:, j])
+
+    def test_resumed_and_joined_columns_match_a_full_run(self, graph30):
+        lap, dec = graph30
+        z = gft(dec, np.random.default_rng(5).standard_normal((lap.n_nodes, 3)))
+        alphas = (1.0, 0.5, 2.0, 4.0, 3.0)
+        regs = [
+            lambda v, s=1.0 - denoiser_gains(Denoiser(kind="lr", alpha=a), dec.eigenvalues)[:, None]: s * v
+            for a in alphas
+        ]
+        a_red = [1.0, 2.0, 0.7, 1.5, 3.0]
+        tape = []
+        full = red_cg_layers(z, regs, a_red, tape)
+        xs = [np.zeros_like(z)] + [row[6] for row in tape]
+        entering = lambda k, cols: tuple(a[..., cols].copy() for a in (xs[k - 1],) + tape[k - 1][:3])  # noqa: E731
+        # Columns 0-1 resume at layer 2, column 2 joins at layer 4.
+        out = red_cg_layers(
+            z, [None] + regs[1:], [None] + a_red[1:], start=(2, entering(2, [0, 1])), joins={4: entering(4, [2])}
+        )
+        assert np.array_equal(out.x, full.x)
+        assert out.iterations == 4 and len(out.gradient_norm_history) == 3
+        with pytest.raises(ValueError, match="join"):
+            red_cg_layers(z, regs, a_red, joins={2: entering(2, [2])})
+
     @pytest.mark.parametrize("blowup, iteration", [(np.inf, 1), (1e200, 2)])
     def test_divergence_is_reported_at_its_layer(self, graph30, blowup, iteration):
         lap, dec = graph30

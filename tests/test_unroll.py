@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import graphred.denoisers
 import graphred.red
+import graphred.unroll
 from graphred import (
     AdamState,
     ConfigError,
@@ -32,9 +32,10 @@ from graphred import (
     unrolled_forward,
 )
 from graphred.datasets import add_noise, generate_bandlimited, generate_sensor_points
+from graphred.denoisers import gain_table
 from graphred.graphs import gft
-from graphred.red import CONVERGED_TOL
-from graphred.unroll import FD_STEP, _epoch_pairs, _exact_loss_grad, _fd_loss_grad
+from graphred.red import CONVERGED_TOL, candidate_mse, red_cg_layers
+from graphred.unroll import FD_STEP, _epoch_pairs, _exact_loss_grad, _fd_loss_grad, _spectral_pairs
 
 
 def setup_training(seed=0, n=40, k=4, n_samples=3, sigma=0.5):
@@ -262,6 +263,35 @@ def per_point_fd(pairs, lap, dec, K, kind, theta, pnp_iters):
     return loss(theta), grad
 
 
+def full_run_fd(pairs, dec, K, kind, theta, pnp_iters):
+    """Reference: the blocked finite-difference pass that runs every point from x = 0 through all K layers."""
+    n = K + 1
+    live = np.flatnonzero(np.arange(theta.size) % n)
+    h = FD_STEP * np.maximum(1.0, np.abs(theta[live]))
+    steps = np.zeros((live.size, theta.size))
+    steps[np.arange(live.size), live] = h
+    decoded = softplus(np.vstack([theta, theta + steps, theta - steps]))
+    a_red = decoded[:, :n]
+    den_rows = np.swapaxes(decoded[:, n:].reshape(len(decoded), -1, n), 1, 2)
+    distinct, index = np.unique(den_rows.reshape(-1, den_rows.shape[2]), axis=0, return_inverse=True)
+    index = index.reshape(a_red.shape)
+    shortfall = 1.0 - gain_table(kind, dec.eigenvalues, distinct, pnp_iters)
+    total = np.zeros(len(decoded))
+    for z, t in _spectral_pairs(pairs, dec):
+
+        def solve(cand, obs, n_sig=z.shape[1]):
+            cols = np.repeat(cand, n_sig)
+            shorts = [np.repeat(shortfall[index[cand, k]].T, n_sig, axis=1) for k in range(n)]
+            regs = [lambda v, s=s: s * v for s in shorts]
+            return red_cg_layers(obs, regs, [a_red[cols, k] for k in range(n)]).x
+
+        total += candidate_mse(z, t, len(decoded), solve)
+    loss = total / len(pairs)
+    grad = np.zeros(theta.size)
+    grad[live] = (loss[1 : live.size + 1] - loss[live.size + 1 :]) / (2.0 * h)
+    return loss[0], grad
+
+
 @pytest.fixture(scope="module")
 def fd_graph():
     return setup_training(12, n=30, k=4, n_samples=3)
@@ -299,20 +329,82 @@ class TestBatchedFiniteDifferences:
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["lr", "pnp"]),
+        K=st.integers(1, 6),
+        scalars=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        flat=st.booleans(),
+        shape=st.sampled_from(["single", "batch", "zero_column", "eigenvector_column"]),
+        pnp_iters=st.integers(1, 10),
+        block=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_full_runs_bit_for_bit(self, fd_graph, kind, K, scalars, flat, shape, pnp_iters, block, seed):
+        lap, dec, y, target = fd_graph
+        a_red, a_den, rho = scalars
+        theta = UnrolledParams.constant(K, kind, a_red, a_den, rho if kind == "pnp" else None).to_theta()
+        if not flat:
+            theta = theta + np.random.default_rng(seed).uniform(-1.0, 1.0, theta.size)
+        y = y.copy()
+        if shape == "single":
+            y, target = y[:, 0], target[:, 0]
+        elif shape == "zero_column":
+            y[:, 1] = 0.0
+        elif shape == "eigenvector_column":
+            y[:, 1] = 3.0 * dec.basis[:, 4]
+        pairs = [(y, target)]
+        with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
+            loss, grad = _fd_loss_grad(pairs, dec, K, kind, theta, pnp_iters)
+        # The reference runs one point per block, so a single signal's points
+        # are lone columns there too (numpy sums those in another order).
+        with mock.patch.object(graphred.red, "BLOCK_COLUMNS", 1 if y.ndim == 1 else y.shape[1]):
+            ref_loss, ref_grad = full_run_fd(pairs, dec, K, kind, theta, pnp_iters)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("kind, per_layer", [("lr", 4), ("pnp", 6)])
+    @pytest.mark.parametrize("block", [5, 100])
+    def test_points_run_only_from_their_layer(self, fd_graph, monkeypatch, kind, per_layer, block):
+        lap, dec, y, target = fd_graph
+        K, n_sig = 5, y.shape[1]
+        widths = []
+        real = graphred.unroll.red_cg_layers
+
+        def counted(obs, regs, alpha_red, *args, **kwargs):
+            # Layers 1..K call their op twice (direction and iterate), layer 0 once at x = 0.
+            wrap = lambda op: lambda v: widths.append(v.shape[1]) or op(v)  # noqa: E731
+            regs = [op if k == 0 or op is None else wrap(op) for k, op in enumerate(regs)]
+            return real(obs, regs, alpha_red, *args, **kwargs)
+
+        monkeypatch.setattr(graphred.unroll, "red_cg_layers", counted)
+        theta = UnrolledParams.constant(K, kind, 1.3, 2.1, 0.8 if kind == "pnp" else None).to_theta()
+        theta = theta + np.random.default_rng(3).uniform(-1.0, 1.0, theta.size)
+        with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
+            _fd_loss_grad([(y, target)], dec, K, kind, theta)
+        # The centre runs K layers; a point that perturbs layer j runs K - j + 1.
+        expected = K * n_sig + sum(per_layer * (K - j + 1) * n_sig for j in range(1, K + 1))
+        assert sum(widths) == 2 * expected
+
     def test_pnp_gains_once_per_distinct_layer_denoiser(self, fd_graph, monkeypatch):
         lap, dec, y, target = fd_graph
         K = 6
-        calls = []
-        real = graphred.denoisers.pnp_gains
-        monkeypatch.setattr(graphred.denoisers, "pnp_gains", lambda *a: calls.append(a) or real(*a))
+        rows = []
+        real = graphred.unroll.gain_table
+
+        def counted(kind, lambdas, params, *args):
+            params = np.asarray(params)
+            rows.extend(map(tuple, params))
+            return real(kind, lambdas, params, *args)
+
+        monkeypatch.setattr(graphred.unroll, "gain_table", counted)
         init = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8)
         theta = init.to_theta() + np.random.default_rng(0).uniform(-1.0, 1.0, init.n_params)
         _fd_loss_grad([(y, target)], dec, K, "pnp", theta)
         # Per layer: the centre, alpha +- h and rho +- h; layer 0 is never perturbed.
-        assert len(calls) == 5 * K + 1
-        calls.clear()
+        assert len(rows) == len(set(rows)) == 5 * K + 1
+        rows.clear()
         _fd_loss_grad([(y, target)], dec, K, "pnp", init.to_theta())
-        assert len(calls) == 5  # flat layers share all five
+        assert len(rows) == 5  # flat layers share all five
 
     def test_block_width_does_not_change_bits(self, fd_graph):
         lap, dec, y, target = fd_graph
@@ -380,9 +472,10 @@ def complex_step_loss_grad(pairs, dec, K, kind, theta, pnp_iters, h=1e-30):
             gsq = np.sum(g * g, axis=0)
             for k in range(1, K + 1):
                 converged = np.sqrt(gsq.real) <= CONVERGED_TOL * scale
-                if np.all(converged):
+                # As the solver: stop only if the layers left repeat the one that judged convergence.
+                if np.all(converged) and all(np.array_equal(m[i], m[k - 1]) for i in range(k, K + 1)):
                     break
-                smallest[0] = min(smallest[0], np.min(np.sqrt(gsq.real[~converged]) / scale[~converged]))
+                smallest[0] = np.min(np.sqrt(gsq.real[~converged]) / scale[~converged], initial=smallest[0])
                 denom = np.where(converged, 1.0, np.sum(p * m[k][:, None] * p, axis=0))
                 x = x + np.where(converged, 0.0, -np.sum(p * g, axis=0) / denom) * p
                 g_new = m[k][:, None] * x - z
