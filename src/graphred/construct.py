@@ -15,22 +15,156 @@ from .graphs import Graph
 # Two points closer than this are treated as coincident: an inverse-distance
 # weight would blow up, so we refuse instead of silently clipping.
 MIN_NEIGHBOR_DISTANCE = 1e-12
-# Rows of the distance matrix held at once while picking neighbours.
+# Rows of the distance matrix held at once while picking neighbours exactly.
 KNN_BLOCK_ROWS = 128
+# Candidate distances (rows x padded candidates) the grid search holds at once.
+KNN_CANDIDATE_ENTRIES = 1 << 17
+# The grid bins points on at most this many coordinates, the widest first.
+GRID_AXES = 3
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the points of ``a`` and ``b`` (coordinates
+    on the last axis), broadcast over the other axes.
+
+    Squares are summed in place one coordinate at a time, as numpy sums a
+    short last axis, so the bits match ``sqrt(sum(diff**2, axis=-1))`` below
+    8 coordinates; from 8 on numpy sums pairwise and they may differ.
+    """
+    sq = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    for c in range(a.shape[-1]):
+        diff = a[..., c] - b[..., c]
+        sq += np.multiply(diff, diff, out=diff)
+    return np.sqrt(sq, out=sq)
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every row of ``a`` and every row of ``b``.
+    """Distances between every row of ``a`` and every row of ``b``, by :func:`_distances`."""
+    return _distances(a[:, None, :], b[None, :, :])
 
-    Squares are summed in place one coordinate at a time, as numpy sums a
-    short last axis, so the bits match ``sqrt(sum(diff**2, axis=2))`` below
-    8 coordinates; from 8 on numpy sums pairwise and they may differ.
+
+def _first_k(dist: np.ndarray, kth: np.ndarray, ids, k: int) -> np.ndarray:
+    """Mask of each row's first ``k`` entries by (distance, point index).
+
+    ``kth`` is each row's k-th smallest distance as a column and ``ids`` the
+    point index of every entry (broadcast against ``dist``).  That is every
+    entry below the k-th smallest, then the lowest-index entries equal to
+    it: the first k of a stable argsort over points in index order.  Only a
+    row with more than k entries at or below the k-th needs the tie rule.
     """
-    sq = np.zeros((a.shape[0], b.shape[0]))
-    for c in range(a.shape[1]):
-        diff = a[:, c, None] - b[None, :, c]
-        sq += np.multiply(diff, diff, out=diff)
-    return np.sqrt(sq, out=sq)
+    keep = dist <= kth
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if len(over):
+        sub, sub_kth, sub_ids = dist[over], kth[over], np.broadcast_to(ids, dist.shape)[over]
+        below, tied = sub < sub_kth, sub == sub_kth
+        room = k - np.count_nonzero(below, axis=1)
+        last = np.sort(np.where(tied, sub_ids, np.iinfo(np.intp).max), axis=1)[np.arange(len(over)), room - 1]
+        keep[over] = below | (tied & (sub_ids <= last[:, None]))
+    return keep
+
+
+def _grid_cells(rel: np.ndarray, k: int):
+    """Integer cells of the points (offsets ``rel`` from the lowest corner).
+
+    The cell side starts at the widest span and shrinks by sqrt(2) while the
+    occupied cells still hold ``3k / 4`` points on average, there is at most
+    one cell per point along each axis, and cell keys stay inside int64.
+    """
+    n = len(rel)
+    side, cells = float(rel.max()), None
+    while True:
+        finer = np.floor(rel / side).astype(np.intp)
+        shape = finer.max(axis=0) + 1
+        if shape.max() > n or np.prod(shape, dtype=float) >= 2.0**62:
+            return cells
+        keys = np.sort(np.ravel_multi_index(tuple(finer.T), shape))
+        if cells is not None and 4 * n < 3 * k * (1 + np.count_nonzero(np.diff(keys))):
+            return cells
+        side, cells = side / np.sqrt(2.0), finer
+
+
+def _grid_neighbours(points: np.ndarray, k: int):
+    """Neighbours of the rows a uniform grid certifies, and the other rows.
+
+    Points are binned into cells on up to ``GRID_AXES`` coordinates, and a
+    row's candidates are the points in its cell's 3^m block of neighbouring
+    cells, with :func:`_distances`' bits.  A row is certified when its k-th
+    candidate distance is strictly below ``reach``: every point outside the
+    block is apart from it by at least that gap along one binned coordinate,
+    and the computed distance never falls below the computed gap, as each
+    rounding step is monotone and the other coordinates only add.  Its first
+    k candidates by (distance, index) are then its first k of all points.
+    Returns ``(found, rest)``: a list of ``(i, j, dist)`` arrays of the
+    certified rows' pairs, and the rows left (outliers, dense clusters, rows
+    with fewer than k candidates), ascending.
+    """
+    n = len(points)
+    lo, span = points.min(axis=0), np.ptp(points, axis=0)
+    axes = np.argsort(-span, kind="stable")[:GRID_AXES]
+    axes = axes[span[axes] > 0]
+    if not len(axes):
+        return [], np.arange(n)
+    cells = _grid_cells(points[:, axes] - lo[axes], k)
+    shape = cells.max(axis=0) + 1
+
+    # Each point's gap to the nearest point two or more cells away along a
+    # binned coordinate: the block's nearest inner face, or beyond.
+    gap = np.full(n, np.inf)
+    for x, c, m in zip(points[:, axes].T, cells.T, shape):
+        below = np.full(m + 2, -np.inf)  # below[c]: max x in cells <= c - 2
+        np.maximum.at(below, c + 2, x)
+        above = np.full(m + 2, np.inf)  # above[c]: min x in cells >= c
+        np.minimum.at(above, c, x)
+        below, above = np.maximum.accumulate(below)[c], np.minimum.accumulate(above[::-1])[::-1][c + 2]
+        gap = np.minimum(gap, np.minimum(x - below, above - x))
+    reach = np.sqrt(gap * gap)
+
+    # Occupied cells in key order, and each one's neighbour cells as runs of `order`.
+    key = np.ravel_multi_index(tuple(cells.T), shape)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    first = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    occupied, count = sorted_key[first], np.diff(np.r_[first, n])
+    cell_of = np.searchsorted(occupied, key)
+    offsets = np.stack(np.meshgrid(*[[-1, 0, 1]] * len(axes), indexing="ij"), axis=-1).reshape(-1, len(axes))
+    near = cells[order[first]][:, None, :] + offsets
+    near_key = np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), shape, mode="clip")
+    pos = np.minimum(np.searchsorted(occupied, near_key), len(occupied) - 1)
+    hit = np.all((near >= 0) & (near < shape), axis=2) & (occupied[pos] == near_key)
+    run_start, run_count = first[pos], np.where(hit, count[pos], 0)
+    total = run_count.sum(axis=1)
+
+    # Rows by candidate count, so a block pads little, in blocks of about
+    # KNN_CANDIDATE_ENTRIES candidates; index n is a point at infinity.
+    rows = order[np.argsort(total[cell_of[order]], kind="stable")]
+    width = np.maximum(total[cell_of[rows]], k)
+    padded = np.vstack([points, np.full(points.shape[1], np.inf)])
+    found, rest = [], []
+    start = 0
+    while start < n:
+        guess = width[min(start + KNN_CANDIDATE_ENTRIES // width[start], n) - 1]
+        stop = min(start + max(1, KNN_CANDIDATE_ENTRIES // guess), n)
+        block = rows[start:stop]
+        # Each cell's candidates once: the runs of its neighbour cells, end to end.
+        new = np.r_[True, cell_of[block][1:] != cell_of[block][:-1]]
+        ids = cell_of[block][new]
+        lengths, starts, totals = run_count[ids].ravel(), run_start[ids].ravel(), total[ids]
+        flat = np.arange(totals.sum())
+        table = np.full((len(ids), width[stop - 1]), n)
+        table[np.repeat(np.arange(len(ids)), totals), flat - np.repeat(np.cumsum(totals) - totals, totals)] = order[
+            np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + flat
+        ]
+        cand = table[np.cumsum(new) - 1]
+        dist = _distances(points[block, None, :], padded[cand])
+        dist[cand == block[:, None]] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        ok = kth[:, 0] < reach[block]
+        dist, cand = dist[ok], cand[ok]
+        keep = _first_k(dist, kth[ok], cand, k)
+        found.append((block[ok][np.nonzero(keep)[0]], cand[keep], dist[keep]))
+        rest.append(block[~ok])
+        start = stop
+    return found, np.sort(np.concatenate(rest))
 
 
 def knn_graph(
@@ -51,6 +185,14 @@ def knn_graph(
     selection still uses the coordinates.  Raises
     :class:`DegenerateDistanceError` if a weight distance of a selected pair
     falls below ``MIN_NEIGHBOR_DISTANCE``.
+
+    Above ``KNN_BLOCK_ROWS`` points, a uniform grid finds the neighbours of
+    most rows from nearby cells (:func:`_grid_neighbours`).  The rows it
+    cannot certify, and every row of a smaller cloud, take exact distances
+    to all points, at most ``KNN_BLOCK_ROWS`` rows and about
+    ``KNN_CANDIDATE_ENTRIES`` distances at a time.  Both give the same
+    distance bits and the same tie rule, so the graph does not depend on
+    which path a row took.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -69,43 +211,33 @@ def knn_graph(
         if values.shape[0] != n:
             raise ValueError("values must have one row per point")
 
-    # Exact distances, KNN_BLOCK_ROWS rows at a time; only the selected
-    # pairs are kept, so memory stays O(KNN_BLOCK_ROWS * N + N k).
-    pairs = []
-    for start in range(0, n, KNN_BLOCK_ROWS):
-        dist = _pairwise_distances(points[start : start + KNN_BLOCK_ROWS], points)
-        local = np.arange(dist.shape[0])
-        dist[local, local + start] = np.inf
-        # The first k of a stable argsort: every entry below the k-th
-        # smallest, then the lowest-index entries equal to it.  Only a row
-        # with more than k entries at or below the k-th needs the tie rule.
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-        keep = dist <= kth
-        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-        if len(over):
-            sub, sub_kth = dist[over], kth[over]
-            tied = sub == sub_kth
-            room = k - np.sum(sub < sub_kth, axis=1, keepdims=True)
-            keep[over] = (sub < sub_kth) | (tied & (np.cumsum(tied, axis=1) <= room))
+    found, rest = _grid_neighbours(points, k) if n > KNN_BLOCK_ROWS else ([], np.arange(n))
+    # Memory stays O(N k) besides one block.
+    rows = min(KNN_BLOCK_ROWS, max(1, KNN_CANDIDATE_ENTRIES // n))
+    for start in range(0, len(rest), rows):
+        block = rest[start : start + rows]
+        dist = _pairwise_distances(points[block], points)
+        local = np.arange(len(block))
+        dist[local, block] = np.inf
+        keep = _first_k(dist, np.partition(dist, k - 1, axis=1)[:, k - 1 : k], np.arange(n), k)
         local, j = np.nonzero(keep)
-        i = local + start
-        if values is None:
-            d = dist[local, j]
-        else:
-            diff = values[i] - values[j]
-            d = np.sqrt(np.sum(diff * diff, axis=1))
-        bad = np.flatnonzero(d < MIN_NEIGHBOR_DISTANCE) if weighted else []
-        if len(bad):
-            # Report the pair that a row-by-row scan in neighbour order meets first.
-            first = bad[i[bad] == i[bad[0]]]
-            pick = first[np.lexsort((j[first], dist[local[first], j[first]]))[0]]
-            raise DegenerateDistanceError(
-                f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
-            )
-        # Distances are exactly symmetric: a pair chosen from both ends gets one weight.
-        pairs.append((i, j, 1.0 / d if weighted else np.ones(len(i))))
-    i, j, w = (np.concatenate(part) for part in zip(*pairs))
-    return Graph.from_edges(i, j, w, n)
+        found.append((block[local], j, dist[local, j]))
+    i, j, dist = (np.concatenate(part) for part in zip(*found))
+    if values is None:
+        d = dist
+    else:
+        diff = values[i] - values[j]
+        d = np.sqrt(np.sum(diff * diff, axis=1))
+    bad = np.flatnonzero(d < MIN_NEIGHBOR_DISTANCE) if weighted else []
+    if len(bad):
+        # Report the pair that a row-by-row scan in neighbour order meets first.
+        first = bad[i[bad] == i[bad].min()]
+        pick = first[np.lexsort((j[first], dist[first]))[0]]
+        raise DegenerateDistanceError(
+            f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
+        )
+    # Distances are exactly symmetric: a pair chosen from both ends gets one weight.
+    return Graph.from_edges(i, j, 1.0 / d if weighted else np.ones(len(i)), n)
 
 
 def normalize_weights(graph: Graph) -> Graph:

@@ -14,15 +14,16 @@ which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import knn_graph, normalize_weights
+from .construct import _pairwise_distances, knn_graph, normalize_weights
 from .exceptions import ConfigError, NumericalError, ParseError
-from .graphs import Graph, SpectralDecomp, build_laplacian, eigendecompose, load_edge_list, save_edge_list
+from .graphs import Graph, SpectralDecomp, build_laplacian, edge_list_text, eigendecompose, load_edge_list
 
 MANIFEST_SCHEMA = "graphred-dataset-v1"
 
@@ -72,7 +73,10 @@ def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     """Farthest point sampling: greedy max-min subset of m points.
 
     Starting from index ``start``, repeatedly adds the point farthest from
-    the already-selected set (ties go to the lower index).
+    the already-selected set (ties go to the lower index).  Distances come
+    from :func:`construct._pairwise_distances`, which has the bits of
+    ``np.linalg.norm(points - p, axis=1)`` below 8 coordinates; from 8 on
+    they may differ in the last bits, and so may the picks.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -81,11 +85,11 @@ def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     if not (0 <= start < n):
         raise ValueError(f"start must be in [0, {n - 1}]")
     selected = [start]
-    min_dist = np.linalg.norm(points - points[start], axis=1)
+    min_dist = _pairwise_distances(points[start : start + 1], points)[0]
     for _ in range(m - 1):
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
+        np.minimum(min_dist, _pairwise_distances(points[nxt : nxt + 1], points)[0], out=min_dist)
     return points[np.array(selected)]
 
 
@@ -317,8 +321,15 @@ def _sigma_name(sigma: float) -> str:
     return f"observed_sigma{sigma:g}.csv"
 
 
-def _save_signal(path, signal) -> None:
-    np.savetxt(path, np.asarray(signal, dtype=float), fmt="%.17g", delimiter=",")
+def _signal_text(signal) -> str:
+    buf = io.StringIO()
+    np.savetxt(buf, np.asarray(signal, dtype=float), fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _load_signal(path) -> np.ndarray:
@@ -329,8 +340,16 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     """Bundle layout: manifest.json plus per-sample directories per split.
 
     Each sample directory holds ``graph.edges``, ``clean.csv``, and one
-    ``observed_sigma{s}.csv`` per noise level.
+    ``observed_sigma{s}.csv`` per noise level.  Records of a bundle share one
+    graph and one clean signal, so each distinct object is formatted once.
     """
+    texts = {}  # id of a graph or clean signal -> its text; the dataset keeps them alive
+
+    def text(obj, fmt):
+        if id(obj) not in texts:
+            texts[id(obj)] = fmt(obj)
+        return texts[id(obj)]
+
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
         json.dump(dataset.manifest, fh, indent=2, sort_keys=True)
@@ -339,10 +358,10 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         for record in dataset.split(split):
             sample_dir = os.path.join(out_dir, split, f"sample_{record.index:03d}")
             os.makedirs(sample_dir, exist_ok=True)
-            save_edge_list(record.graph, os.path.join(sample_dir, "graph.edges"))
-            _save_signal(os.path.join(sample_dir, "clean.csv"), record.clean)
+            _write_text(os.path.join(sample_dir, "graph.edges"), text(record.graph, edge_list_text))
+            _write_text(os.path.join(sample_dir, "clean.csv"), text(record.clean, _signal_text))
             for sigma, y in sorted(record.observed.items()):
-                _save_signal(os.path.join(sample_dir, _sigma_name(sigma)), y)
+                _write_text(os.path.join(sample_dir, _sigma_name(sigma)), _signal_text(y))
 
 
 def load_dataset(path, graphs: bool = True) -> Dataset:

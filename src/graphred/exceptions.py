@@ -18,6 +18,10 @@ class NoEdgesError(InvalidGraphError):
     """Operation requires a graph with at least one edge."""
 
 
+class GraphTooLargeError(GraphRedError):
+    """A dense N x N step was asked of a graph above its node limit."""
+
+
 class NumericalError(GraphRedError):
     """A numerical routine failed (eigensolver, linear solve, ...)."""
 

@@ -18,10 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidGraphError, NumericalError
+from .exceptions import GraphTooLargeError, InvalidGraphError, NumericalError
 
 # Relative residual allowed of an eigendecomposition.
 DECOMP_TOL = 1e-8
+# Largest graph eigendecompose takes: its dense N x N Laplacian is then 512 MiB,
+# and eigh holds a few such arrays at once.
+MAX_DENSE_NODES = 8192
 # Entries of the dense scratch rows in which build_laplacian sums degrees.
 DEGREE_BLOCK_ENTRIES = 1 << 17
 
@@ -170,8 +173,14 @@ def eigendecompose(lap: Laplacian, tol: float = DECOMP_TOL) -> SpectralDecomp:
     Eigenvalues are returned ascending.  Each eigenvector is sign-normalized
     so its largest-magnitude entry is positive, which makes the basis
     deterministic across runs.  Raises :class:`NumericalError` if the solver
-    fails or the reconstruction residual exceeds ``tol``.
+    fails or the reconstruction residual exceeds ``tol``, and
+    :class:`GraphTooLargeError`, before allocating anything, above
+    ``MAX_DENSE_NODES`` nodes.
     """
+    if lap.n_nodes > MAX_DENSE_NODES:
+        raise GraphTooLargeError(
+            f"graph has {lap.n_nodes} nodes; eigendecomposition handles at most {MAX_DENSE_NODES}"
+        )
     mat = lap.matrix  # production code densifies here and nowhere else
     try:
         eigenvalues, basis = np.linalg.eigh(mat)
@@ -223,10 +232,15 @@ def quadratic_form(lap: Laplacian, x: np.ndarray):
     return np.sum(x * lap.matvec(x), axis=0)
 
 
+def edge_list_text(graph: Graph) -> str:
+    """The graph as text lines ``i j w`` (0-based, each edge once), as :func:`save_edge_list` writes it."""
+    return "".join(f"{i} {j} {w:.17g}\n" for i, j, w in graph.edges())
+
+
 def save_edge_list(graph: Graph, path) -> None:
     """Write the graph as text lines ``i j w`` (0-based, each edge once)."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"{i} {j} {w:.17g}\n" for i, j, w in graph.edges())
+        fh.write(edge_list_text(graph))
 
 
 def load_edge_list(path, n_nodes: int | None = None) -> Graph:

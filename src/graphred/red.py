@@ -79,8 +79,9 @@ class RedSolveReport:
     """Solver output plus per-iteration diagnostics.
 
     Histories have length ``iterations + 1`` (the initial point is entry 0;
-    a resumed :func:`red_cg_layers` run records only the layers it ran).
-    For batched input each history entry is a per-column array.
+    a resumed :func:`red_cg_layers` run records only the layers it ran, and
+    records objectives only when asked to).  For batched input each history
+    entry is a per-column array.
     """
 
     x: np.ndarray
@@ -206,7 +207,9 @@ def _flat_from(regs, alpha_red, k) -> bool:
     return all(regs[i] is regs[k] and np.array_equal(alpha_red[i], alpha_red[k]) for i in range(k + 1, len(regs)))
 
 
-def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=None) -> RedSolveReport:
+def red_cg_layers(
+    y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=None, objective=False
+) -> RedSolveReport:
     """Fletcher-Reeves conjugate gradients on the RED objective, one layer per op.
 
     ``regs[k]`` applies ``v - Dk(v)`` in whatever coordinates ``y`` is given
@@ -237,7 +240,10 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=N
     converged; anything else could un-converge a column.  Raises
     :class:`StagnationError` if the line-search denominator vanishes while
     the gradient is still nonzero, and :class:`DivergenceError` on
-    non-finite iterates.
+    non-finite iterates, or on a non-finite line-search denominator or step
+    of a column not yet converged (an overflowed weight would otherwise
+    leave it at zero).  The objective history is filled only with
+    ``objective=True``; it costs two reductions per layer.
 
     With a ``tape`` list, each layer run appends what a reverse sweep needs:
     ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
@@ -264,24 +270,24 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=N
     full_scale = np.maximum(np.linalg.norm(y, axis=0), 1.0)
     obs, scale = y, full_scale
 
-    def diagnostics(x, r, k):
+    def gradient(x, r, k):
         d = x - obs
-        grad = d + alpha_red[k] * r
-        obj = 0.5 * np.sum(d**2, axis=0) + 0.5 * alpha_red[k] * np.sum(x * r, axis=0)
-        return grad, obj
+        if objective:
+            objs.append(0.5 * np.sum(d**2, axis=0) + 0.5 * alpha_red[k] * np.sum(x * r, axis=0))
+        return d + alpha_red[k] * r
 
+    objs = []
     if start is None:
         first = 1
         x = np.zeros_like(y)
-        g, obj = diagnostics(x, regs[0](x), 0)
+        g = gradient(x, regs[0](x), 0)
         p = -g
         gsq = np.sum(g * g, axis=0)
         gnorms = [np.sqrt(gsq)]
-        objs = [obj]
     else:
         first, (x, p, g, gsq) = start
         obs, scale = y[:, : x.shape[1]], full_scale[: x.shape[1]]
-        gnorms, objs = [], []
+        gnorms = []
     iterations = 0
     converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
     for k in range(first, K + 1):
@@ -303,8 +309,10 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=N
         # Converged columns keep x exactly; their direction may have vanished.
         safe = np.where(stalled | converged, 1.0, denom)
         tau = np.where(converged, 0.0, -np.sum(p * g, axis=0) / safe)
+        if not (np.all(np.isfinite(denom) | converged) and np.all(np.isfinite(tau))):
+            raise DivergenceError(f"non-finite line search at iteration {k}", iteration=k)
         x = x + tau * p
-        g_new, obj = diagnostics(x, regs[k](x), k)
+        g_new = gradient(x, regs[k](x), k)
         gsq_new = np.sum(g_new * g_new, axis=0)
         # A non-finite entry makes its column's gsq non-finite; the full scan
         # runs only then, to tell it from a gsq overflowed by finite entries.
@@ -318,7 +326,6 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=N
         g = g_new
         gsq = gsq_new
         gnorms.append(np.sqrt(gsq))
-        objs.append(obj)
         iterations = k
         converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
     return RedSolveReport(
@@ -342,7 +349,8 @@ def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve, needed=
     per_block = max(1, BLOCK_COLUMNS // n_sig)
     starts = range(0, n_cand, per_block)
     if needed is not None:
-        starts = np.unique(np.asarray(needed, dtype=int) // per_block) * per_block
+        # bincount, not a 1-d np.unique: that imports numpy.ma.
+        starts = np.flatnonzero(np.bincount(np.asarray(needed, dtype=int) // per_block)) * per_block
     out = np.full(n_cand, np.nan)
     for start in starts:
         cand = np.arange(start, min(start + per_block, n_cand))
@@ -489,7 +497,7 @@ def red_cg_solve(
     if any(v < 0 for v in a_red) or any(v < 0 for v in a_den):
         raise ValueError("layer parameters must be nonnegative")
     y, regs, _, to_node = _reg_ops(prob, a_den, rho)
-    report = red_cg_layers(y, regs, a_red)
+    report = red_cg_layers(y, regs, a_red, objective=True)
     return replace(report, x=to_node(report.x))
 
 

@@ -275,6 +275,51 @@ class TestScreenedTune:
         assert not (tmp_path / "o" / "tuned.json").exists()
 
 
+    def test_huge_finite_alpha_exits_3(self, dataset_dir, tmp_path):
+        # Finite weights whose products overflow: the line search would step
+        # by zero and report the zero output as tuned.
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(
+            '{"dataset": %s, "methods": ["red_lr"], "grid_points": 3, "alpha_range": [1e300, 1e308]}'
+            % json.dumps(str(dataset_dir))
+        )
+        src = os.path.dirname(os.path.dirname(graphred.cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "graphred.cli", "tune", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert out.returncode == 3, out.stderr
+        assert "non-finite line search" in out.stderr
+        assert not (tmp_path / "o" / "tuned.json").exists()
+
+    def test_red_tune_imports_no_numpy_ma(self, dataset_dir, tmp_path):
+        cfg = write_config(tmp_path / "tune.json", {"dataset": str(dataset_dir), "methods": ["red_pnp"], "grid_points": 3})
+        probe = (
+            "import sys\n"
+            "from graphred.cli import main\n"
+            f"code = main(['tune', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(graphred.cli.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False", out.stdout
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("command, payload", [
+        ("tune", {"dataset": None, "grid_points": 2}),
+        ("train", {"dataset": None, "sigma": 1.0, "K": 2, "epochs": 1}),
+        ("check", {"datasets": [None]}),
+        ("spectrum", {"dataset": None, "alpha_red": 1.0, "alpha_lr": 1.0}),
+    ])
+    def test_commands_exit_3_above_the_limit(self, dataset_dir, tmp_path, monkeypatch, capsys, command, payload):
+        monkeypatch.setattr(graphred.graphs, "MAX_DENSE_NODES", 49)  # the bundle has 50 nodes
+        cfg = write_config(tmp_path / "cfg.json", json.loads(json.dumps(payload).replace("null", json.dumps(str(dataset_dir)))))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "at most 49" in capsys.readouterr().err
+
+
 class TestDenoise:
     def test_explicit_params_outputs(self, dataset_dir, tmp_path):
         cfg = write_config(

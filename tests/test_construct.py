@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from graphred import (
     knn_graph,
     normalize_weights,
 )
-from graphred.construct import MIN_NEIGHBOR_DISTANCE, _pairwise_distances
+from graphred.construct import MIN_NEIGHBOR_DISTANCE, _grid_neighbours, _pairwise_distances
 from graphred.datasets import generate_sensor_points
 from graphred.graphs import Graph
 
@@ -188,6 +190,140 @@ class TestBlockedKnnMatchesDenseOracle:
         with pytest.raises(DegenerateDistanceError) as got:
             knn_graph(points, k, values=values)
         assert str(got.value) == str(expected.value)
+
+
+def torus(n, seed, radii=(10.0, 4.0)):
+    """``n`` points on a torus surface from uniform angles."""
+    theta, phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(2, n))
+    ring = radii[0] + radii[1] * np.cos(theta)
+    return np.stack([ring * np.cos(phi), ring * np.sin(phi), radii[1] * np.sin(theta)], axis=1)
+
+
+def clustered(n, d, seed):
+    """Tight clusters (many rows to a cell) plus a few far outliers (empty blocks)."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0, 100, size=(4, d))
+    points = centres[rng.integers(0, 4, size=n)] + 0.01 * rng.standard_normal((n, d))
+    points[: n // 20] = rng.uniform(-1e4, 1e4, size=(n // 20, d))
+    return points
+
+
+def planar(n, seed):
+    """3-d points on a tilted plane, and on the z = 0 plane (a zero span)."""
+    rng = np.random.default_rng(seed)
+    uv = rng.uniform(0, 10, size=(n, 2))
+    return np.stack([uv[:, 0], uv[:, 1], 0.5 * uv[:, 0] - 0.25 * uv[:, 1]], axis=1)
+
+
+class TestGridKnnMatchesDenseOracle:
+    rng = np.random.default_rng(31)
+    CASES = {
+        "torus": (torus(600, 0), 8, None),
+        "torus_noisy_values": (torus(400, 1) + 0.5 * rng.standard_normal((400, 3)), 6, rng.uniform(0, 5, size=(400, 3))),
+        "clustered_2d": (clustered(500, 2, 2), 7, None),
+        "clustered_3d": (clustered(500, 3, 3), 5, None),
+        "uniform_1d": (rng.uniform(0, 10, size=(300, 1)), 4, None),
+        "uniform_4d": (rng.uniform(0, 10, size=(400, 4)), 6, None),
+        "uniform_5d": (rng.standard_normal((400, 5)), 8, None),
+        "tilted_plane": (planar(400, 4), 6, None),
+        "flat_plane": (np.hstack([rng.uniform(0, 10, size=(400, 2)), np.zeros((400, 1))]), 6, None),
+        "tied_grid_3d": (np.stack(np.meshgrid(*[np.arange(7.0)] * 3), axis=-1).reshape(-1, 3), 6, None),
+        "collinear_in_3d": (np.outer(rng.uniform(0, 10, size=300), [1.0, 2.0, -1.0]), 3, None),
+    }
+
+    @pytest.mark.parametrize("block_rows", [16, 128])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_adjacency_bytes(self, case, weighted, block_rows, monkeypatch):
+        points, k, values = self.CASES[case]
+        monkeypatch.setattr(graphred.construct, "KNN_BLOCK_ROWS", block_rows)
+        got = knn_graph(points, k, weighted=weighted, values=values).adjacency
+        assert got.tobytes() == knn_oracle(points, k, weighted=weighted, values=values).tobytes()
+
+    @pytest.mark.parametrize("case", ["clustered_2d", "clustered_3d"])
+    def test_outliers_take_the_exact_rows(self, case):
+        points, k, _ = self.CASES[case]
+        found, rest = _grid_neighbours(points, k)
+        assert 0 < len(rest) < len(points)
+        assert np.array_equal(rest, np.sort(rest))
+        assert sum(len(i) for i, _, _ in found) == k * (len(points) - len(rest))
+
+    def test_exact_distances_only_for_uncertified_rows(self, monkeypatch):
+        calls = []
+        kernel = graphred.construct._pairwise_distances
+        monkeypatch.setattr(
+            graphred.construct, "_pairwise_distances", lambda a, b: calls.append(len(a)) or kernel(a, b)
+        )
+        points = clustered(500, 3, 3)
+        _, rest = _grid_neighbours(points, 5)
+        knn_graph(points, 5)
+        assert sum(calls) == len(rest)
+        calls.clear()
+        knn_graph(torus(600, 0), 8)
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        n=st.integers(2, 300),
+        k=st.integers(1, 12),
+        layout=st.sampled_from(["uniform", "grid", "clustered"]),
+        block_rows=st.integers(1, 64),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_clouds(self, d, n, k, layout, block_rows, weighted, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "uniform":
+            points = rng.uniform(0, 10, size=(n, d))
+        elif layout == "clustered":
+            points = clustered(n, d, seed)
+        else:
+            # Distinct integer points: ties at the k-th distance in most rows.
+            points = np.unique(rng.integers(0, 8, size=(n, d)), axis=0).astype(float)
+            points = points[rng.permutation(len(points))]
+        if len(points) < 2:
+            return
+        k = min(k, len(points) - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphred.construct, "KNN_BLOCK_ROWS", block_rows)
+            got = knn_graph(points, k, weighted=weighted)
+        assert got.adjacency.tobytes() == knn_oracle(points, k, weighted=weighted).tobytes()
+
+    def test_tie_at_the_block_face_is_not_certified(self, monkeypatch):
+        # Some row's k-th candidate is exactly as far as a lower-index point
+        # outside its block: only the strict test leaves it to the exact rows.
+        points = np.array([
+            [7, 3], [8, 5], [8, 9], [0, 4], [0, 0], [1, 4], [9, 9], [4, 5], [0, 3], [2, 5], [4, 4], [3, 4], [3, 0], [1, 3],
+        ], dtype=float)
+        monkeypatch.setattr(graphred.construct, "KNN_BLOCK_ROWS", 1)
+        assert knn_graph(points, 1, weighted=False).adjacency.tobytes() == knn_oracle(points, 1, weighted=False).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_degenerate_message_on_the_grid(self, k, monkeypatch):
+        # Coincident pairs among certified rows and among outliers, the first in a late row.
+        points = torus(300, 5)
+        points[250] = points[120]
+        points[290] = points[10] + 1e-14
+        monkeypatch.setattr(graphred.construct, "KNN_BLOCK_ROWS", 16)
+        with pytest.raises(DegenerateDistanceError) as expected:
+            knn_oracle(points, k)
+        with pytest.raises(DegenerateDistanceError) as got:
+            knn_graph(points, k)
+        assert str(got.value) == str(expected.value)
+
+    def test_memory_grows_linearly(self):
+        def peak(n):
+            points = torus(n, 6)
+            tracemalloc.start()
+            try:
+                knn_graph(points, 8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Exact rows over all points would hold (rows, N) blocks: 4x the peak at 4x the points.
+        assert peak(20_000) < 4 * peak(5_000)
 
 
 class TestPairwiseDistances:

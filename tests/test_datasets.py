@@ -1,7 +1,9 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphred import (
     ConfigError,
@@ -22,6 +24,7 @@ from graphred import (
     normalize_weights,
     quadratic_form,
     save_dataset,
+    save_edge_list,
     save_point_cloud,
 )
 
@@ -134,6 +137,35 @@ class TestFps:
     def test_start_index_changes_selection(self):
         pts = generate_sensor_points(20, seed=8)
         assert not np.array_equal(fps(pts, 5, start=0), fps(pts, 5, start=3))
+
+    @staticmethod
+    def norm_loop_oracle(points, m, start):
+        """Farthest point sampling with a fresh ``np.linalg.norm`` row per step."""
+        selected = [start]
+        min_dist = np.linalg.norm(points - points[start], axis=1)
+        for _ in range(m - 1):
+            nxt = int(np.argmax(min_dist))
+            selected.append(nxt)
+            min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
+        return points[np.array(selected)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        n=st.integers(1, 60),
+        grid=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_norm_loop(self, d, n, grid, scale, data, seed):
+        # Integer points tie at the running maximum in most steps.
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 4, size=(n, d)).astype(float) if grid else scale * rng.standard_normal((n, d))
+        m = data.draw(st.integers(1, n))
+        start = data.draw(st.integers(0, n - 1))
+        got = fps(points, m, start=start)
+        assert got.tobytes() == self.norm_loop_oracle(points, m, start).tobytes()
 
     def test_m_validated(self):
         pts = generate_sensor_points(5, seed=9)
@@ -252,6 +284,26 @@ class TestSyntheticDataset:
         assert all(r.graph is others[0].graph for r in others)
         assert back.test[0].graph is not others[0].graph
         assert np.array_equal(back.test[0].graph.adjacency, others[0].graph.adjacency)
+
+    @pytest.mark.parametrize("kind", ["synthetic", "pointcloud"])
+    def test_bytes_match_per_record_formatting(self, tmp_path, kind):
+        if kind == "synthetic":
+            dset = generate_synthetic_dataset(small_spec())
+        else:
+            points = load_point_cloud(TORUS)
+            dset = generate_pointcloud_dataset(points, sigmas=[0.1, 0.2], m=150, k=5, n_train=2, n_test=2, seed=1)
+        out = tmp_path / "bundle"
+        save_dataset(dset, out)
+        for record in dset.train + dset.test:
+            sample = out / record.split / f"sample_{record.index:03d}"
+            save_edge_list(record.graph, tmp_path / "graph.edges")
+            assert (sample / "graph.edges").read_bytes() == (tmp_path / "graph.edges").read_bytes()
+            signals = {"clean.csv": record.clean}
+            signals.update({f"observed_sigma{s:g}.csv": y for s, y in record.observed.items()})
+            for name, signal in signals.items():
+                np.savetxt(tmp_path / name, signal, fmt="%.17g", delimiter=",")
+                assert (sample / name).read_bytes() == (tmp_path / name).read_bytes(), name
+            assert sorted(os.listdir(sample)) == sorted(["graph.edges", *signals])
 
     def test_bundle_layout(self, tmp_path):
         out = tmp_path / "bundle"

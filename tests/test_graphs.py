@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracemalloc
+
 from graphred import (
     Graph,
+    GraphTooLargeError,
     InvalidGraphError,
     NumericalError,
     build_laplacian,
@@ -235,6 +238,20 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigh", corrupted)
         with pytest.raises(NumericalError, match="residual"):
             eigendecompose(lap)
+
+
+    def test_size_guard_raises_before_densifying(self):
+        n = graphred.graphs.MAX_DENSE_NODES + 1
+        i = np.arange(n)
+        lap = build_laplacian(Graph.from_edges(i, (i + 1) % n, np.ones(n), n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphTooLargeError, match=str(graphred.graphs.MAX_DENSE_NODES)):
+                eigendecompose(lap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n  # not one dense row, let alone the N x N matrix
 
 
 class TestGft:

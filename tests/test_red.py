@@ -392,6 +392,38 @@ class TestSharedCgCore:
             red_cg_layers(y, regs, [1.0] * 3)
         assert err.value.iteration == iteration
 
+    def test_overflowing_weight_raises_instead_of_stepping_by_zero(self, graph30):
+        lap, dec = graph30
+        y = gft(dec, np.random.default_rng(4).standard_normal((lap.n_nodes, 2)))
+        shortfall = 1.0 - denoiser_gains(Denoiser(kind="lr", alpha=1.0), dec.eigenvalues)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="line search") as err:
+            red_cg_layers(y, [lambda v: shortfall * v] * 3, [np.array([1.0, 1e308])] * 3)
+        assert err.value.iteration == 1
+
+    def test_objective_only_when_asked(self, graph30):
+        lap, dec = graph30
+        z = gft(dec, np.random.default_rng(6).standard_normal((lap.n_nodes, 3)))
+        regs = [
+            lambda v, s=1.0 - denoiser_gains(Denoiser(kind="pnp", alpha=a, rho=1.0), dec.eigenvalues)[:, None]: s * v
+            for a in (1.0, 0.5, 2.0, 4.0)
+        ]
+        a_red = [1.0, 2.0, 0.7, 1.5]
+        runs = {}
+        for objective in (False, True):
+            tape = []
+            runs[objective] = red_cg_layers(z, regs, a_red, tape, objective=objective), tape
+        (plain, plain_tape), (full, full_tape) = runs[False], runs[True]
+        assert plain.objective_history == [] and len(full.objective_history) == full.iterations + 1
+        assert plain.x.tobytes() == full.x.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(plain.gradient_norm_history, full.gradient_norm_history))
+        assert all(
+            np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            for row_a, row_b in zip(plain_tape, full_tape, strict=True) for a, b in zip(row_a, row_b)
+        )
+        prob = RedProblem(y=z[:, 0], alpha_red=1.0, denoiser=Denoiser(kind="pnp", alpha=1.0, rho=1.0), lap=lap, decomp=dec)
+        solved = red_cg_solve(prob, 3)
+        assert len(solved.objective_history) == 4
+
     def test_unconverged_stalled_column_raises(self, graph30):
         lap, dec = graph30
         y = gft(dec, np.random.default_rng(3).standard_normal((lap.n_nodes, 2)))
