@@ -133,7 +133,7 @@ def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
 
 
 def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
-    """Run one denoising method with explicit scalar parameters (node space if no ``decomp``)."""
+    """Run one denoising method with explicit scalar parameters (on Lanczos bases if no ``decomp``)."""
     if method in ("lr", "pnp"):
         return apply_denoiser(method_denoiser(method, params, pnp_iters), lap, y, decomp=decomp)
     return solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters).x
@@ -224,7 +224,8 @@ def tune_method(
     tables = {} if gain_tables is None else gain_tables
     if key not in tables:
         grid = itertools.product(alphas, rhos) if kind == "pnp" else alphas[:, None]
-        tables[key] = gain_table(kind, decomp.eigenvalues, grid, pnp_iters)
+        with np.errstate(over="ignore"):  # an overflowed alpha * lambda gives the limit gain, 0
+            tables[key] = gain_table(kind, decomp.eigenvalues, grid, pnp_iters)
     table = tables[key]
     red = method.startswith("red_")
     n_rows = len(table)
@@ -388,9 +389,9 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     save_diag = bool(cfg.get("save_diagnostics", False))
     k = int(dataset.manifest.get("k", 5))
 
-    # One solve per record: node space, with sparse factorizations of
-    # I + alpha L, is cheaper than an eigendecomposition.  A rebuilt graph
-    # comes from the noisy coordinates, the only graph real clouds have.
+    # One solve per record, on one Lanczos basis per signal column: a few
+    # dozen sparse products with L cost less than an eigendecomposition.  A
+    # rebuilt graph comes from the noisy coordinates, the only graph real clouds have.
     def run_one(record):
         y = np.asarray(record.observed[sigma], dtype=float)
         graph = normalize_weights(knn_graph(y, k)) if rebuild else record.graph

@@ -9,10 +9,13 @@ Two families:
   denoising objective, with the LR smoother plugged in as the proximal
   step for the prior.
 
-Both are graph filters: with an eigendecomposition, each is one gain per
-graph frequency (:func:`denoiser_gains`), and that gain vector is the only
-spectral form of a denoiser here.  Everything accepts ``(N,)`` or
-``(N, S)`` signals; batches are independent columns.
+Both are graph filters: each is one gain per graph frequency
+(:func:`denoiser_gains`), and that gain vector is the only spectral form of
+a denoiser here.  :func:`apply_denoiser` evaluates it at the eigenvalues of
+a decomposition, or else at the Ritz values of one Lanczos basis per signal
+column.  The sparse solves (which import scipy) remain as library API and
+as the oracles the tests check those paths against.  Everything accepts
+``(N,)`` or ``(N, S)`` signals; batches are independent columns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DivergenceError, NumericalError
-from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft
+from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft, on_frequencies
 
 SOLVE_TOL = 1e-8
 DEFAULT_PNP_ITERS = 10
@@ -178,15 +181,11 @@ def pnp_admm_denoise(
     explodes.
     """
     y = _check_signal(y, lap.n_nodes)
-    return _pnp_admm(lr_smoother(lap, alpha), y, rho, iters)
-
-
-def _pnp_admm(smooth, y: np.ndarray, rho: float, iters: int) -> np.ndarray:
-    """The iterations of :func:`pnp_admm_denoise` around a built LR smoother."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    smooth = lr_smoother(lap, alpha)
     x = y.copy()
     v = y.copy()
     u = np.zeros_like(y)
@@ -307,9 +306,7 @@ def apply_denoiser(
     decomp: SpectralDecomp | None = None,
 ) -> np.ndarray:
     """Run ``denoiser`` on ``y``: its gains on GFT coefficients when ``decomp``
-    is given, otherwise the node-space solve."""
-    if decomp is not None:
-        return gain_filter(decomp, denoiser_gains(denoiser, decomp.eigenvalues))(y)
-    if denoiser.kind == "lr":
-        return lr_denoise(lap, y, denoiser.alpha)
-    return pnp_admm_denoise(lap, y, denoiser.alpha, denoiser.rho, iters=denoiser.iters)
+    is given, otherwise at the Ritz values of one Lanczos basis per column
+    (:func:`graphs.on_frequencies`)."""
+    filtered = lambda z, lam: (denoiser_gains(denoiser, lam) * z, None)  # noqa: E731
+    return on_frequencies(lap, y, filtered, decomp, 1.0 + denoiser.alpha * lap.norm_bound)[0]

@@ -14,11 +14,12 @@ pure function, so shared instances are safe to use from multiple threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GraphTooLargeError, InvalidGraphError, NumericalError
+from .exceptions import ConvergenceError, GraphTooLargeError, InvalidGraphError, NumericalError
 
 # Relative residual allowed of an eigendecomposition.
 DECOMP_TOL = 1e-8
@@ -27,6 +28,16 @@ DECOMP_TOL = 1e-8
 MAX_DENSE_NODES = 8192
 # Entries of the dense scratch rows in which build_laplacian sums degrees.
 DEGREE_BLOCK_ENTRIES = 1 << 17
+# A Lanczos residual this small relative to the operator's norm is rounding
+# noise: the column's Krylov space is exhausted and its basis stops there.
+BREAKDOWN_TOL = 1e-13
+# krylov_solve's stopping rule: Lanczos steps between two looks at the output,
+# the relative change that ends it, that change's rounding floor per unit of
+# the caller's condition bound (measured below 3e-16), and the step cap.
+KRYLOV_STRIDE = 8
+KRYLOV_TOL = 1e-12
+KRYLOV_ROUNDING = 1e-14
+MAX_KRYLOV_STEPS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +138,25 @@ class Laplacian:
         mat.flags.writeable = False
         return mat
 
+    @property
+    def norm_bound(self) -> float:
+        """Gershgorin bound ``2 max(degree)`` on the largest eigenvalue."""
+        return 2.0 * float(np.max(self.degree))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``L @ x`` from the sparse rows, for ``(N,)`` or ``(N, S)`` ``x``."""
-        g, col = self.graph, (slice(None),) + (None,) * (x.ndim - 1)
-        wx = np.zeros(x.shape)
-        np.add.at(wx, g._rows(), g.weights[col] * x[g.indices])
-        return self.degree[col] * x - wx
+        """``L @ x`` from the sparse rows, for ``(N,)`` or ``(N, S)`` ``x``, one column at a time."""
+        if x.ndim == 2:
+            # empty_like keeps x's memory order: a transposed block stays contiguous per column.
+            out = np.empty_like(x, dtype=float)
+            for j in range(x.shape[1]):
+                out[:, j] = self.matvec(x[:, j])
+            return out
+        g = self.graph
+        filled = g.indptr[:-1] < g.indptr[1:]  # reduceat would give an empty row the next row's first entry
+        wx = np.zeros(len(x))
+        if len(g.indices):
+            wx[filled] = np.add.reduceat(g.weights * x[g.indices], g.indptr[:-1][filled])
+        return self.degree * x - wx
 
 
 @dataclass(frozen=True)
@@ -220,6 +244,138 @@ def igft(decomp: SpectralDecomp, spectrum: np.ndarray) -> np.ndarray:
     """Inverse graph Fourier transform."""
     spectrum = _check_signal(spectrum, decomp.n_nodes)
     return decomp.basis @ spectrum
+
+
+def lanczos(matvec, b: np.ndarray, floor, reorthogonalize: bool = False):
+    """Lanczos on a symmetric operator from each row of ``b`` (``(C, N)``, one signal per row).
+
+    ``matvec`` applies the operator to a ``(C, N)`` block, row by row.  The
+    generator yields once per step; after step k it yields ``(basis, diag,
+    off)``: the ``(C, k, N)`` basis vectors and the tridiagonal's diagonal
+    and off-diagonal, ``(C, k)`` each (the last off-diagonal entry couples to
+    the next basis vector and sizes the residual).  A row whose residual
+    falls to ``floor`` (a scalar or one value per row) has exhausted its
+    Krylov space: its later basis vectors and tridiagonal entries are zero,
+    so it adds nothing past there.  With ``reorthogonalize``, each new vector
+    is orthogonalized against all earlier ones of its row (one classical
+    Gram-Schmidt pass), which keeps the basis orthonormal to rounding.
+    """
+    n_rows, n = b.shape
+    norm = np.sqrt(np.sum(b * b, axis=1))
+    # Storage doubles as steps accrue; 16 covers the tune screen's usual K of 10.
+    basis, diag, off = np.zeros((n_rows, 16, n)), np.zeros((n_rows, 16)), np.zeros((n_rows, 16))
+    q = b / np.where(norm > 0, norm, 1.0)[:, None]
+    q_prev, beta = np.zeros_like(b), np.zeros_like(norm)
+    for k in itertools.count():
+        if k == basis.shape[1]:  # double the storage
+            basis, diag, off = (np.concatenate([a, np.zeros_like(a)], axis=1) for a in (basis, diag, off))
+        basis[:, k] = q
+        w = matvec(q) - beta[:, None] * q_prev
+        diag[:, k] = np.einsum("ij,ij->i", q, w)  # row dot products, without a temporary
+        w -= diag[:, k, None] * q
+        if reorthogonalize:
+            done = basis[:, : k + 1]
+            w -= (done.transpose(0, 2, 1) @ (done @ w[:, :, None]))[:, :, 0]
+        beta = np.sqrt(np.einsum("ij,ij->i", w, w))
+        beta[beta <= floor] = 0.0
+        off[:, k] = beta
+        q_prev, q = q, w / np.where(beta > 0, beta, np.inf)[:, None]
+        yield basis[:, : k + 1], diag[:, : k + 1], off[:, : k + 1]
+
+
+def krylov_solve(lap: Laplacian, v: np.ndarray, solve, cond: float = 1.0):
+    """Node-space result of a per-frequency computation, run on one Lanczos basis per column of ``v``.
+
+    This is the GFT's counterpart when no eigendecomposition is available.
+    ``L 1 = 0``, so each column's constant part ``c 1 / sqrt(N)`` sits at
+    frequency 0 exactly.  m Lanczos steps on ``L`` from the rest ``r`` give
+    the basis ``Q`` and the tridiagonal ``T = V diag(theta) V^T``, and
+    ``r = ||r|| Q V V^T e1``.  So on the vectors ``[1 / sqrt(N), Q V]`` the
+    column has coefficients ``z = [c, ||r|| V[0, :]]`` at frequencies
+    ``[0, theta]`` (the Ritz values).  ``solve(z, lam)`` gets these,
+    ``(m + 1, C)`` each (``(m + 1,)`` for an ``(N,)`` signal), and returns
+    ``(out, extra)`` with ``out`` the output coefficients in that layout.
+    For any function of ``L`` this is the spectral computation restricted
+    to the Krylov space, exact once that space holds the signal.  The result
+    is ``v`` plus the mapped ``out - z`` where that is the shorter vector
+    (then a coefficient left unchanged keeps ``v``'s bits), else the mapped
+    ``out``, so rounding stays relative to the output.
+
+    Stopping rule: every ``KRYLOV_STRIDE`` steps the output is formed again,
+    and it is returned once no column moved by more than
+    ``max(KRYLOV_TOL, KRYLOV_ROUNDING * cond)`` of its norm since the
+    previous look (``cond``, the caller's condition bound of its
+    computation, sizes the rounding floor of that change), or once every
+    column's Krylov space is exhausted (a residual below ``BREAKDOWN_TOL *
+    lap.norm_bound``, or N - 1 steps).  The Lanczos basis holds ``m N C``
+    floats, at most ``MAX_KRYLOV_STEPS * 8`` bytes per node and column;
+    :class:`ConvergenceError` (a :class:`NumericalError`) is raised if that
+    many steps do not meet the rule.  Returns ``(x, extra)``.
+    """
+    n = lap.n_nodes
+    v = _check_signal(v, n)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("signal must be finite")
+    rows = v.reshape(n, -1).T
+    unit = np.full(n, 1.0 / np.sqrt(n))
+    const = rows @ unit
+    rest = rows - const[:, None] * unit
+    norm = np.sqrt(np.sum(rest * rest, axis=1))
+    tol = max(KRYLOV_TOL, KRYLOV_ROUNDING * cond)
+
+    def matvec(q):  # L q is orthogonal to 1; dropping its rounding keeps the basis so
+        w = lap.matvec(q.T).T
+        return w - (w @ unit)[:, None] * unit
+
+    prev = None
+    for m, (basis, diag, off) in enumerate(lanczos(matvec, rest, BREAKDOWN_TOL * lap.norm_bound, True), start=1):
+        exhausted = m >= n - 1 or not np.any(off[:, -1])
+        if m % KRYLOV_STRIDE and not exhausted:
+            continue
+        tri = np.zeros((len(rows), m, m))
+        i = np.arange(m)
+        tri[:, i, i] = diag
+        tri[:, i[:-1], i[1:]] = tri[:, i[1:], i[:-1]] = off[:, :-1]
+        theta, vecs = np.linalg.eigh(tri)
+        z = np.concatenate([const[:, None], norm[:, None] * vecs[:, 0, :]], axis=1)
+        lam = np.concatenate([np.zeros((len(rows), 1)), theta], axis=1)
+        shape = (m + 1,) + v.shape[1:]
+        out, extra = solve(*(np.ascontiguousarray(a.T).reshape(shape) for a in (z, lam)))
+        out = np.reshape(out, (m + 1, -1)).T
+        # Coefficients on [1 / sqrt(N), Q], one row per column.
+        on_q = lambda c: np.concatenate([c[:, :1], (vecs @ c[:, 1:, None])[:, :, 0]], axis=1)  # noqa: E731
+        delta = on_q(out - z)
+        if prev is not None:
+            change = np.linalg.norm(delta - np.pad(prev, ((0, 0), (0, m + 1 - prev.shape[1]))), axis=1)
+            exhausted |= bool(np.all(change <= tol * np.linalg.norm(out, axis=1)))
+        if exhausted:
+            small = np.linalg.norm(out - z, axis=1) < np.linalg.norm(out, axis=1)
+            coef = np.where(small[:, None], delta, on_q(out))
+            x = np.where(small[:, None], rows, 0.0) + coef[:, :1] * unit + (coef[:, None, 1:] @ basis)[:, 0, :]
+            return x.T.reshape(v.shape), extra
+        if m >= MAX_KRYLOV_STEPS:
+            raise ConvergenceError(
+                f"Lanczos node path did not settle to {tol:.1e} in {m} steps "
+                "(a large alpha makes the operator ill-conditioned)",
+                iterations=m,
+            )
+        prev = delta
+
+
+def on_frequencies(lap: Laplacian, v: np.ndarray, solve, decomp: SpectralDecomp | None = None, cond: float = 1.0):
+    """``solve(v_hat, lam)`` on frequency coefficients of ``v``, its output mapped back to node space.
+
+    With ``decomp``, ``v_hat`` holds GFT coefficients and ``lam`` the
+    eigenvalues (a column, for batched input).  Without one, they are the
+    coefficients and Ritz values of one Lanczos basis per column of ``v``
+    (:func:`krylov_solve`, told the caller's condition bound ``cond``).  Both
+    bases are orthonormal, so norms and inner products match between the
+    two.  ``solve`` returns ``(out, extra)``; this returns ``(x, extra)``.
+    """
+    if decomp is None:
+        return krylov_solve(lap, v, solve, cond)
+    out, extra = solve(gft(decomp, v), decomp.eigenvalues[:, None] if np.ndim(v) == 2 else decomp.eigenvalues)
+    return igft(decomp, out), extra
 
 
 def quadratic_form(lap: Laplacian, x: np.ndarray):

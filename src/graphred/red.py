@@ -14,6 +14,11 @@ candidate evaluation that tuning and training run on it, a Krylov screen
 that scores flat CG candidates for a whole ``alpha_red`` grid from one
 Lanczos basis, and empirical checkers for the two admissibility conditions.
 
+Every denoiser here is a per-frequency gain of the Laplacian, so all solvers
+run on frequency coefficients: GFT coefficients when a decomposition is
+attached, else the Ritz coefficients of one Lanczos basis per observed
+column (:func:`graphs.krylov_solve`), with gains at the Ritz values.
+
 Signals may be ``(N,)`` or ``(N, S)``; batched columns are treated as
 independent signals, with per-column line searches in the CG solver so a
 batched solve matches column-by-column solves exactly.
@@ -21,13 +26,16 @@ batched solve matches column-by-column solves exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoisers import Denoiser, _pnp_admm, apply_denoiser, denoiser_gains, lr_smoother
+from .denoisers import Denoiser, apply_denoiser, denoiser_gains
 from .exceptions import DivergenceError, StagnationError
-from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft
+from .graphs import (
+    BREAKDOWN_TOL, Laplacian, SpectralDecomp, _check_signal, lanczos, on_frequencies,
+)
 
 # Stagnation guard on the line-search denominator, relative to ||direction||^2.
 STAGNATION_TOL = 1e-14
@@ -39,9 +47,6 @@ DIVERGENCE_OBJECTIVE_FACTOR = 1e6
 # Signal columns per batched pass over candidates (tuning grid points,
 # finite-difference training points, Krylov screen columns); bounds peak memory.
 BLOCK_COLUMNS = 100
-# A Lanczos residual this small relative to max|s| is rounding noise: the
-# column's Krylov space is exhausted and its basis stops there.
-BREAKDOWN_TOL = 1e-13
 # Loss of orthogonality max|Q^T Q - I| of a Krylov basis at which the
 # screen's spread takes the full residual bound (scaled down below it).
 ORTHOGONALITY_TOL = 1e-6
@@ -52,9 +57,9 @@ class RedProblem:
     """One denoising instance: observation, regularization weight, denoiser.
 
     ``alpha_red = 0`` is allowed and reduces the objective to the data term.
-    Attaching a ``decomp`` routes solvers through the spectral fast path,
-    which is exact for both denoiser kinds (all their steps are diagonal in
-    the eigenbasis).
+    Attaching a ``decomp`` runs solvers on its GFT coefficients; without one
+    they run on Lanczos bases.  Both are exact for both denoiser kinds (all
+    their steps are diagonal in the eigenbasis).
     """
 
     y: np.ndarray
@@ -98,49 +103,39 @@ class RedSolveReport:
         }
 
 
-def _reg_ops(prob: RedProblem, a_den=(None,), rho_layers=(None,)):
-    """Observation, per-layer ``reg(v) = v - D(v)`` ops and the two coordinate maps.
+def _layer_ops(den: Denoiser, lam, a_den=(None,), rho_layers=(None,)):
+    """Per-layer ``reg(v) = v - D(v)`` ops on coefficients at frequencies ``lam``.
 
-    Returns ``(y, regs, to_work, to_node)`` in solver working coordinates;
-    ``None`` layer values fall back to the problem's denoiser, and each
-    distinct ``(alpha, rho)`` layer tuple gets one op.  With a decomposition
-    attached, the working coordinates are GFT coefficients, where every
-    denoiser is an elementwise gain.  Without one, they are node values, and
-    each distinct alpha gets one LR smoother (one sparse factorization).
-    Norms and inner products are preserved by the orthonormal basis, so
-    every recorded diagnostic matches between the two; only rounding differs.
+    Every denoiser is an elementwise gain there.  ``None`` layer values fall
+    back to ``den``'s, and each distinct ``(alpha, rho)`` layer tuple gets
+    one op object.
     """
-    den, dec = prob.denoiser, prob.decomp
-    smoothers = {}
-
-    def make(a, r):
-        if dec is not None:
-            s = 1.0 - denoiser_gains(den, dec.eigenvalues, alpha=a, rho=r)
-            return lambda v: (s[:, None] if v.ndim == 2 else s) * v
-        a = den.alpha if a is None else a
-        if a not in smoothers:
-            smoothers[a] = lr_smoother(prob.lap, a)
-        smooth = smoothers[a]
-        if den.kind == "lr":
-            return lambda v: v - smooth(v)
-        r = den.rho if r is None else r
-        return lambda v: v - _pnp_admm(smooth, v, r, den.iters)
-
     ops = {}
     for key in zip(a_den, rho_layers):
         if key not in ops:
-            ops[key] = make(*key)
-    regs = [ops[key] for key in zip(a_den, rho_layers)]
-    if dec is None:
-        return prob.y, regs, lambda v: v, lambda v: v
-    return gft(dec, prob.y), regs, lambda v: gft(dec, v), lambda v: igft(dec, v)
+            s = 1.0 - denoiser_gains(den, lam, *key)
+            ops[key] = lambda v, s=s: s * v
+    return [ops[key] for key in zip(a_den, rho_layers)]
+
+
+def _on_frequencies(prob: RedProblem, v: np.ndarray, solve, a_red=(0.0,), a_den=(None,)):
+    """:func:`graphs.on_frequencies` for ``prob``, with the condition bound
+    ``(1 + max a_red) (1 + max alpha ||L||)`` of its layer parameters."""
+    alpha = max(prob.denoiser.alpha if a is None else a for a in a_den)
+    cond = (1.0 + max(a_red)) * (1.0 + alpha * prob.lap.norm_bound)
+    return on_frequencies(prob.lap, v, solve, prob.decomp, cond)
+
+
+def _reg(prob: RedProblem, x: np.ndarray) -> np.ndarray:
+    """``x - D(x)`` in node space."""
+    x = _check_signal(x, prob.lap.n_nodes)
+    return _on_frequencies(prob, x, lambda v, lam: (_layer_ops(prob.denoiser, lam)[0](v), None))[0]
 
 
 def red_objective(prob: RedProblem, x: np.ndarray):
     """Objective value at ``x`` (per column for batched input)."""
     x = _check_signal(x, prob.lap.n_nodes)
-    _, (reg,), to_work, to_node = _reg_ops(prob)
-    r = to_node(reg(to_work(x)))
+    r = _reg(prob, x)
     if not np.all(np.isfinite(r)):
         raise DivergenceError("denoiser returned non-finite values", iteration=0)
     data = 0.5 * np.sum((x - prob.y) ** 2, axis=0)
@@ -150,8 +145,7 @@ def red_objective(prob: RedProblem, x: np.ndarray):
 def red_gradient(prob: RedProblem, x: np.ndarray) -> np.ndarray:
     """Simplified gradient ``x - y + alpha_red (x - D(x))``."""
     x = _check_signal(x, prob.lap.n_nodes)
-    _, (reg,), to_work, to_node = _reg_ops(prob)
-    return x - prob.y + prob.alpha_red * to_node(reg(to_work(x)))
+    return x - prob.y + prob.alpha_red * _reg(prob, x)
 
 
 def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveReport:
@@ -164,32 +158,25 @@ def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveR
         raise ValueError("step must be positive")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    y, (reg,), _, to_node = _reg_ops(prob)
     a = prob.alpha_red
 
-    def diagnostics(x, r):
-        grad = x - y + a * r
-        gnorm = np.linalg.norm(grad, axis=0)
-        obj = 0.5 * np.sum((x - y) ** 2, axis=0) + 0.5 * a * np.sum(x * r, axis=0)
-        return grad, gnorm, obj
+    def descend(y, lam):
+        (reg,) = _layer_ops(prob.denoiser, lam)
+        x, gnorms, objs = np.zeros_like(y), [], []
+        for k in range(iters + 1):
+            x = x - step * grad if k else x
+            r = reg(x)
+            grad = x - y + a * r
+            gnorms.append(np.linalg.norm(grad, axis=0))
+            objs.append(0.5 * np.sum((x - y) ** 2, axis=0) + 0.5 * a * np.sum(x * r, axis=0))
+            if k == 0:
+                limit = DIVERGENCE_OBJECTIVE_FACTOR * max(float(np.max(objs[0], initial=0.0)), 1e-12)
+            elif not np.all(np.isfinite(objs[-1])) or np.max(objs[-1]) > limit:
+                raise DivergenceError(f"objective exploded at iteration {k}; try a smaller step", iteration=k)
+        return x, (gnorms, objs)
 
-    x = np.zeros_like(y)
-    grad, gnorm, obj = diagnostics(x, reg(x))
-    gnorms = [gnorm]
-    objs = [obj]
-    limit = DIVERGENCE_OBJECTIVE_FACTOR * max(float(np.max(obj, initial=0.0)), 1e-12)
-    for k in range(1, iters + 1):
-        x = x - step * grad
-        grad, gnorm, obj = diagnostics(x, reg(x))
-        gnorms.append(gnorm)
-        objs.append(obj)
-        if not np.all(np.isfinite(obj)) or np.max(obj) > limit:
-            raise DivergenceError(
-                f"objective exploded at iteration {k}; try a smaller step", iteration=k
-            )
-    return RedSolveReport(
-        x=to_node(x), iterations=iters, gradient_norm_history=gnorms, objective_history=objs
-    )
+    x, (gnorms, objs) = _on_frequencies(prob, prob.y, descend, (a,))
+    return RedSolveReport(x=x, iterations=iters, gradient_norm_history=gnorms, objective_history=objs)
 
 
 def _layer_values(scalar, layers, K):
@@ -207,6 +194,7 @@ def _flat_from(regs, alpha_red, k) -> bool:
     return all(regs[i] is regs[k] and np.array_equal(alpha_red[i], alpha_red[k]) for i in range(k + 1, len(regs)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in one of the typed errors below
 def red_cg_layers(
     y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=None, objective=False
 ) -> RedSolveReport:
@@ -361,34 +349,6 @@ def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve, needed=
     return out
 
 
-def _lanczos(s: np.ndarray, b: np.ndarray, K: int):
-    """K Lanczos steps on ``diag(s)`` from each column of ``b`` (both ``(N, C)``).
-
-    Returns the basis ``(C, K, N)``, the tridiagonal ``T``'s diagonal and
-    off-diagonal ``(K, C)`` (the last off-diagonal entry, ``beta_K``, couples
-    to the next basis vector and sizes the residual) and ``||b||`` per
-    column.  A column whose residual falls to
-    ``BREAKDOWN_TOL * max|s|`` has exhausted its Krylov space: its later
-    basis vectors and ``T`` entries are zero, so it adds nothing past there.
-    """
-    norm = np.sqrt(np.sum(b * b, axis=0))
-    floor = BREAKDOWN_TOL * np.max(np.abs(s), axis=0)
-    basis = np.zeros((K,) + b.shape)
-    diag, off = np.zeros((2, K) + norm.shape)
-    q = b / np.where(norm > 0, norm, 1.0)
-    q_prev, beta = np.zeros_like(b), np.zeros_like(norm)
-    for k in range(K):
-        basis[k] = q
-        w = s * q - beta * q_prev
-        diag[k] = np.sum(q * w, axis=0)
-        w -= diag[k] * q
-        beta = np.sqrt(np.sum(w * w, axis=0))
-        beta[beta <= floor] = 0.0
-        off[k] = beta
-        q_prev, q = q, w / np.where(beta > 0, beta, np.inf)
-    return basis.transpose(2, 0, 1), diag, off, norm
-
-
 def _shifted_tridiagonal_solve(diag, off, rhs, alpha_red):
     """``c`` with ``(I + a T) c = rhs e1`` for every ``a`` in ``alpha_red``: ``(K, C, A)``.
 
@@ -451,16 +411,18 @@ def krylov_screen_mse(
     sq, spread = np.empty((2, len(shortfalls), len(alpha_red)))
     for start in range(0, len(shortfalls), per_block):
         rows = shortfalls[start : start + per_block]
-        basis, diag, off, norm = _lanczos(np.repeat(rows.T, n_sig, axis=1), np.tile(y, len(rows)), K)
+        s, b = np.repeat(rows, n_sig, axis=0), np.tile(y.T, (len(rows), 1))  # one row per column, as np.tile(y, R)
+        floor = BREAKDOWN_TOL * np.max(np.abs(s), axis=1)
+        *_, (basis, diag, off) = itertools.islice(lanczos(lambda q: s * q, b, floor), K)
         t = np.tile(target, len(rows))
         gram = basis @ basis.transpose(0, 2, 1)
         live = np.einsum("ckk->ck", gram) > 0  # vectors before a breakdown
         dev = np.max(np.abs(gram - live[:, :, None] * np.eye(K)), axis=(1, 2))
         proj = basis @ t.T[:, :, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            c = _shifted_tridiagonal_solve(diag, off, norm, alpha_red).transpose(1, 0, 2)
+            c = _shifted_tridiagonal_solve(diag.T, off.T, np.sqrt(np.sum(b * b, axis=1)), alpha_red).transpose(1, 0, 2)
             err = np.sum(c * (gram @ c - 2.0 * proj), axis=1) + np.sum(t * t, axis=0)[:, None]
-            rho = alpha_red * off[-1][:, None] * np.abs(c[:, -1])
+            rho = alpha_red * off[:, -1, None] * np.abs(c[:, -1])
             drift = np.minimum(dev / ORTHOGONALITY_TOL, 1.0)[:, None] * rho * np.sqrt(np.maximum(err, 0.0))
         sq[start : start + len(rows)] = err.reshape(len(rows), n_sig, -1).sum(axis=1)
         spread[start : start + len(rows)] = drift.reshape(len(rows), n_sig, -1).sum(axis=1)
@@ -496,9 +458,12 @@ def red_cg_solve(
         rho = [None] * (K + 1)
     if any(v < 0 for v in a_red) or any(v < 0 for v in a_den):
         raise ValueError("layer parameters must be nonnegative")
-    y, regs, _, to_node = _reg_ops(prob, a_den, rho)
-    report = red_cg_layers(y, regs, a_red, objective=True)
-    return replace(report, x=to_node(report.x))
+    def cg(y, lam):
+        report = red_cg_layers(y, _layer_ops(prob.denoiser, lam, a_den, rho), a_red, objective=True)
+        return report.x, report
+
+    x, report = _on_frequencies(prob, prob.y, cg, a_red, a_den)
+    return replace(report, x=x)
 
 
 def _as_callable(denoiser, lap, decomp):

@@ -290,6 +290,7 @@ class TestScreenedTune:
         )
         assert out.returncode == 3, out.stderr
         assert "non-finite line search" in out.stderr
+        assert "overflow encountered" not in out.stderr
         assert not (tmp_path / "o" / "tuned.json").exists()
 
     def test_red_tune_imports_no_numpy_ma(self, dataset_dir, tmp_path):
@@ -480,6 +481,16 @@ class TestDenoiseNodeSpace:
                 ref = apply_method(method, self.CASES[method], lap, decomp, y, cg_layers=6)
             got = np.loadtxt(tmp_path / "out" / "denoised" / f"sample_{record.index:03d}.csv", delimiter=",")
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_unsettled_lanczos_basis_exits_3(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "red_lr", "sigma": 0.5, "params": self.CASES["red_lr"]},
+        )
+        monkeypatch.setattr(graphred.graphs, "MAX_KRYLOV_STEPS", 8)
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "Lanczos node path did not settle" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_rebuilt_graph_without_eigendecomposition(self, tmp_path, monkeypatch):
         gen = write_config(

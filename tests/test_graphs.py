@@ -121,6 +121,30 @@ class TestSparseCore:
         assert np.all(np.abs(lap.matvec(x) - lap.matrix @ x) <= 1e-12 * scale)
         assert np.all(np.abs(lap.matvec(x[:, 0]) - lap.matrix @ x[:, 0]) <= 1e-12 * scale[:, 0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        density=st.floats(0.0, 1.0),
+        n_isolated=st.integers(0, 5),
+        n_trailing=st.integers(0, 3),
+        columns=st.integers(0, 5),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matvec_matches_dense(self, n, density, n_isolated, n_trailing, columns, fortran, seed):
+        w = random_weights(n, density, n_isolated, seed)
+        w[n - min(n_trailing, n) :] = w[:, n - min(n_trailing, n) :] = 0.0  # empty last rows
+        lap = build_laplacian(Graph.from_dense(w))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, columns) if columns else n)
+        x = np.asfortranarray(x) if fortran else x
+        # Each row sums at most n terms, in another order than the dense product.
+        bound = 2 * n * np.finfo(float).eps * (np.abs(lap.matrix) @ np.abs(x))
+        got = lap.matvec(x)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - lap.matrix @ x) <= bound)
+        assert np.all(got[np.sum(w, axis=1) == 0] == 0.0)  # an empty row takes no neighbour's entry
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
     def test_rejects_asymmetric_or_negative_csr(self, n, seed):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graphred.red
 import graphred.unroll
@@ -309,6 +309,9 @@ class TestBatchedFiniteDifferences:
         block=st.integers(1, 100),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Recorded counterexample to a bound relative to the gradient norm (7.8e-5 here).
+    @example(kind="pnp", K=1, scalars=(0.125, 0.109375, 0.109375), flat=False, shape="single",
+             pnp_iters=1, block=100, seed=0)
     def test_matches_per_point_oracle(self, fd_graph, kind, K, scalars, flat, shape, pnp_iters, block, seed):
         lap, dec, y, target = fd_graph
         a_red, a_den, rho = scalars
@@ -327,7 +330,14 @@ class TestBatchedFiniteDifferences:
             loss, grad = _fd_loss_grad(pairs, dec, K, kind, theta, pnp_iters)
         ref_loss, ref_grad = per_point_fd(pairs, lap, dec, K, kind, theta, pnp_iters)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-        assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad)
+        # Both passes evaluate every point's loss, rounding it by a few ulps of
+        # the loss in different orders; a central difference divides that by
+        # 2 h_j, so gradients differ by about eps L / h_j per entry whatever
+        # the gradient's size (at most 2.9 eps L sqrt(sum h_j^-2) in 401 cases).
+        live = np.arange(theta.size) % (K + 1) != 0
+        h = FD_STEP * np.maximum(1.0, np.abs(theta[live]))
+        rounding = np.finfo(float).eps * abs(ref_loss) * np.sqrt(np.sum(h**-2.0))
+        assert np.linalg.norm(grad - ref_grad) <= 8.0 * rounding
 
     @settings(max_examples=40, deadline=None)
     @given(
