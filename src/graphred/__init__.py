@@ -25,15 +25,15 @@ from .graphs import (
     save_edge_list,
 )
 from .red import (
-    RedProblem, RedSolveReport, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve, red_gradient,
-    red_gradient_descent, red_objective,
+    RedProblem, RedSolveReport, UnrolledParams, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve,
+    red_gradient, red_gradient_descent, red_objective, softplus, softplus_inv,
 )
 from .spectral import (
     FilterResponse, ResponseComparison, compare_responses, h_lr, h_red, red_filter_matrix, write_response_csv,
 )
 from .unroll import (
-    AdamState, TrainConfig, TrainSample, UnrolledParams, adam_step, load_params, make_n2n_pair, mse, rmse,
-    save_loss_history, save_params, softplus, softplus_inv, train, unrolled_forward,
+    AdamState, TrainConfig, TrainSample, adam_step, load_params, make_n2n_pair, mse, rmse, save_loss_history,
+    save_params, train, unrolled_forward,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .construct import knn_graph, normalize_weights
-from .denoisers import DEFAULT_PNP_ITERS, Denoiser, apply_denoiser, denoiser_gains, gain_filter, gain_table
+from .denoisers import DEFAULT_PNP_ITERS, KINDS, Denoiser, apply_denoiser, denoiser_gains, gain_filter, gain_table
 from .exceptions import (
     ConfigError,
     DivergenceError,
@@ -47,13 +47,10 @@ from .unroll import (
 )
 from . import datasets as ds
 
-METHODS = ("lr", "pnp", "red_lr", "red_pnp")
-METHOD_PARAM_KEYS = {
-    "lr": ("alpha_lr",),
-    "pnp": ("alpha_pnp", "rho"),
-    "red_lr": ("alpha_red", "alpha_lr"),
-    "red_pnp": ("alpha_red", "alpha_pnp", "rho"),
-}
+# A method applies a registered denoiser kind, alone or plugged into RED as "red_<kind>": (kind, red).
+_METHOD_KINDS = {**{kind: (kind, False) for kind in KINDS}, **{f"red_{kind}": (kind, True) for kind in KINDS}}
+METHODS = tuple(_METHOD_KINDS)
+METHOD_PARAM_KEYS = {m: ("alpha_red",) * red + KINDS[kind].keys for m, (kind, red) in _METHOD_KINDS.items()}
 DEFAULT_ALPHA_RANGE = (1e-3, 1e3)
 DEFAULT_RHO_RANGE = (1e-2, 1e2)
 DEFAULT_GRID_POINTS = 20
@@ -120,32 +117,29 @@ def _stack(signals) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _method_kind(method) -> tuple[str, bool]:
+    """``(kind, red)`` of ``method``: the denoiser kind it applies, and whether RED wraps it."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    return _METHOD_KINDS[method]
+
+
 def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
-    """The denoiser that ``method`` applies (lr, pnp) or plugs into RED (red_*).
+    """The denoiser that ``method`` applies (a kind) or plugs into RED (red_<kind>).
 
     ``params`` holds the method's scalar parameters, keyed as in ``METHOD_PARAM_KEYS``.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    if method.endswith("lr"):
-        return Denoiser(kind="lr", alpha=params["alpha_lr"])
-    return Denoiser(kind="pnp", alpha=params["alpha_pnp"], rho=params["rho"], iters=pnp_iters)
+    kind = _method_kind(method)[0]
+    values = {field: params[key] for field, key in zip(KINDS[kind].fields, KINDS[kind].keys)}
+    return Denoiser(kind=kind, **values, iters=pnp_iters)
 
 
 def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
     """Run one denoising method with explicit scalar parameters (on Lanczos bases if no ``decomp``)."""
-    if method in ("lr", "pnp"):
-        return apply_denoiser(method_denoiser(method, params, pnp_iters), lap, y, decomp=decomp)
-    return solve_with_report(method, params, lap, decomp, y, cg_layers, pnp_iters).x
-
-
-def solve_with_report(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
-    """Solver report of a red_* method with explicit scalar parameters."""
-    if not method.startswith("red_"):
-        raise ConfigError(f"{method!r} is not a RED method")
     denoiser = method_denoiser(method, params, pnp_iters)
-    prob = RedProblem(y=y, alpha_red=params["alpha_red"], denoiser=denoiser, lap=lap, decomp=decomp)
-    return red_cg_solve(prob, cg_layers)
+    if not _method_kind(method)[1]:
+        return apply_denoiser(denoiser, lap, y, decomp=decomp)
+    return red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap, decomp), cg_layers).x
 
 
 def _screened_errors(y, target, table, alphas, cg_layers, solve):
@@ -203,8 +197,7 @@ def tune_method(
     keyed by eigenvalues and grid, between them.  A grid bound that is zero,
     negative or NaN raises :class:`ConfigError`.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
+    kind, red = _method_kind(method)
     if grid_points < 1:
         raise ConfigError("grid_points must be >= 1")
     for name, bounds in (("alpha_range", alpha_range), ("rho_range", rho_range)):
@@ -219,15 +212,13 @@ def tune_method(
     y = gft(decomp, _stack([np.asarray(r.observed[sigma], dtype=float) for r in records]))
     target = gft(decomp, _stack([np.asarray(r.clean, dtype=float) for r in records]))
 
-    kind = "pnp" if method.endswith("pnp") else "lr"
+    den_grids = [{"alpha": alphas, "rho": rhos}[field] for field in KINDS[kind].fields]
     key = (kind, decomp.eigenvalues.tobytes(), alphas.tobytes(), rhos.tobytes(), pnp_iters)
     tables = {} if gain_tables is None else gain_tables
     if key not in tables:
-        grid = itertools.product(alphas, rhos) if kind == "pnp" else alphas[:, None]
         with np.errstate(over="ignore"):  # an overflowed alpha * lambda gives the limit gain, 0
-            tables[key] = gain_table(kind, decomp.eigenvalues, grid, pnp_iters)
+            tables[key] = gain_table(kind, decomp.eigenvalues, itertools.product(*den_grids), pnp_iters)
     table = tables[key]
-    red = method.startswith("red_")
     n_rows = len(table)
     n_rec = y.shape[1]
     n_ops = cg_layers + 1
@@ -246,19 +237,27 @@ def tune_method(
         found = np.arange(n_cand), np.sqrt(candidate_mse(y, target, n_cand, solve))
     pool, errors = found
     best = int(pool[np.argmin(errors[pool])])
-    keys = METHOD_PARAM_KEYS[method]
-    picks = np.unravel_index(best, (grid_points,) * len(keys))
+    grids = [alphas] * red + den_grids  # each key's grid, in key order
+    picks = np.unravel_index(best, (grid_points,) * len(grids))
     entry = {"method": method, "sigma": float(sigma), "train_rmse": float(errors[best])}
-    entry.update({k: float((rhos if k == "rho" else alphas)[i]) for k, i in zip(keys, picks)})
+    entry.update({k: float(grid[i]) for k, grid, i in zip(METHOD_PARAM_KEYS[method], grids, picks)})
     return entry
 
 
 def _tuned_lookup(tuned_path, method, sigma) -> dict:
     with open(tuned_path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
-    for entry in payload.get("entries", []):
-        if entry.get("method") == method and float(entry.get("sigma")) == float(sigma):
-            return {k: float(entry[k]) for k in METHOD_PARAM_KEYS[method]}
+    entries = payload.get("entries", []) if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{tuned_path}: expected an object whose 'entries' is a list of objects")
+    for entry in entries:
+        if entry.get("method") != method:
+            continue
+        try:
+            if float(entry["sigma"]) == float(sigma):
+                return {k: float(entry[k]) for k in METHOD_PARAM_KEYS[method]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{tuned_path}: malformed {method} entry: {exc!r}") from exc
     raise ConfigError(f"{tuned_path}: no entry for method={method} sigma={sigma:g}")
 
 
@@ -350,9 +349,7 @@ def _resolve_denoise_params(cfg, method, sigma) -> dict:
         return {}
     if "params" in cfg:
         params = dict(cfg["params"])
-        missing = sorted(set(METHOD_PARAM_KEYS[method]) - set(params))
-        extra = sorted(set(params) - set(METHOD_PARAM_KEYS[method]))
-        if missing or extra:
+        if set(params) != set(METHOD_PARAM_KEYS[method]):
             raise ConfigError(
                 f"params for {method} must have exactly {list(METHOD_PARAM_KEYS[method])}"
             )
@@ -371,8 +368,7 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     rebuild = bool(cfg.get("rebuild_graph_from_observed", False))
     dataset = ds.load_dataset(cfg["dataset"], graphs=not rebuild)  # a rebuild never reads the stored graphs
     method = cfg["method"]
-    if method != "unrolled" and method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
+    red = method != "unrolled" and _method_kind(method)[1]
     sigma = float(cfg["sigma"])
     if sigma not in [float(s) for s in dataset.sigmas]:
         raise ConfigError(f"sigma {sigma:g} not in dataset (has {dataset.sigmas})")
@@ -398,10 +394,11 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         lap = build_laplacian(graph)
         if method == "unrolled":
             return unrolled_forward(lap, y, uparams, pnp_iters=pnp_iters), None
-        if method in ("lr", "pnp"):
-            return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
-        report = solve_with_report(method, params, lap, None, y, cg_layers, pnp_iters)
-        return report.x, report if save_diag else None
+        if red and save_diag:
+            denoiser = method_denoiser(method, params, pnp_iters)
+            report = red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap), cg_layers)
+            return report.x, report
+        return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         results = list(pool.map(run_one, records))
@@ -428,7 +425,10 @@ def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
     init_cfg = cfg.get("init", {})
     if not isinstance(init_cfg, dict):
         raise ConfigError("train config 'init' must be an object")
-    allowed = {"alpha_red", "alpha_denoiser", "rho", "tuned", "method", "params"}
+    # A flat start sets alpha_red, alpha_denoiser (the kind's alpha) and the kind's other parameters by name.
+    flat_keys = ("alpha_red", "alpha_denoiser") + KINDS[kind].fields[1:]
+    other_fields = {f for spec in KINDS.values() for f in spec.fields[1:]}
+    allowed = {"tuned", "method", "params", "alpha_red", "alpha_denoiser", *other_fields}
     _check_keys(init_cfg, allowed, set(), "train init")
     start_epoch = int(cfg.get("start_epoch", 0))
     if "params" in init_cfg:
@@ -437,17 +437,12 @@ def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
             raise ConfigError("resume params do not match the configured K / denoiser")
         return params, start_epoch
     if "tuned" in init_cfg:
-        method = init_cfg.get("method", "red_lr" if kind == "lr" else "red_pnp")
+        method = init_cfg.get("method", f"red_{kind}")
+        if method != f"red_{kind}":
+            raise ConfigError(f"train init: a {kind} denoiser starts from the red_{kind} entry, not {method!r}")
         scalars = _tuned_lookup(init_cfg["tuned"], method, float(cfg["sigma"]))
-        alpha_den = scalars.get("alpha_lr", scalars.get("alpha_pnp"))
-        return (
-            UnrolledParams.constant(K, kind, scalars["alpha_red"], alpha_den, scalars.get("rho")),
-            start_epoch,
-        )
-    alpha_red = float(init_cfg.get("alpha_red", 1.0))
-    alpha_den = float(init_cfg.get("alpha_denoiser", 1.0))
-    rho = float(init_cfg.get("rho", 1.0)) if kind == "pnp" else None
-    return UnrolledParams.constant(K, kind, alpha_red, alpha_den, rho), start_epoch
+        return UnrolledParams.constant(K, kind, *(scalars[k] for k in METHOD_PARAM_KEYS[method])), start_epoch
+    return UnrolledParams.constant(K, kind, *(float(init_cfg.get(k, 1.0)) for k in flat_keys)), start_epoch
 
 
 def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
@@ -465,7 +460,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     if not _records_share_graph(records):
         raise ConfigError("training expects records on a shared graph")
     kind = cfg.get("denoiser", "lr")
-    if kind not in ("lr", "pnp"):
+    if kind not in tuple(KINDS):
         raise ConfigError(f"unknown denoiser {kind!r}")
     K = int(cfg.get("K", DEFAULT_CG_LAYERS))
     mode = cfg.get("mode", "supervised")
@@ -512,15 +507,13 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    allowed = {
-        "datasets", "methods", "alpha_lr", "alpha_pnp", "rho",
-        "pnp_iters", "n_signals", "c", "seed",
-    }
+    kind_keys = {k for spec in KINDS.values() for k in spec.keys}
+    allowed = {"datasets", "methods", "pnp_iters", "n_signals", "c", "seed", *kind_keys}
     _check_keys(cfg, allowed, {"datasets"}, "check config")
-    methods = cfg.get("methods", ["lr", "pnp"])
+    methods = cfg.get("methods", list(KINDS))
     for m in methods:
-        if m not in ("lr", "pnp"):
-            raise ConfigError(f"check supports methods 'lr' and 'pnp', got {m!r}")
+        if m not in tuple(KINDS):
+            raise ConfigError(f"check supports the denoiser methods {list(KINDS)}, got {m!r}")
     seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
     n_signals = int(cfg.get("n_signals", 100))
     c = float(cfg.get("c", 1.1))

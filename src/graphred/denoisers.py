@@ -1,11 +1,13 @@
 """Graph-signal denoisers.
 
-Two families:
+A denoiser kind is one entry of :data:`KINDS`: its parameters, their config
+keys and per-layer fields, its gains and their Jacobian.  Every other module
+reads a kind from there.  Two kinds are registered:
 
-* Laplacian-regularization (LR): the closed-form smoother
-  ``x = (I + alpha L)^{-1} y``, available as a sparse direct solve and a
+* ``"lr"``, Laplacian regularization: the closed-form smoother
+  ``x = (I + alpha L)^{-1} y``, also available as a sparse direct solve and a
   matrix-free conjugate-gradient approximation.
-* Plug-and-play ADMM (PnP): a fixed number of ADMM iterations on the
+* ``"pnp"``, plug-and-play ADMM: a fixed number of ADMM iterations on the
   denoising objective, with the LR smoother plugged in as the proximal
   step for the prior.
 
@@ -21,6 +23,7 @@ as the oracles the tests check those paths against.  Everything accepts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,11 +40,11 @@ DIVERGENCE_FACTOR = 1e8
 
 @dataclass(frozen=True)
 class Denoiser:
-    """A denoiser choice: ``kind`` is ``"lr"`` or ``"pnp"``.
+    """A denoiser choice: ``kind`` names a :data:`KINDS` entry.
 
     ``alpha`` is the smoothing strength of the LR solve (for ``"pnp"`` it
     parameterizes the plugged-in LR step).  ``rho`` and ``iters`` only apply
-    to ``"pnp"``.
+    to the kinds whose entry lists them.
     """
 
     kind: str
@@ -50,15 +53,10 @@ class Denoiser:
     iters: int = DEFAULT_PNP_ITERS
 
     def __post_init__(self):
-        if self.kind not in ("lr", "pnp"):
-            raise ValueError(f"unknown denoiser kind {self.kind!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.kind == "pnp":
-            if self.rho is None or self.rho <= 0:
-                raise ValueError("pnp denoiser needs rho > 0")
-            if self.iters < 1:
-                raise ValueError("pnp denoiser needs iters >= 1")
+        spec = kind_spec(self.kind)
+        check_params(self.kind, [getattr(self, name) for name in spec.fields])
+        if spec.iterative and self.iters < 1:
+            raise ValueError(f"{self.kind} denoiser needs iters >= 1")
 
 
 def lr_smoother(lap: Laplacian, alpha: float):
@@ -221,7 +219,7 @@ def pnp_gains(lambdas: np.ndarray, alpha: float, rho: float, iters: int) -> np.n
 
 
 def _pnp_recursion(lambdas, alpha, rho, iters):
-    """The :func:`pnp_gains` recursion; ``alpha`` and ``rho`` may be ``(R, 1)`` columns, one row each."""
+    """The :func:`pnp_gains` recursion; ``alpha`` and ``rho`` may be arrays that broadcast against ``lambdas``."""
     f = lr_gains(lambdas, alpha)
     x = np.ones_like(f)
     u = np.zeros_like(f)
@@ -232,48 +230,16 @@ def _pnp_recursion(lambdas, alpha, rho, iters):
     return x
 
 
-def denoiser_gains(
-    denoiser: Denoiser,
-    lambdas: np.ndarray,
-    alpha: float | None = None,
-    rho: float | None = None,
-) -> np.ndarray:
-    """Spectral gains of ``denoiser``; ``alpha``/``rho`` override stored values."""
-    a = denoiser.alpha if alpha is None else alpha
-    if denoiser.kind == "lr":
-        return lr_gains(lambdas, a)
-    r = denoiser.rho if rho is None else rho
-    return pnp_gains(lambdas, a, r, denoiser.iters)
+def _lr_jacobian(lam, params, iters):
+    """LR gains and ``dg/dalpha = -lambda g^2``."""
+    f = lr_gains(lam, params[0])
+    return f, (-lam * f * f)[None]
 
 
-def gain_table(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS) -> np.ndarray:
-    """Gains of the ``kind`` denoiser, one row per ``(alpha,)`` (lr) or ``(alpha, rho)`` (pnp).
-
-    All rows run one broadcast recursion, whose elementwise operations are
-    those of :func:`lr_gains` and :func:`pnp_gains`, so each row has their bits.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    params = np.array(list(params), dtype=float).reshape(-1, 1 if kind == "lr" else 2)
-    if kind == "lr":
-        return lr_gains(lam, params)
-    return _pnp_recursion(lam, params[:, :1], params[:, 1:], iters)
-
-
-def gain_jacobian(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS):
-    """Gains of the ``kind`` denoiser and their derivatives in its parameters.
-
-    ``params`` holds one row per parameter, ``alpha`` (lr) or ``alpha, rho``
-    (pnp), with one value per filter.  Returns the ``(F, N)`` gains and the
-    ``(len(params), F, N)`` Jacobian.  LR has ``dg/dalpha = -lambda g^2``;
-    PnP carries tangents through the :func:`pnp_gains` recursion.
-    """
-    lam = np.asarray(lambdas, dtype=float)[None, :]
-    alpha = np.asarray(params[0], dtype=float)[:, None]
-    f = lr_gains(lam, alpha)
-    df = -lam * f * f
-    if kind == "lr":
-        return f, df[None]
-    rho = np.asarray(params[1], dtype=float)[:, None]
+def _pnp_jacobian(lam, params, iters):
+    """PnP gains and their (alpha, rho) tangents, carried through the :func:`pnp_gains` recursion."""
+    f, (df,) = _lr_jacobian(lam, params, iters)
+    rho = params[1]
     x, u = np.ones_like(f), np.zeros_like(f)
     dx, du = np.zeros((2,) + f.shape), np.zeros((2,) + f.shape)  # d/dalpha, d/drho
     for _ in range(iters):
@@ -287,6 +253,91 @@ def gain_jacobian(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_P
         u = u + x_new - v
         x = x_new
     return x, dx
+
+
+@dataclass(frozen=True)
+class DenoiserKind:
+    """One denoiser kind.
+
+    ``fields`` are its :class:`Denoiser` parameters in gain-table column
+    order (``alpha >= 0`` first, later ones positive), ``keys`` their config
+    keys and ``layers`` their per-layer :class:`unroll.UnrolledParams`
+    fields.  ``gains(lam, params, iters)`` is one filter's gains for one
+    scalar per field (the kind's public gain function, which checks them);
+    ``table(lam, params, iters)`` runs the same elementwise steps on
+    ``(R, 1, ...)`` columns, one row per filter, so each row has ``gains``'
+    bits.  ``jacobian(lam, params, iters)``, for a ``(1, N)`` row ``lam``
+    and one ``(F, 1)`` column per field, returns the ``(F, N)`` gains
+    (``table`` rows, bit for bit) and their ``(P, F, N)`` derivatives in the
+    P fields.  ``iterative`` kinds run ``iters`` steps.
+    """
+
+    fields: tuple
+    keys: tuple
+    layers: tuple
+    gains: Callable
+    table: Callable
+    jacobian: Callable
+    iterative: bool = False
+
+
+KINDS = {
+    "lr": DenoiserKind(
+        fields=("alpha",), keys=("alpha_lr",), layers=("alpha_denoiser_layers",),
+        gains=lambda lam, p, iters: lr_gains(lam, *p),
+        table=lambda lam, p, iters: lr_gains(lam, *p),
+        jacobian=_lr_jacobian,
+    ),
+    "pnp": DenoiserKind(
+        fields=("alpha", "rho"), keys=("alpha_pnp", "rho"), layers=("alpha_denoiser_layers", "pnp_rho_layers"),
+        gains=lambda lam, p, iters: pnp_gains(lam, *p, iters),
+        table=lambda lam, p, iters: _pnp_recursion(lam, *p, iters),
+        jacobian=_pnp_jacobian,
+        iterative=True,
+    ),
+}
+
+
+def kind_spec(kind) -> DenoiserKind:
+    """The :data:`KINDS` entry of ``kind``; :class:`ValueError` if there is none."""
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ValueError(f"unknown denoiser kind {kind!r}")
+    return spec
+
+
+def check_params(kind, values) -> None:
+    """Raise :class:`ValueError` unless ``values`` (one scalar or array per
+    parameter of ``kind``, in field order) has ``alpha >= 0`` and every later
+    parameter positive."""
+    for i, (name, value) in enumerate(zip(kind_spec(kind).fields, values)):
+        if value is None or np.any(np.less(value, 0) if i == 0 else np.less_equal(value, 0)):
+            raise ValueError(f"{kind} denoiser needs {name} {'>= 0' if i == 0 else '> 0'}")
+
+
+def denoiser_gains(
+    denoiser: Denoiser,
+    lambdas: np.ndarray,
+    alpha: float | None = None,
+    rho: float | None = None,
+) -> np.ndarray:
+    """Spectral gains of ``denoiser``; ``alpha``/``rho`` override stored values."""
+    spec = KINDS[denoiser.kind]
+    row = [getattr(denoiser, f) if v is None else v for f, v in zip(spec.fields, (alpha, rho))]
+    return spec.gains(lambdas, row, denoiser.iters)
+
+
+def gain_table(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS) -> np.ndarray:
+    """Gains of the ``kind`` denoiser at ``lambdas``, one row per parameter tuple of ``params``.
+
+    All rows run one broadcast evaluation (the kind's ``table``), whose
+    elementwise operations are those of :func:`lr_gains` and
+    :func:`pnp_gains`, so each row has their bits.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    spec = KINDS[kind]
+    params = np.array(list(params), dtype=float).reshape(-1, len(spec.fields))
+    return spec.table(lam, params.T[:, :, None], iters)
 
 
 def gain_filter(decomp: SpectralDecomp, gains: np.ndarray):

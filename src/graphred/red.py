@@ -9,7 +9,8 @@ passive the regularizer gradient collapses to ``x - D(x)``, so the full
 gradient is ``x - y + alpha_red (x - D(x))`` with no Jacobian of D anywhere.
 This module provides the objective and that simplified gradient, a
 fixed-step gradient-descent solver, a Fletcher-Reeves conjugate-gradient
-solver (the unrollable one: it accepts per-layer parameters), the blocked
+solver (the unrollable one: it accepts per-layer parameters, which
+:class:`UnrolledParams` holds for any denoiser kind), the blocked
 candidate evaluation that tuning and training run on it, a Krylov screen
 that scores flat CG candidates for a whole ``alpha_red`` grid from one
 Lanczos basis, and empirical checkers for the two admissibility conditions.
@@ -27,12 +28,14 @@ batched solve matches column-by-column solves exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .denoisers import Denoiser, apply_denoiser, denoiser_gains
-from .exceptions import DivergenceError, StagnationError
+from .denoisers import (
+    DEFAULT_PNP_ITERS, KINDS, Denoiser, apply_denoiser, check_params, denoiser_gains, kind_spec,
+)
+from .exceptions import ConfigError, DivergenceError, StagnationError
 from .graphs import (
     BREAKDOWN_TOL, Laplacian, SpectralDecomp, _check_signal, lanczos, on_frequencies,
 )
@@ -103,33 +106,135 @@ class RedSolveReport:
         }
 
 
-def _layer_ops(den: Denoiser, lam, a_den=(None,), rho_layers=(None,)):
-    """Per-layer ``reg(v) = v - D(v)`` ops on coefficients at frequencies ``lam``.
+def softplus(theta):
+    return np.logaddexp(0.0, np.asarray(theta, dtype=float))
 
-    Every denoiser is an elementwise gain there.  ``None`` layer values fall
-    back to ``den``'s, and each distinct ``(alpha, rho)`` layer tuple gets
-    one op object.
+
+def softplus_inv(alpha):
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0):
+        raise ValueError("softplus inverse needs strictly positive values")
+    return alpha + np.log1p(-np.exp(-alpha))
+
+
+@dataclass(frozen=True)
+class UnrolledParams:
+    """Per-layer solver parameters, indices 0..K.
+
+    Index 0 parameterizes the solver's initialization lines and indices
+    1..K the loop bodies; with the zero initial iterate the index-0 values
+    never influence the output, but they are kept so the layer count and
+    the serialized parameter count stay aligned with the unrolled depth
+    ((1 + P)(K+1) values for a kind of P parameters: 2(K+1) for LR, 3(K+1)
+    for PnP).  The denoiser's layer fields are those its :data:`KINDS`
+    entry lists; the others stay ``None``.
+
+    Alphas may be zero in the container; the training path goes through the
+    softplus encoding and therefore only ever produces strictly positive
+    values.
     """
-    ops = {}
-    for key in zip(a_den, rho_layers):
-        if key not in ops:
-            s = 1.0 - denoiser_gains(den, lam, *key)
-            ops[key] = lambda v, s=s: s * v
-    return [ops[key] for key in zip(a_den, rho_layers)]
+
+    K: int
+    denoiser_kind: str
+    alpha_red_layers: np.ndarray
+    alpha_denoiser_layers: np.ndarray
+    pnp_rho_layers: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
+        kind, used = self.denoiser_kind, self.layer_names(self.denoiser_kind)
+        for name in [f.name for f in fields(self)][2:]:
+            values = getattr(self, name)
+            if (name in used) != (values is not None):
+                raise ValueError(f"the {kind} solver {'needs' if name in used else 'takes no'} {name}")
+            if values is not None:
+                values = np.asarray(values, dtype=float)
+                if values.shape != (self.K + 1,) or not np.all(np.isfinite(values)):
+                    raise ValueError(f"{name} must hold K + 1 = {self.K + 1} finite values, not {values.shape}")
+                object.__setattr__(self, name, values)
+        if np.any(self.alpha_red_layers < 0):
+            raise ValueError("alpha_red_layers must be nonnegative")
+        check_params(kind, list(self.layers().values())[1:])
+
+    @staticmethod
+    def layer_names(denoiser_kind) -> tuple:
+        """The layer fields a ``denoiser_kind`` solver uses: ``alpha_red_layers``, then the kind's ``layers``."""
+        return ("alpha_red_layers",) + kind_spec(denoiser_kind).layers
+
+    def layers(self) -> dict:
+        """The used layer arrays by field name, in :meth:`layer_names` order."""
+        return {name: getattr(self, name) for name in self.layer_names(self.denoiser_kind)}
+
+    @property
+    def n_params(self) -> int:
+        return len(self.layers()) * (self.K + 1)
+
+    @classmethod
+    def constant(cls, K, denoiser_kind, alpha_red, alpha_denoiser, rho=None):
+        """All layers set to the same (flat) scalars."""
+        values = zip(cls.layer_names(denoiser_kind), (alpha_red, alpha_denoiser, rho))
+        return cls(K=K, denoiser_kind=denoiser_kind, **{name: np.full(K + 1, float(v)) for name, v in values})
+
+    def to_theta(self) -> np.ndarray:
+        """Unconstrained encoding (softplus inverse); needs positive values."""
+        return np.concatenate([softplus_inv(p) for p in self.layers().values()])
+
+    @classmethod
+    def from_theta(cls, K, denoiser_kind, theta):
+        names = cls.layer_names(denoiser_kind)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (len(names) * (K + 1),):
+            raise ValueError(f"theta must have {len(names) * (K + 1)} entries")
+        layers = {name: softplus(t) for name, t in zip(names, theta.reshape(-1, K + 1))}
+        return cls(K=K, denoiser_kind=denoiser_kind, **layers)
+
+    def to_json_dict(self) -> dict:
+        layers = {name: value.tolist() for name, value in self.layers().items()}
+        return {"K": self.K, "denoiser_kind": self.denoiser_kind, **layers}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        names = [f.name for f in fields(cls)]
+        unknown = set(data) - set(names)
+        if unknown:
+            raise ConfigError(f"unknown parameter-file keys: {sorted(unknown)}")
+        missing = {"K", "denoiser_kind"} - set(data)
+        if missing:
+            raise ConfigError(f"parameter file missing keys: {sorted(missing)}")
+        try:
+            return cls(K=int(data["K"]), denoiser_kind=data["denoiser_kind"], **{n: data.get(n) for n in names[2:]})
+        except ValueError as exc:  # a missing, unused or invalid layer field, or an unknown kind
+            raise ConfigError(f"parameter file: {exc}") from exc
 
 
-def _on_frequencies(prob: RedProblem, v: np.ndarray, solve, a_red=(0.0,), a_den=(None,)):
-    """:func:`graphs.on_frequencies` for ``prob``, with the condition bound
-    ``(1 + max a_red) (1 + max alpha ||L||)`` of its layer parameters."""
-    alpha = max(prob.denoiser.alpha if a is None else a for a in a_den)
-    cond = (1.0 + max(a_red)) * (1.0 + alpha * prob.lap.norm_bound)
-    return on_frequencies(prob.lap, v, solve, prob.decomp, cond)
+def _layer_regs(kind, lam, rows, iters):
+    """Per-layer ``reg(v) = v - D(v)`` ops at frequencies ``lam``, where every denoiser is an elementwise gain.
+
+    ``rows[k]`` holds layer k's ``kind`` parameters.  Each distinct row gets
+    the kind's gains once, and one op object that equal rows share, which is
+    what lets :func:`red_cg_layers` stop early.
+    """
+    gains = KINDS[kind].gains
+    ops, regs = {}, []
+    for row in map(tuple, np.asarray(rows, dtype=float).tolist()):
+        if row not in ops:
+            ops[row] = lambda v, s=1.0 - gains(lam, row, iters): s * v
+        regs.append(ops[row])
+    return regs
+
+
+def _on_frequencies(lap, v, solve, decomp, a_red, a_den):
+    """:func:`graphs.on_frequencies` with the condition bound ``(1 + max a_red) (1 + max a_den ||L||)``
+    of the layer weights and denoiser strengths."""
+    return on_frequencies(lap, v, solve, decomp, (1.0 + max(a_red)) * (1.0 + max(a_den) * lap.norm_bound))
 
 
 def _reg(prob: RedProblem, x: np.ndarray) -> np.ndarray:
     """``x - D(x)`` in node space."""
     x = _check_signal(x, prob.lap.n_nodes)
-    return _on_frequencies(prob, x, lambda v, lam: (_layer_ops(prob.denoiser, lam)[0](v), None))[0]
+    reg = lambda v, lam: ((1.0 - denoiser_gains(prob.denoiser, lam)) * v, None)  # noqa: E731
+    return _on_frequencies(prob.lap, x, reg, prob.decomp, (0.0,), (prob.denoiser.alpha,))[0]
 
 
 def red_objective(prob: RedProblem, x: np.ndarray):
@@ -161,11 +266,11 @@ def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveR
     a = prob.alpha_red
 
     def descend(y, lam):
-        (reg,) = _layer_ops(prob.denoiser, lam)
+        shortfall = 1.0 - denoiser_gains(prob.denoiser, lam)
         x, gnorms, objs = np.zeros_like(y), [], []
         for k in range(iters + 1):
             x = x - step * grad if k else x
-            r = reg(x)
+            r = shortfall * x
             grad = x - y + a * r
             gnorms.append(np.linalg.norm(grad, axis=0))
             objs.append(0.5 * np.sum((x - y) ** 2, axis=0) + 0.5 * a * np.sum(x * r, axis=0))
@@ -175,18 +280,8 @@ def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveR
                 raise DivergenceError(f"objective exploded at iteration {k}; try a smaller step", iteration=k)
         return x, (gnorms, objs)
 
-    x, (gnorms, objs) = _on_frequencies(prob, prob.y, descend, (a,))
+    x, (gnorms, objs) = _on_frequencies(prob.lap, prob.y, descend, prob.decomp, (a,), (prob.denoiser.alpha,))
     return RedSolveReport(x=x, iterations=iters, gradient_norm_history=gnorms, objective_history=objs)
-
-
-def _layer_values(scalar, layers, K):
-    """Per-layer parameter sequence: layer values if given, else flat scalar."""
-    if layers is None:
-        return [scalar] * (K + 1)
-    layers = [float(v) for v in layers]
-    if len(layers) != K + 1:
-        raise ValueError(f"need {K + 1} layer values, got {len(layers)}")
-    return layers
 
 
 def _flat_from(regs, alpha_red, k) -> bool:
@@ -444,25 +539,38 @@ def red_cg_solve(
 
     Optional per-layer sequences (length K+1; index 0 covers the
     initialization lines, index k the k-th loop body) override the
-    problem's flat parameters and make the solver unrollable.
+    problem's flat parameters and make the solver unrollable.  The
+    denoiser's sequences are those its kind lists as ``layers``.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    a_red = _layer_values(prob.alpha_red, alpha_red_layers, K)
-    a_den = _layer_values(prob.denoiser.alpha, alpha_denoiser_layers, K)
-    if prob.denoiser.kind == "pnp":
-        rho = _layer_values(prob.denoiser.rho, pnp_rho_layers, K)
-    else:
-        if pnp_rho_layers is not None:
-            raise ValueError("pnp_rho_layers only applies to the pnp denoiser")
-        rho = [None] * (K + 1)
-    if any(v < 0 for v in a_red) or any(v < 0 for v in a_den):
-        raise ValueError("layer parameters must be nonnegative")
-    def cg(y, lam):
-        report = red_cg_layers(y, _layer_ops(prob.denoiser, lam, a_den, rho), a_red, objective=True)
+    den = prob.denoiser
+    flat = UnrolledParams.constant(K, den.kind, prob.alpha_red, *(getattr(den, f) for f in KINDS[den.kind].fields))
+    given = dict(
+        alpha_red_layers=alpha_red_layers, alpha_denoiser_layers=alpha_denoiser_layers, pnp_rho_layers=pnp_rho_layers
+    )
+    params = replace(flat, **{name: v for name, v in given.items() if v is not None})
+    return red_cg_unrolled(prob.lap, prob.y, params, den.iters, prob.decomp, objective=True)
+
+
+def red_cg_unrolled(
+    lap: Laplacian, y, params: UnrolledParams, iters=DEFAULT_PNP_ITERS, decomp=None, objective=False
+) -> RedSolveReport:
+    """The K layers of :func:`red_cg_layers` that ``params`` sets, on ``y``, returned in node space.
+
+    Layer k weighs the regularizer by ``alpha_red_layers[k]`` and runs the
+    denoiser with its layer fields' k-th values.  Runs on GFT coefficients
+    with ``decomp``, else on one Lanczos basis per column.
+    """
+    y = _check_signal(y, lap.n_nodes)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation must be finite")
+    a_red, *den_layers = params.layers().values()
+    rows = np.column_stack(den_layers)
+
+    def cg(z, lam):
+        report = red_cg_layers(z, _layer_regs(params.denoiser_kind, lam, rows, iters), a_red, objective=objective)
         return report.x, report
 
-    x, report = _on_frequencies(prob, prob.y, cg, a_red, a_den)
+    x, report = _on_frequencies(lap, y, cg, decomp, a_red, rows[:, 0])
     return replace(report, x=x)
 
 

@@ -23,147 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import DEFAULT_PNP_ITERS, Denoiser, gain_jacobian, gain_table
-from .exceptions import ConfigError, TrainingError
+from .denoisers import DEFAULT_PNP_ITERS, KINDS, gain_table
+from .exceptions import TrainingError
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
-from .red import RedProblem, candidate_mse, red_cg_layers, red_cg_solve
+from .red import UnrolledParams, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
 
 FD_STEP = 1e-6
 _N2N_STREAM = 3  # RNG stream tag for re-noising draws
-
-
-def softplus(theta):
-    return np.logaddexp(0.0, np.asarray(theta, dtype=float))
-
-
-def softplus_inv(alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError("softplus inverse needs strictly positive values")
-    return alpha + np.log1p(-np.exp(-alpha))
-
-
-def _layer_array(values, K, name) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (K + 1,):
-        raise ValueError(f"{name} must have length K+1 = {K + 1}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-@dataclass(frozen=True)
-class UnrolledParams:
-    """Per-layer solver parameters, indices 0..K.
-
-    Index 0 parameterizes the solver's initialization lines and indices
-    1..K the loop bodies; with the zero initial iterate the index-0 values
-    never influence the output, but they are kept so the layer count and
-    the serialized parameter count stay aligned with the unrolled depth
-    (2(K+1) values for the LR variant, 3(K+1) for PnP).
-
-    Alphas may be zero in the container; the training path goes through the
-    softplus encoding and therefore only ever produces strictly positive
-    values.
-    """
-
-    K: int
-    denoiser_kind: str
-    alpha_red_layers: np.ndarray
-    alpha_denoiser_layers: np.ndarray
-    pnp_rho_layers: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.denoiser_kind not in ("lr", "pnp"):
-            raise ValueError(f"unknown denoiser kind {self.denoiser_kind!r}")
-        a_red = _layer_array(self.alpha_red_layers, self.K, "alpha_red_layers")
-        a_den = _layer_array(self.alpha_denoiser_layers, self.K, "alpha_denoiser_layers")
-        if np.any(a_red < 0) or np.any(a_den < 0):
-            raise ValueError("alpha layers must be nonnegative")
-        object.__setattr__(self, "alpha_red_layers", a_red)
-        object.__setattr__(self, "alpha_denoiser_layers", a_den)
-        if self.denoiser_kind == "pnp":
-            if self.pnp_rho_layers is None:
-                raise ValueError("pnp variant needs pnp_rho_layers")
-            rho = _layer_array(self.pnp_rho_layers, self.K, "pnp_rho_layers")
-            if np.any(rho <= 0):
-                raise ValueError("pnp_rho_layers must be strictly positive")
-            object.__setattr__(self, "pnp_rho_layers", rho)
-        elif self.pnp_rho_layers is not None:
-            raise ValueError("pnp_rho_layers only applies to the pnp variant")
-
-    @property
-    def n_params(self) -> int:
-        per_layer = 3 if self.denoiser_kind == "pnp" else 2
-        return per_layer * (self.K + 1)
-
-    @classmethod
-    def constant(cls, K, denoiser_kind, alpha_red, alpha_denoiser, rho=None):
-        """All layers set to the same (flat) scalars."""
-        fill = lambda v: np.full(K + 1, float(v))
-        return cls(
-            K=K,
-            denoiser_kind=denoiser_kind,
-            alpha_red_layers=fill(alpha_red),
-            alpha_denoiser_layers=fill(alpha_denoiser),
-            pnp_rho_layers=fill(rho) if denoiser_kind == "pnp" else None,
-        )
-
-    def to_theta(self) -> np.ndarray:
-        """Unconstrained encoding (softplus inverse); needs positive values."""
-        parts = [self.alpha_red_layers, self.alpha_denoiser_layers]
-        if self.denoiser_kind == "pnp":
-            parts.append(self.pnp_rho_layers)
-        return np.concatenate([softplus_inv(p) for p in parts])
-
-    @classmethod
-    def from_theta(cls, K, denoiser_kind, theta):
-        theta = np.asarray(theta, dtype=float)
-        per_layer = 3 if denoiser_kind == "pnp" else 2
-        if theta.shape != (per_layer * (K + 1),):
-            raise ValueError(f"theta must have {per_layer * (K + 1)} entries")
-        n = K + 1
-        return cls(
-            K=K,
-            denoiser_kind=denoiser_kind,
-            alpha_red_layers=softplus(theta[:n]),
-            alpha_denoiser_layers=softplus(theta[n : 2 * n]),
-            pnp_rho_layers=softplus(theta[2 * n :]) if per_layer == 3 else None,
-        )
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "K": self.K,
-            "denoiser_kind": self.denoiser_kind,
-            "alpha_red_layers": self.alpha_red_layers.tolist(),
-            "alpha_denoiser_layers": self.alpha_denoiser_layers.tolist(),
-        }
-        if self.pnp_rho_layers is not None:
-            out["pnp_rho_layers"] = self.pnp_rho_layers.tolist()
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict):
-        allowed = {"K", "denoiser_kind", "alpha_red_layers", "alpha_denoiser_layers", "pnp_rho_layers"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown parameter-file keys: {sorted(unknown)}")
-        missing = {"K", "denoiser_kind", "alpha_red_layers", "alpha_denoiser_layers"} - set(data)
-        if missing:
-            raise ConfigError(f"parameter file missing keys: {sorted(missing)}")
-        return cls(
-            K=int(data["K"]),
-            denoiser_kind=data["denoiser_kind"],
-            alpha_red_layers=np.asarray(data["alpha_red_layers"], dtype=float),
-            alpha_denoiser_layers=np.asarray(data["alpha_denoiser_layers"], dtype=float),
-            pnp_rho_layers=(
-                np.asarray(data["pnp_rho_layers"], dtype=float)
-                if data.get("pnp_rho_layers") is not None
-                else None
-            ),
-        )
 
 
 def save_params(params: UnrolledParams, path) -> None:
@@ -226,27 +92,7 @@ def unrolled_forward(
     pnp_iters: int = DEFAULT_PNP_ITERS,
 ) -> np.ndarray:
     """K-layer solver pass with ``params``; the trained forward model."""
-    denoiser = Denoiser(
-        kind=params.denoiser_kind,
-        alpha=float(params.alpha_denoiser_layers[0]),
-        rho=float(params.pnp_rho_layers[0]) if params.denoiser_kind == "pnp" else None,
-        iters=pnp_iters,
-    )
-    prob = RedProblem(
-        y=y,
-        alpha_red=float(params.alpha_red_layers[0]),
-        denoiser=denoiser,
-        lap=lap,
-        decomp=decomp,
-    )
-    report = red_cg_solve(
-        prob,
-        params.K,
-        alpha_red_layers=params.alpha_red_layers,
-        alpha_denoiser_layers=params.alpha_denoiser_layers,
-        pnp_rho_layers=params.pnp_rho_layers,
-    )
-    return report.x
+    return red_cg_unrolled(lap, y, params, pnp_iters, decomp).x
 
 
 def mse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
@@ -432,7 +278,7 @@ def _exact_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS)
     n = K + 1
     decoded = softplus(theta).reshape(-1, n)  # alpha_red, then the denoiser's parameters
     a_red = decoded[0]
-    gains, jac = gain_jacobian(kind, decomp.eigenvalues, decoded[1:], pnp_iters)
+    gains, jac = KINDS[kind].jacobian(decomp.eigenvalues[None, :], decoded[1:, :, None], pnp_iters)
     short = 1.0 - gains
     m = 1.0 + a_red[:, None] * short
     regs = [lambda v, s=s[:, None]: s * v for s in short]

@@ -140,6 +140,16 @@ class TestTune:
         cfg = write_config(tmp_path / "tune.json", {"dataset": str(dataset_dir), "methods": ["tv"]})
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_methods_and_keys_from_the_registry_keep_the_config_names(self):
+        # Derived from denoisers.KINDS; these names are the config and tuned.json contract.
+        assert METHODS == ("lr", "pnp", "red_lr", "red_pnp")
+        assert METHOD_PARAM_KEYS == {
+            "lr": ("alpha_lr",),
+            "pnp": ("alpha_pnp", "rho"),
+            "red_lr": ("alpha_red", "alpha_lr"),
+            "red_pnp": ("alpha_red", "alpha_pnp", "rho"),
+        }
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_candidate_loop(self, dataset_dir, method, sigma):
@@ -376,6 +386,24 @@ class TestDenoise:
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "t4"), "--threads", "4"]) == 0
         assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t4")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"method": "red_lr", "sigma": 0.5, "alpha_red": 1.0, "alpha_lr": 1.0}],  # not an object
+            {"entries": [{"method": "red_lr", "alpha_red": 1.0, "alpha_lr": 1.0}]},  # no sigma
+            {"entries": [{"method": "red_lr", "sigma": 0.5, "alpha_red": 1.0}]},  # no alpha_lr
+        ],
+    )
+    def test_malformed_tuned_file_is_config_error(self, dataset_dir, tmp_path, capsys, payload):
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps(payload))
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "red_lr", "sigma": 0.5, "tuned": str(tuned)},
+        )
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert str(tuned) in capsys.readouterr().err
+
     def test_missing_params_is_config_error(self, dataset_dir, tmp_path):
         cfg = write_config(
             tmp_path / "den.json", {"dataset": str(dataset_dir), "method": "lr", "sigma": 0.5}
@@ -592,6 +620,26 @@ class TestTrain:
         resumed_first_loss = float((out2 / "loss_history.csv").read_text().strip().splitlines()[1].split(",")[1])
         full_third_loss = float((out3 / "loss_history.csv").read_text().strip().splitlines()[3].split(",")[1])
         assert abs(resumed_first_loss - full_third_loss) <= 1e-12 * max(1.0, abs(full_third_loss))
+
+    @pytest.mark.parametrize("denoiser, method", [("lr", "lr"), ("lr", "red_pnp"), ("pnp", "red_lr")])
+    def test_tuned_init_needs_the_denoisers_red_method(self, dataset_dir, tmp_path, capsys, denoiser, method):
+        # A plain method's entry has no alpha_red, and another kind's entry would
+        # seed the denoiser with that kind's parameters.
+        entry = {"sigma": 0.5, "alpha_red": 1.0, "alpha_lr": 1.0, "alpha_pnp": 1.0, "rho": 1.0, "train_rmse": 0.1}
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps({"entries": [{"method": m, **entry} for m in METHODS]}))
+        cfg = write_config(
+            tmp_path / "train.json",
+            {
+                "dataset": str(dataset_dir), "sigma": 0.5, "denoiser": denoiser, "K": 2, "epochs": 1,
+                "init": {"tuned": str(tuned), "method": method},
+            },
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"red_{denoiser}" in capsys.readouterr().err
+        payload = json.loads(open(cfg).read())
+        del payload["init"]["method"]  # the default is the denoiser's red method
+        assert main(["train", "--config", write_config(tmp_path / "ok.json", payload), "--out", str(tmp_path / "y")]) == 0
 
     def test_pnp_iters_reaches_training(self, dataset_dir, tmp_path):
         base = {

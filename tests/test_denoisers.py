@@ -1,8 +1,12 @@
+import os
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+import graphred
 from graphred import (
     ConvergenceError,
     Denoiser,
@@ -22,7 +26,7 @@ from graphred import (
     pnp_admm_denoise,
 )
 from graphred.datasets import generate_sensor_points
-from graphred.denoisers import gain_table, pnp_gains
+from graphred.denoisers import KINDS, gain_table, pnp_gains
 from graphred.graphs import Graph
 
 
@@ -335,3 +339,30 @@ class TestGainsAndDispatch:
         table = gain_table(kind, lam, iter(params), iters)
         for row, p in zip(table, params):
             assert np.array_equal(row, lr_gains(lam, p[0]) if kind == "lr" else pnp_gains(lam, *p, iters))
+        # The exact gradient's gains are the same rows.
+        gains, jac = KINDS[kind].jacobian(lam[None, :], np.array(params).T[:, :, None], iters)
+        assert np.array_equal(gains, table) and jac.shape == (len(params[0]),) + table.shape
+
+
+# A branch on a kind or method name: endswith("lr"), startswith("red_"), == "pnp", in ("lr", "pnp"), ...
+KIND_SWITCH = re.compile(
+    r"""\.endswith\(\s*["'](lr|pnp)["']|\.startswith\(\s*["']red_["']"""
+    r"""|[!=]=\s*["'](lr|pnp)["']|["'](lr|pnp)["']\s*[!=]="""
+    r"""|\bin\s*[(\[{]\s*["'](red_)?(lr|pnp)["']"""
+)
+
+
+def test_no_kind_switch_outside_the_registry():
+    """A denoiser kind is one ``denoisers.KINDS`` entry: no other module branches on its name.
+
+    The one exception is ``train``'s check that ``analytic_linear``, the
+    LR-only alias of the exact gradient, runs on an LR solver.
+    """
+    src = os.path.dirname(graphred.__file__)
+    found = []
+    for name in ("cli.py", "red.py", "unroll.py", "spectral.py"):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                if KIND_SWITCH.search(line) and "analytic_linear" not in line:
+                    found.append(f"{name}:{number}: {line.strip()}")
+    assert not found, "\n".join(found)

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,7 @@ from graphred import (
     unrolled_forward,
 )
 from graphred.datasets import add_noise, generate_bandlimited, generate_sensor_points
-from graphred.denoisers import gain_table
+from graphred.denoisers import KINDS, gain_table
 from graphred.graphs import gft
 from graphred.red import CONVERGED_TOL, candidate_mse, red_cg_layers
 from graphred.unroll import FD_STEP, _epoch_pairs, _exact_loss_grad, _fd_loss_grad, _spectral_pairs
@@ -48,10 +49,23 @@ def setup_training(seed=0, n=40, k=4, n_samples=3, sigma=0.5):
     return lap, dec, y, target
 
 
+def random_params(K, kind, seed=0, flat_from=None):
+    """Per-layer parameters of every field of ``kind``, drawn in (0.2, 3); layers ``flat_from`` on repeat one row."""
+    layers = {}
+    for name in UnrolledParams.layer_names(kind):
+        layers[name] = np.random.default_rng([seed, len(layers)]).uniform(0.2, 3.0, K + 1)
+        if flat_from is not None:
+            layers[name][flat_from:] = layers[name][flat_from]
+    return UnrolledParams(K=K, denoiser_kind=kind, **layers)
+
+
 class TestUnrolledParams:
     def test_parameter_counts_match_table(self):
         assert UnrolledParams.constant(10, "lr", 1.0, 1.0).n_params == 22
         assert UnrolledParams.constant(10, "pnp", 1.0, 1.0, 1.0).n_params == 33
+        for kind, spec in KINDS.items():
+            for K in (1, 4):
+                assert random_params(K, kind).n_params == (1 + len(spec.fields)) * (K + 1)
 
     def test_layer_lengths_validated(self):
         with pytest.raises(ValueError):
@@ -82,10 +96,17 @@ class TestUnrolledParams:
             )
 
     def test_theta_roundtrip(self):
-        p = UnrolledParams.constant(4, "pnp", 0.7, 2.0, 1.1)
-        q = UnrolledParams.from_theta(4, "pnp", p.to_theta())
-        assert np.allclose(q.alpha_red_layers, p.alpha_red_layers, rtol=1e-12)
-        assert np.allclose(q.pnp_rho_layers, p.pnp_rho_layers, rtol=1e-12)
+        for kind in KINDS:
+            p = random_params(4, kind)
+            theta = p.to_theta()
+            assert theta.shape == (p.n_params,)
+            q = UnrolledParams.from_theta(4, kind, theta)
+            # theta holds one block of K + 1 entries per used field, alpha_red first.
+            for name, block in zip(UnrolledParams.layer_names(kind), theta.reshape(-1, 5)):
+                assert np.array_equal(getattr(q, name), softplus(block))
+                assert np.allclose(getattr(q, name), getattr(p, name), rtol=1e-12)
+            unused = {"alpha_denoiser_layers", "pnp_rho_layers"} - set(UnrolledParams.layer_names(kind))
+            assert all(getattr(q, name) is None for name in unused)
 
     def test_decoded_alphas_always_positive(self):
         rng = np.random.default_rng(0)
@@ -101,13 +122,16 @@ class TestUnrolledParams:
             softplus_inv(0.0)
 
     def test_json_roundtrip_exact(self, tmp_path):
-        p = UnrolledParams.constant(10, "pnp", 0.3, 5.0, 2.0)
-        path = tmp_path / "params.json"
-        save_params(p, path)
-        q = load_params(path)
-        assert q.K == p.K and q.denoiser_kind == "pnp"
-        assert np.array_equal(q.alpha_red_layers, p.alpha_red_layers)
-        assert np.array_equal(q.pnp_rho_layers, p.pnp_rho_layers)
+        for kind in KINDS:
+            p = random_params(10, kind, seed=1)
+            path = tmp_path / f"params_{kind}.json"
+            save_params(p, path)
+            q = load_params(path)
+            assert q.K == p.K and q.denoiser_kind == kind
+            for name in ("alpha_red_layers", "alpha_denoiser_layers", "pnp_rho_layers"):
+                a, b = getattr(q, name), getattr(p, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert list(json.loads(path.read_text())) == ["K", "denoiser_kind", *UnrolledParams.layer_names(kind)]
 
     def test_unknown_json_key_rejected(self, tmp_path):
         path = tmp_path / "params.json"
@@ -132,6 +156,26 @@ class TestForward:
             y=y, alpha_red=1.3, denoiser=Denoiser(kind="pnp", alpha=2.1, rho=0.8), lap=lap, decomp=dec
         )
         assert np.array_equal(unrolled_forward(lap, y, params, decomp=dec), red_cg_solve(prob, 5).x)
+
+    @pytest.mark.parametrize("spectral", [True, False])
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("per_layer", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_red_cg_solve(self, kind, per_layer, columns, spectral):
+        # unrolled_forward runs the per-layer solve directly; red_cg_solve, given the
+        # same layers through its arguments, is its oracle, bit for bit.
+        lap, dec, y, _ = setup_training({"lr": 0, "pnp": 1}[kind], n_samples=columns or 1)
+        y = y if columns else y[:, 0]
+        K = 6
+        # Repeated layers share an op object, as red_cg_solve's flat layers do.
+        params = random_params(K, kind, seed=2, flat_from=3) if per_layer else UnrolledParams.constant(K, kind, 1.3, 2.1, 0.8)
+        den = Denoiser(kind=kind, alpha=2.1, rho=0.8)
+        prob = RedProblem(y=y, alpha_red=1.3, denoiser=den, lap=lap, decomp=dec if spectral else None)
+        # red_cg_solve's per-layer arguments are named as the UnrolledParams fields.
+        expected = red_cg_solve(prob, K, **(params.layers() if per_layer else {})).x
+        out = unrolled_forward(lap, y, params, decomp=dec if spectral else None)
+        assert out.shape == y.shape
+        assert np.array_equal(out, expected)
 
     def test_zero_alpha_red_layers_return_observation(self):
         lap, dec, y, _ = setup_training(2)
