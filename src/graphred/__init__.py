@@ -5,50 +5,62 @@ signals on them with Laplacian regularization or plug-and-play ADMM, wraps
 either denoiser in a RED conjugate-gradient solver, unrolls that solver into
 a trainable network with per-layer parameters, and analyzes everything as
 spectral filters on the graph frequencies.
+
+Public names and submodules are imported on first use (PEP 562), so a
+process loads only the modules it runs.
 """
 
-from .construct import knn_graph, normalize_weights
-from .datasets import (
-    Dataset, DatasetRecord, SyntheticSpec, add_noise, fps, generate_bandlimited, generate_pointcloud_dataset,
-    generate_sensor_points, generate_synthetic_dataset, load_dataset, load_point_cloud, save_dataset, save_point_cloud,
-)
-from .denoisers import (
-    Denoiser, apply_denoiser, denoiser_gains, lr_denoise, lr_denoise_cg, lr_gains, lr_smoother, pnp_admm_denoise,
-    pnp_gains,
-)
-from .exceptions import (
-    ConfigError, ConvergenceError, DegenerateDistanceError, DivergenceError, GraphRedError, GraphTooLargeError,
-    InvalidGraphError, NoEdgesError, NumericalError, ParseError, StagnationError, TrainingError,
-)
-from .graphs import (
-    Graph, Laplacian, SpectralDecomp, build_laplacian, eigendecompose, gft, igft, load_edge_list, quadratic_form,
-    save_edge_list,
-)
-from .red import (
-    RedProblem, RedSolveReport, UnrolledParams, check_homogeneity, check_passivity, red_cg_layers, red_cg_solve,
-    red_gradient, red_gradient_descent, red_objective, softplus, softplus_inv,
-)
-from .spectral import (
-    FilterResponse, ResponseComparison, compare_responses, h_lr, h_red, red_filter_matrix, write_response_csv,
-)
-from .unroll import (
-    AdamState, TrainConfig, TrainSample, adam_step, load_params, make_n2n_pair, mse, rmse, save_loss_history,
-    save_params, train, unrolled_forward,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState", "ConfigError", "ConvergenceError", "Dataset", "DatasetRecord", "DegenerateDistanceError", "Denoiser",
-    "DivergenceError", "FilterResponse", "Graph", "GraphRedError", "GraphTooLargeError", "InvalidGraphError",
-    "Laplacian", "NoEdgesError", "NumericalError", "ParseError", "RedProblem", "RedSolveReport", "ResponseComparison",
-    "SpectralDecomp", "StagnationError", "SyntheticSpec", "TrainConfig", "TrainSample", "TrainingError",
-    "UnrolledParams", "adam_step", "add_noise", "apply_denoiser", "build_laplacian", "check_homogeneity",
-    "check_passivity", "compare_responses", "denoiser_gains", "eigendecompose", "fps", "generate_bandlimited",
-    "generate_pointcloud_dataset", "generate_sensor_points", "generate_synthetic_dataset", "gft", "h_lr", "h_red",
-    "igft", "knn_graph", "load_dataset", "load_edge_list", "load_params", "load_point_cloud", "lr_denoise",
-    "lr_denoise_cg", "lr_gains", "lr_smoother", "make_n2n_pair", "mse", "normalize_weights", "pnp_admm_denoise",
-    "pnp_gains", "quadratic_form", "red_cg_layers", "red_cg_solve", "red_filter_matrix", "red_gradient",
-    "red_gradient_descent", "red_objective", "rmse", "save_dataset", "save_edge_list", "save_loss_history",
-    "save_params", "save_point_cloud", "softplus", "softplus_inv", "train", "unrolled_forward",
-]
+# The module that defines each public name.
+_EXPORTS = {
+    "construct": ("knn_graph", "normalize_weights"),
+    "datasets": (
+        "Dataset", "DatasetRecord", "SyntheticSpec", "add_noise", "fps", "generate_bandlimited",
+        "generate_pointcloud_dataset", "generate_sensor_points", "generate_synthetic_dataset", "load_dataset",
+        "load_point_cloud", "save_dataset", "save_point_cloud",
+    ),
+    "denoisers": (
+        "Denoiser", "apply_denoiser", "denoiser_gains", "lr_denoise", "lr_denoise_cg", "lr_gains", "lr_smoother",
+        "pnp_admm_denoise", "pnp_gains",
+    ),
+    "exceptions": (
+        "ConfigError", "ConvergenceError", "DegenerateDistanceError", "DivergenceError", "GraphRedError",
+        "GraphTooLargeError", "InvalidGraphError", "NoEdgesError", "NumericalError", "ParseError", "StagnationError",
+        "TrainingError",
+    ),
+    "graphs": (
+        "Graph", "Laplacian", "SpectralDecomp", "build_laplacian", "eigendecompose", "gft", "igft", "load_edge_list",
+        "mse", "quadratic_form", "rmse", "save_edge_list",
+    ),
+    "red": (
+        "RedProblem", "RedSolveReport", "UnrolledParams", "check_homogeneity", "check_passivity", "red_cg_layers",
+        "red_cg_solve", "red_gradient", "red_gradient_descent", "red_objective", "softplus", "softplus_inv",
+    ),
+    "spectral": (
+        "FilterResponse", "ResponseComparison", "compare_responses", "h_lr", "h_red", "red_filter_matrix",
+        "write_response_csv",
+    ),
+    "unroll": (
+        "AdamState", "TrainConfig", "TrainSample", "adam_step", "load_params", "make_n2n_pair", "save_loss_history",
+        "save_params", "train", "unrolled_forward",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+# write_response_csv can be imported from here but is not part of the star-import set.
+__all__ = sorted(set(_HOME) - {"write_response_csv"})
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

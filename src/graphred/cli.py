@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from importlib import import_module
 
 import numpy as np
 
@@ -29,23 +29,44 @@ from .exceptions import (
     ParseError,
     TrainingError,
 )
-from .graphs import build_laplacian, eigendecompose, gft
-from .red import (
-    RedProblem, candidate_mse, check_homogeneity, check_passivity, krylov_screen_mse, red_cg_layers, red_cg_solve,
-)
-from .spectral import ResponseComparison, compare_responses, h_lr, h_red, write_response_csv
-from .unroll import (
-    TrainConfig,
-    TrainSample,
-    UnrolledParams,
-    load_params,
-    rmse,
-    save_loss_history,
-    save_params,
-    train,
-    unrolled_forward,
-)
+from .graphs import build_laplacian, eigendecompose, gft, rmse
 from . import datasets as ds
+
+# Names from the modules that only some commands run.  Each command binds
+# the names it uses when it starts (see _bind), so a process imports only
+# what its command needs.
+_DEFERRED = {
+    "red": (
+        "RedProblem", "UnrolledParams", "candidate_mse", "check_homogeneity", "check_passivity", "krylov_screen_mse",
+        "red_cg_layers", "red_cg_solve",
+    ),
+    "spectral": ("ResponseComparison", "compare_responses", "h_lr", "h_red", "write_response_csv"),
+    "unroll": (
+        "TrainConfig", "TrainSample", "load_params", "save_loss_history", "save_params", "train", "unrolled_forward",
+    ),
+}
+
+
+def _bind(*modules) -> None:
+    """Import ``modules`` and bind the names this module takes from them.
+
+    A name bound already (by an earlier call, or replaced from outside, as a
+    test's patch does) is kept.
+    """
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    """A deferred name read from outside before any command bound it (PEP 562)."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # A method applies a registered denoiser kind, alone or plugged into RED as "red_<kind>": (kind, red).
 _METHOD_KINDS = {**{kind: (kind, False) for kind in KINDS}, **{f"red_{kind}": (kind, True) for kind in KINDS}}
@@ -139,6 +160,7 @@ def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pn
     denoiser = method_denoiser(method, params, pnp_iters)
     if not _method_kind(method)[1]:
         return apply_denoiser(denoiser, lap, y, decomp=decomp)
+    _bind("red")
     return red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap, decomp), cg_layers).x
 
 
@@ -197,6 +219,7 @@ def tune_method(
     keyed by eigenvalues and grid, between them.  A grid bound that is zero,
     negative or NaN raises :class:`ConfigError`.
     """
+    _bind("red")
     kind, red = _method_kind(method)
     if grid_points < 1:
         raise ConfigError("grid_points must be >= 1")
@@ -377,6 +400,10 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     if not records:
         raise ConfigError(f"denoise: split {split!r} is empty")
     params = _resolve_denoise_params(cfg, method, sigma)
+    if method == "unrolled":
+        _bind("unroll")
+    elif red:
+        _bind("red")
     uparams = load_params(cfg["unrolled_params"]) if method == "unrolled" else None
     cg_layers = int(cfg.get("cg_layers", DEFAULT_CG_LAYERS))
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
@@ -399,6 +426,8 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             report = red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap), cg_layers)
             return report.x, report
         return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         results = list(pool.map(run_one, records))
@@ -446,6 +475,7 @@ def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
 
 
 def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
+    _bind("red", "unroll")
     allowed = {
         "dataset", "split", "sigma", "mode", "denoiser", "K", "epochs",
         "learning_rate", "seed", "gradient_method", "init", "start_epoch",
@@ -507,6 +537,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
+    _bind("red")
     kind_keys = {k for spec in KINDS.values() for k in spec.keys}
     allowed = {"datasets", "methods", "pnp_iters", "n_signals", "c", "seed", *kind_keys}
     _check_keys(cfg, allowed, {"datasets"}, "check config")
@@ -557,6 +588,7 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
+    _bind("spectral")
     allowed = {"dataset", "alpha_red", "alpha_lr", "tuned", "sigma", "lambda_max", "n_points"}
     _check_keys(cfg, allowed, set(), "spectrum config")
     if "tuned" in cfg:

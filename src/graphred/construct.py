@@ -24,15 +24,17 @@ GRID_AXES = 3
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the points of ``a`` and ``b`` (coordinates
-    on the last axis), broadcast over the other axes.
+    """Euclidean distances between the points of ``a`` and ``b`` (at least one
+    coordinate, on the last axis), broadcast over the other axes.
 
-    Squares are summed in place one coordinate at a time, as numpy sums a
-    short last axis, so the bits match ``sqrt(sum(diff**2, axis=-1))`` below
-    8 coordinates; from 8 on numpy sums pairwise and they may differ.
+    Squares are summed in place one coordinate at a time, from the first
+    one's, as numpy sums a short last axis, so the bits match
+    ``sqrt(sum(diff**2, axis=-1))`` below 8 coordinates; from 8 on numpy
+    sums pairwise and they may differ.
     """
-    sq = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
-    for c in range(a.shape[-1]):
+    diff = a[..., 0] - b[..., 0]
+    sq = np.multiply(diff, diff, out=diff)
+    for c in range(1, a.shape[-1]):
         diff = a[..., c] - b[..., c]
         sq += np.multiply(diff, diff, out=diff)
     return np.sqrt(sq, out=sq)
@@ -195,8 +197,8 @@ def knn_graph(
     which path a row took.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise InvalidGraphError(f"points must be a 2-d array, got shape {points.shape}")
+    if points.ndim != 2 or not points.shape[1]:
+        raise InvalidGraphError(f"points must be a 2-d array with coordinates, got shape {points.shape}")
     n = points.shape[0]
     if n < 2:
         raise InvalidGraphError("need at least 2 points")

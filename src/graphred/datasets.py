@@ -14,16 +14,20 @@ which round-trips float64 exactly.
 
 from __future__ import annotations
 
-import io
+import bisect
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import _pairwise_distances, knn_graph, normalize_weights
-from .exceptions import ConfigError, NumericalError, ParseError
-from .graphs import Graph, SpectralDecomp, build_laplacian, edge_list_text, eigendecompose, load_edge_list
+from .construct import _distances, knn_graph, normalize_weights
+from .exceptions import ConfigError, InvalidGraphError, NumericalError, ParseError
+from .graphs import (
+    Graph, SpectralDecomp, _uncommented_lines, build_laplacian, edge_list_text, eigendecompose, load_edge_list,
+)
 
 MANIFEST_SCHEMA = "graphred-dataset-v1"
 
@@ -70,26 +74,50 @@ def add_noise(x: np.ndarray, sigma: float, seed) -> np.ndarray:
 
 
 def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
-    """Farthest point sampling: greedy max-min subset of m points.
+    """Farthest point sampling (Eldar et al. 1997): greedy max-min subset of m points.
 
     Starting from index ``start``, repeatedly adds the point farthest from
     the already-selected set (ties go to the lower index).  Distances come
-    from :func:`construct._pairwise_distances`, which has the bits of
+    from :func:`construct._distances`, which has the bits of
     ``np.linalg.norm(points - p, axis=1)`` below 8 coordinates; from 8 on
     they may differ in the last bits, and so may the picks.
+
+    A pick at running-minimum distance ``r`` (the largest) updates only a
+    slab of the points, kept sorted along their widest coordinate: a point
+    whose computed gap ``g`` to the pick along it has ``sqrt(g * g) >= r``
+    keeps its minimum, since its computed distance is at least that (the
+    argument of :func:`construct._grid_neighbours`).  Points without
+    coordinates, and non-finite ones, raise :class:`InvalidGraphError`.
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or not points.shape[1]:
+        raise InvalidGraphError(f"points must be a 2-d array with coordinates, got shape {points.shape}")
     n = points.shape[0]
     if not (1 <= m <= n):
         raise ValueError(f"m must be in [1, {n}], got {m}")
     if not (0 <= start < n):
         raise ValueError(f"start must be in [0, {n - 1}]")
+    if not np.all(np.isfinite(points)):
+        raise InvalidGraphError("points must be finite")
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    order = np.argsort(points[:, axis], kind="stable")
+    rank = np.argsort(order)
+    slab = np.asfortranarray(points[order])  # one contiguous run per coordinate
+    xs = slab[:, axis].tolist()
     selected = [start]
-    min_dist = _pairwise_distances(points[start : start + 1], points)[0]
+    min_dist = _distances(points[start], points)
     for _ in range(m - 1):
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
-        np.minimum(min_dist, _pairwise_distances(points[nxt : nxt + 1], points)[0], out=min_dist)
+        r, x = float(min_dist[nxt]), xs[rank[nxt]]
+        lo, hi = bisect.bisect_left(xs, x - r), bisect.bisect_right(xs, x + r)
+        # Widen past the rounding of x -+ r; the computed gap only grows away from x.
+        while lo > 0 and math.sqrt((x - xs[lo - 1]) * (x - xs[lo - 1])) < r:
+            lo = bisect.bisect_left(xs, xs[lo - 1])
+        while hi < n and math.sqrt((x - xs[hi]) * (x - xs[hi])) < r:
+            hi = bisect.bisect_right(xs, xs[hi])
+        near = order[lo:hi]
+        min_dist[near] = np.minimum(min_dist[near], _distances(slab[rank[nxt]], slab[lo:hi]))
     return points[np.array(selected)]
 
 
@@ -98,25 +126,38 @@ def save_point_cloud(points: np.ndarray, path) -> None:
 
 
 def _load_csv_points(path) -> np.ndarray:
+    """Points of a CSV file, one per line (blank and ``#`` lines skipped).
+
+    The data lines are parsed at once (numpy calls ``float`` on each
+    field); only a file that breaks a rule is read again line by line, to
+    raise :class:`ParseError` at the first line that does.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    rows = list(filter(None, map(str.strip, _uncommented_lines(text))))
+    if len(set(map(str.count, rows, itertools.repeat(",")))) == 1:
+        try:
+            return np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
+        except ValueError:
+            pass
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=str(path), line=line_no) from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    f"expected {width} columns, got {len(row)}", path=str(path), line=line_no
-                )
-            rows.append(row)
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(path), line=line_no) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(
+                f"expected {width} columns, got {len(row)}", path=str(path), line=line_no
+            )
+        rows.append(row)
     if not rows:
         raise ParseError("no points found", path=str(path), line=0)
     return np.array(rows)
@@ -322,9 +363,10 @@ def _sigma_name(sigma: float) -> str:
 
 
 def _signal_text(signal) -> str:
-    buf = io.StringIO()
-    np.savetxt(buf, np.asarray(signal, dtype=float), fmt="%.17g", delimiter=",")
-    return buf.getvalue()
+    """A ``(N,)`` or ``(N, S)`` signal as ``np.savetxt(fmt="%.17g", delimiter=",")`` writes it, in one ``%``."""
+    values = np.asarray(signal, dtype=float)
+    row = ",".join(["%.17g"] * (values.shape[1] if values.ndim == 2 else 1)) + "\n"
+    return (row * len(values)) % tuple(values.ravel().tolist())
 
 
 def _write_text(path, text: str) -> None:

@@ -15,6 +15,7 @@ pure function, so shared instances are safe to use from multiple threads.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ KRYLOV_STRIDE = 8
 KRYLOV_TOL = 1e-12
 KRYLOV_ROUNDING = 1e-14
 MAX_KRYLOV_STEPS = 512
+# A line whose first non-blank character is "#" (re's \s is str.split's whitespace on ASCII text).
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*$", re.MULTILINE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,15 +391,55 @@ def quadratic_form(lap: Laplacian, x: np.ndarray):
     return np.sum(x * lap.matvec(x), axis=0)
 
 
+def mse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
+    x_hat = np.asarray(x_hat, dtype=float)
+    x_star = np.asarray(x_star, dtype=float)
+    if x_hat.shape != x_star.shape:
+        raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_star.shape}")
+    return float(np.mean((x_hat - x_star) ** 2))
+
+
+def rmse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
+    return float(np.sqrt(mse(x_hat, x_star)))
+
+
 def edge_list_text(graph: Graph) -> str:
-    """The graph as text lines ``i j w`` (0-based, each edge once), as :func:`save_edge_list` writes it."""
-    return "".join(f"{i} {j} {w:.17g}\n" for i, j, w in graph.edges())
+    """The graph as text lines ``i j w`` (0-based, each edge once), as :func:`save_edge_list` writes it.
+
+    One ``%`` operation formats every edge; ``%.17g`` round-trips float64.
+    """
+    return ("%d %d %.17g\n" * graph.n_edges) % tuple(itertools.chain.from_iterable(graph.edges()))
 
 
 def save_edge_list(graph: Graph, path) -> None:
     """Write the graph as text lines ``i j w`` (0-based, each edge once)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(edge_list_text(graph))
+
+
+def _uncommented_lines(text: str) -> list:
+    """The lines of ``text``, each comment line (first non-blank character ``#``) made blank."""
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    return text.split("\n")
+
+
+def _parse_edges(text: str):
+    """``(i, j, w)`` arrays of an edge-list text, or ``None`` unless every data line is three fields that parse.
+
+    All lines are split at once and each column is converted by numpy,
+    which parses a string field with ``int`` or ``float``.
+    """
+    rows = list(map(str.split, _uncommented_lines(text)))
+    if not set(map(len, rows)) <= {0, 3}:
+        return None
+    cols = list(zip(*filter(None, rows)))
+    if not cols:
+        return None
+    try:
+        return tuple(np.array(col, dtype=dtype) for col, dtype in zip(cols, (np.intp, np.intp, float)))
+    except (ValueError, OverflowError):
+        return None
 
 
 def load_edge_list(path, n_nodes: int | None = None) -> Graph:
@@ -406,25 +449,34 @@ def load_edge_list(path, n_nodes: int | None = None) -> Graph:
     explicitly if trailing nodes are isolated.  A pair's last line sets its
     weight, and a zero weight leaves it out.  Malformed lines, self loops and
     indices outside ``[0, n_nodes)`` raise :class:`InvalidGraphError` at ``path:line``.
+    The whole text is parsed at once; only a file that breaks a rule is
+    read again line by line, to find the first line that does.
     """
-    entries = []
     with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidGraphError(f"{path}:{line_no}: expected 'i j w', got {line!r}")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise InvalidGraphError(f"{path}:{line_no}: {exc}") from exc
-            if i == j:
-                raise InvalidGraphError(f"{path}:{line_no}: self loops are not allowed")
-            if min(i, j) < 0 or (n_nodes is not None and max(i, j) >= n_nodes):
-                raise InvalidGraphError(f"{path}:{line_no}: node index out of range in {line!r}")
-            entries.append((i, j, w))
+        text = fh.read()
+    parsed = _parse_edges(text)
+    if parsed is not None:
+        i, j, w = parsed
+        top = max(i.max(), j.max())
+        if not np.any(i == j) and min(i.min(), j.min()) >= 0 and (n_nodes is None or top < n_nodes):
+            return Graph.from_edges(i, j, w, int(top) + 1 if n_nodes is None else n_nodes)
+    entries = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise InvalidGraphError(f"{path}:{line_no}: expected 'i j w', got {line!r}")
+        try:
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise InvalidGraphError(f"{path}:{line_no}: {exc}") from exc
+        if i == j:
+            raise InvalidGraphError(f"{path}:{line_no}: self loops are not allowed")
+        if min(i, j) < 0 or (n_nodes is not None and max(i, j) >= n_nodes):
+            raise InvalidGraphError(f"{path}:{line_no}: node index out of range in {line!r}")
+        entries.append((i, j, w))
     if not entries:
         raise InvalidGraphError(f"{path}: no edges found")
     i, j, w = zip(*entries)

@@ -202,8 +202,10 @@ class UnrolledParams:
         missing = {"K", "denoiser_kind"} - set(data)
         if missing:
             raise ConfigError(f"parameter file missing keys: {sorted(missing)}")
+        if not isinstance(data["K"], int) or isinstance(data["K"], bool):
+            raise ConfigError(f"parameter file: K must be an integer, got {data['K']!r}")
         try:
-            return cls(K=int(data["K"]), denoiser_kind=data["denoiser_kind"], **{n: data.get(n) for n in names[2:]})
+            return cls(K=data["K"], denoiser_kind=data["denoiser_kind"], **{n: data.get(n) for n in names[2:]})
         except ValueError as exc:  # a missing, unused or invalid layer field, or an unknown kind
             raise ConfigError(f"parameter file: {exc}") from exc
 

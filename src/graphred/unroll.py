@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import DEFAULT_PNP_ITERS, KINDS, gain_table
-from .exceptions import TrainingError
+from .exceptions import ConfigError, TrainingError
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
+from .graphs import mse, rmse  # noqa: F401  (part of this module's API)
 from .red import UnrolledParams, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
 
 FD_STEP = 1e-6
@@ -39,8 +40,13 @@ def save_params(params: UnrolledParams, path) -> None:
 
 
 def load_params(path) -> UnrolledParams:
+    """Parameters saved by :func:`save_params`; a bad file raises :class:`ConfigError` naming it."""
     with open(path, "r", encoding="ascii") as fh:
-        return UnrolledParams.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return UnrolledParams.from_json_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_loss_history(history, path) -> None:
@@ -93,18 +99,6 @@ def unrolled_forward(
 ) -> np.ndarray:
     """K-layer solver pass with ``params``; the trained forward model."""
     return red_cg_unrolled(lap, y, params, pnp_iters, decomp).x
-
-
-def mse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
-    x_hat = np.asarray(x_hat, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if x_hat.shape != x_star.shape:
-        raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_star.shape}")
-    return float(np.mean((x_hat - x_star) ** 2))
-
-
-def rmse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
-    return float(np.sqrt(mse(x_hat, x_star)))
 
 
 def make_n2n_pair(y: np.ndarray, sigma_range, rng: np.random.Generator):
@@ -332,11 +326,13 @@ def train(
     Returns the final parameters and the per-epoch loss history; each entry
     is the loss at the parameters *before* that epoch's update, so a run
     resumed from serialized parameters reproduces the next epoch's loss.
-    ``pnp_iters`` is the ADMM iteration count of a PnP denoiser.  Raises
+    ``pnp_iters`` is the ADMM iteration count of a PnP denoiser, at least 1.  Raises
     :class:`TrainingError` when the loss stops being finite.
     """
     if not samples:
         raise ValueError("training needs at least one sample")
+    if KINDS[init.denoiser_kind].iterative and pnp_iters < 1:
+        raise ValueError(f"{init.denoiser_kind} denoiser needs iters >= 1")
     if decomp is None:
         decomp = eigendecompose(lap)
     if config.gradient_method == "analytic_linear" and init.denoiser_kind != "lr":

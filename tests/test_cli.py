@@ -104,6 +104,22 @@ class TestGenerate:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_point_is_input_error_before_sampling(self, tmp_path, capsys, bad):
+        points = np.random.default_rng(0).uniform(0.0, 1.0, size=(30, 3)).tolist()
+        lines = [",".join(map(repr, p)) for p in points]
+        lines[7] = f"0.5,{bad},0.5"
+        (tmp_path / "cloud.csv").write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path / "gen.json",
+            {"kind": "pointcloud", "source": str(tmp_path / "cloud.csv"), "m": 20, "k": 4, "sigmas": [0.1],
+             "n_train": 1, "n_test": 1},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert "points must be finite" in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
 
 class TestTune:
     def test_schema_and_determinism(self, dataset_dir, tmp_path):
@@ -667,6 +683,31 @@ class TestTrain:
         _, history = train([sample], TrainConfig(epochs=2), init, lap, decomp=eigendecompose(lap), pnp_iters=3)
         save_loss_history(history, tmp_path / "direct.csv")
         assert (tmp_path / "direct.csv").read_bytes() == histories["three"]
+
+    @pytest.mark.parametrize("gradient_method", ["exact", "finite_difference"])
+    def test_zero_pnp_iters_rejected_before_training(self, dataset_dir, tmp_path, capsys, gradient_method):
+        cfg = write_config(
+            tmp_path / "train.json",
+            {"dataset": str(dataset_dir), "sigma": 0.5, "denoiser": "pnp", "K": 3, "epochs": 2, "pnp_iters": 0,
+             "gradient_method": gradient_method},
+        )
+        out = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert "iters >= 1" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("K", [2.7, "3", True, 3.0])
+    def test_non_integer_K_in_params_file_is_config_error(self, dataset_dir, tmp_path, capsys, K):
+        path = tmp_path / "params.json"
+        save_params(UnrolledParams.constant(3, "lr", 1.0, 1.0), path)
+        path.write_text(path.read_text().replace('"K": 3', f'"K": {json.dumps(K)}', 1))
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "unrolled", "sigma": 0.5, "unrolled_params": str(path)},
+        )
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "K must be an integer" in err
 
     def test_unrolled_denoise_consumes_trained_params(self, dataset_dir, tmp_path):
         train_cfg = write_config(

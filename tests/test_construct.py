@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import graphred.construct
 from graphred import (
     DegenerateDistanceError,
+    InvalidGraphError,
     NoEdgesError,
     knn_graph,
     normalize_weights,
@@ -91,6 +92,11 @@ class TestKnnGraph:
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DegenerateDistanceError):
             knn_graph(pts, 1)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (200, 0), (5,)])
+    def test_points_without_coordinates_rejected(self, shape):
+        with pytest.raises(InvalidGraphError, match="2-d array with coordinates"):
+            knn_graph(np.zeros(shape), 1)
 
     def test_k_out_of_range(self):
         pts = generate_sensor_points(5, seed=0)

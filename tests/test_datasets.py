@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphred.datasets
+
 from graphred import (
     ConfigError,
+    InvalidGraphError,
     ParseError,
     SyntheticSpec,
     add_noise,
@@ -27,6 +31,8 @@ from graphred import (
     save_edge_list,
     save_point_cloud,
 )
+from graphred.construct import _pairwise_distances
+from graphred.datasets import _load_csv_points, _signal_text
 
 TORUS = "data/torus.off"
 
@@ -167,6 +173,60 @@ class TestFps:
         got = fps(points, m, start=start)
         assert got.tobytes() == self.norm_loop_oracle(points, m, start).tobytes()
 
+    @staticmethod
+    def dense_loop_oracle(points, m, start):
+        """Farthest point sampling with a full pass of the distance kernel over every point per step."""
+        selected = [start]
+        min_dist = _pairwise_distances(points[start : start + 1], points)[0]
+        for _ in range(m - 1):
+            nxt = int(np.argmax(min_dist))
+            selected.append(nxt)
+            np.minimum(min_dist, _pairwise_distances(points[nxt : nxt + 1], points)[0], out=min_dist)
+        return points[np.array(selected)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        n=st.integers(1, 40),
+        layout=st.sampled_from(["normal", "grid", "tied_x", "duplicates"]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slab_matches_dense_loop_from_every_start(self, d, n, layout, scale, data, seed):
+        rng = np.random.default_rng(seed)
+        points = scale * rng.standard_normal((n, d))
+        if layout == "grid":  # ties at the running maximum in most steps
+            points = rng.integers(0, 4, size=(n, d)).astype(float)
+        elif layout == "tied_x":  # a few x values, x still the widest coordinate
+            points[:, 0] = 10.0 * scale * rng.integers(0, 3, n)
+        elif layout == "duplicates":
+            points = points[rng.integers(0, max(1, n // 3), n)]
+        m = data.draw(st.integers(1, n))
+        for start in range(n):
+            assert fps(points, m, start=start).tobytes() == self.dense_loop_oracle(points, m, start).tobytes()
+
+    def test_slab_computes_few_distances(self, monkeypatch):
+        entries = []
+        kernel = graphred.datasets._distances
+        monkeypatch.setattr(graphred.datasets, "_distances", lambda a, b: entries.append(len(b)) or kernel(a, b))
+        points = load_point_cloud(TORUS)
+        got = fps(points, 256)
+        assert got.tobytes() == self.dense_loop_oracle(points, 256, 0).tobytes()
+        # The first pick's pass covers every point; later picks a slab each.
+        assert entries[0] == len(points) and sum(entries) < 0.25 * 256 * len(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = generate_sensor_points(10, seed=9)
+        pts[4, 1] = bad
+        with pytest.raises(InvalidGraphError, match="points must be finite"):
+            fps(pts, 5)
+
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(InvalidGraphError, match="2-d array with coordinates"):
+            fps(np.zeros((5, 0)), 2)
+
     def test_m_validated(self):
         pts = generate_sensor_points(5, seed=9)
         with pytest.raises(ValueError):
@@ -220,6 +280,93 @@ class TestPointCloudIO:
         assert load_point_cloud(path, format="csv").shape == (2, 2)
         with pytest.raises(ValueError):
             load_point_cloud(path, format="ply")
+
+
+def line_loop_csv_points(path):
+    """The line-by-line CSV reader that the one-pass parse must agree with."""
+    rows = []
+    width = None
+    with open(path, "r", encoding="ascii") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ParseError(f"bad number: {exc}", path=str(path), line=line_no) from exc
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(f"expected {width} columns, got {len(row)}", path=str(path), line=line_no)
+            rows.append(row)
+    if not rows:
+        raise ParseError("no points found", path=str(path), line=0)
+    return np.array(rows)
+
+
+# Fields as they appear in hand-written files, and the whitespace str.strip removes.
+CSV_FIELDS = ["0.5", "-1", "1e-3", "+2.5", ".25", "5.", "1_0", "-0.0", "5e-324", "1e308", "inf", "nan", "3"]
+SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "  \t"]
+CSV_FAULTS = ["wide", "narrow", "word", "empty_field", "trailing_comma"]
+
+
+class TestPointCloudParse:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        n_lines=st.integers(0, 25),
+        fault=st.sampled_from([None, None, *CSV_FAULTS]),
+        final_newline=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_pass_parse_matches_line_loop(self, tmp_path_factory, width, n_lines, fault, final_newline, data):
+        pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+        lines = []
+        for _ in range(n_lines):
+            kind = pick(["row", "row", "row", "comment", "blank"])
+            if kind == "row":
+                fields = [pick(SPACES) + pick(CSV_FIELDS) + pick(SPACES) for _ in range(width)]
+                lines.append(",".join(fields))
+            elif kind == "comment":
+                lines.append(pick(SPACES) + "#" + pick(["", " 1,2,3", "#"]))
+            else:
+                lines.append(pick(SPACES))
+        if fault:
+            bad = {
+                "wide": ",".join(["1"] * (width + 1)), "narrow": ",".join(["1"] * max(1, width - 1)),
+                "word": "oops", "empty_field": ",".join(["1"] * (width - 1) + [" "]), "trailing_comma": "1,",
+            }[fault]
+            lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        path = tmp_path_factory.mktemp("csv") / "cloud.csv"
+        path.write_text("\n".join(lines) + "\n" * final_newline)
+
+        def outcome(read):
+            try:
+                return "points", read(path).tobytes(), read(path).shape
+            except ParseError as exc:
+                return "error", str(exc), exc.line
+
+        assert outcome(_load_csv_points) == outcome(line_loop_csv_points)
+
+
+class TestSignalText:
+    VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3,
+              -7.0, 123456789.0, 1e-7, np.inf, -np.inf, np.nan]
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(0, 12), columns=st.sampled_from([None, 1, 2, 3, 5]), data=st.data())
+    def test_matches_savetxt(self, rows, columns, data):
+        shape = (rows,) if columns is None else (rows, columns)
+        picks = data.draw(st.lists(st.sampled_from(self.VALUES), min_size=int(np.prod(shape)),
+                                   max_size=int(np.prod(shape))))
+        randoms = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+        signal = np.where(data.draw(st.booleans()), np.reshape(picks, shape), randoms)
+        buf = io.BytesIO()
+        np.savetxt(buf, signal, fmt="%.17g", delimiter=",")
+        assert _signal_text(signal).encode("ascii") == buf.getvalue()
+        assert _signal_text(np.asfortranarray(signal)) == _signal_text(signal)
 
 
 class TestSyntheticDataset:

@@ -1,4 +1,4 @@
-"""Resource budgets: no N x N array off the eigendecomposition path, no scipy where it is not used."""
+"""Resource budgets: no N x N array off the eigendecomposition path, no module a command does not run."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import graphred
 from graphred import (
@@ -62,24 +63,34 @@ def test_lanczos_denoise_stays_below_one_dense_array():
     assert traced_peak(lambda: apply_denoiser(pnp, lap, y)) < DENSE_BYTES
 
 
-def test_spectral_commands_import_no_scipy(tmp_path):
-    """No command imports scipy: the probe blocks it, so any attempt fails loudly."""
+def run_command(tmp_path, command, config, out=None):
+    """Run one CLI command in a fresh process with scipy blocked (an import of it fails loudly).
+
+    Returns the exit code and the set of modules the process loaded.
+    """
     src = os.path.dirname(os.path.dirname(graphred.__file__))
+    out = out or command
+    cfg = tmp_path / f"{out}.json"
+    cfg.write_text(json.dumps(config))
+    probe = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from graphred.cli import main\n"
+        f"code = main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / out)!r}])\n"
+        "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() if mod is not None)]))\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, set(modules)
+
+
+def test_spectral_commands_import_no_scipy(tmp_path):
+    """No command imports scipy."""
 
     def run(command, config, out=None):
-        out = out or command
-        cfg = tmp_path / f"{out}.json"
-        cfg.write_text(json.dumps(config))
-        probe = (
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from graphred.cli import main\n"
-            f"code = main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / out)!r}])\n"
-            "print(code, sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip().splitlines()[-1] == "0 []", (command, out.stdout, out.stderr)
+        code, modules = run_command(tmp_path, command, config, out)
+        assert (code, sorted(m for m in modules if m.split(".")[0] == "scipy")) == (0, []), command
 
     bundle = str(tmp_path / "generate")
     run("generate", {"kind": "synthetic", "seed": 1, "n_nodes": 20, "k": 3, "sigmas": [1.0], "n_train": 2, "n_test": 1})
@@ -104,3 +115,44 @@ def test_spectral_commands_import_no_scipy(tmp_path):
     run("denoise", {"dataset": str(tmp_path / "cloud"), "sigma": 0.5, "method": "red_lr",
                     "params": {"alpha_red": 3.0, "alpha_lr": 1.0}, "rebuild_graph_from_observed": True},
         "denoise_rebuild")
+
+
+def test_commands_import_only_the_modules_they_run(tmp_path):
+    """generate and eval load no solver, trainer, spectrum or thread-pool module; denoise loads RED only for red_*."""
+    watched = {"graphred.red", "graphred.unroll", "graphred.spectral", "concurrent.futures"}
+
+    def loaded(command, config, out):
+        code, modules = run_command(tmp_path, command, config, out)
+        assert code == 0, command
+        return modules & watched
+
+    bundle = str(tmp_path / "synthetic")
+    assert loaded("generate", {"kind": "synthetic", "seed": 1, "n_nodes": 20, "k": 3, "sigmas": [1.0],
+                               "n_train": 0, "n_test": 1}, "synthetic") == set()
+    np.savetxt(tmp_path / "cloud.csv", np.random.default_rng(1).uniform(0.0, 10.0, size=(80, 3)), delimiter=",")
+    assert loaded("generate", {"kind": "pointcloud", "source": str(tmp_path / "cloud.csv"), "m": 40, "k": 5,
+                               "sigmas": [1.0], "n_train": 0, "n_test": 1}, "cloud") == set()
+    common = {"dataset": bundle, "sigma": 1.0}
+    red_pnp = {"alpha_red": 3.0, "alpha_pnp": 0.3, "rho": 1.0}
+    assert loaded("denoise", {**common, "method": "red_pnp", "params": red_pnp, "save_diagnostics": True},
+                  "red_pnp") == {"graphred.red", "concurrent.futures"}
+    assert loaded("denoise", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}, "lr") == {"concurrent.futures"}
+    assert loaded("eval", {**common, "denoised": str(tmp_path / "red_pnp" / "denoised")}, "eval") == set()
+
+
+def test_package_imports_its_modules_on_first_use():
+    src = os.path.dirname(os.path.dirname(graphred.__file__))
+    probe = (
+        "import json, sys\n"
+        "import graphred\n"
+        "first = sorted(m for m in sys.modules if m.startswith('graphred.'))\n"
+        "from graphred import *\n"
+        "names = [n for n in graphred.__all__ if getattr(graphred, n).__module__.startswith('graphred.')]\n"
+        "print(json.dumps([first, len(graphred.__all__), len(names), graphred.cli.__name__,\n"
+        "                  graphred.write_response_csv.__module__, 'write_response_csv' in graphred.__all__]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [[], 76, 76, "graphred.cli", "graphred.spectral", False]
+    with pytest.raises(AttributeError):
+        graphred.no_such_name  # noqa: B018

@@ -21,6 +21,7 @@ from graphred import (
 )
 import graphred.graphs
 from graphred.datasets import generate_sensor_points
+from graphred.graphs import edge_list_text
 from graphred.construct import knn_graph, normalize_weights
 
 
@@ -354,7 +355,88 @@ class TestQuadraticForm:
             assert abs(q[j] - quadratic_form(lap, x[:, j])) <= 1e-10
 
 
+def line_loop_load_edge_list(path, n_nodes=None):
+    """The line-by-line edge-list reader that the one-pass parse must agree with."""
+    entries = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise InvalidGraphError(f"{path}:{line_no}: expected 'i j w', got {line!r}")
+            try:
+                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise InvalidGraphError(f"{path}:{line_no}: {exc}") from exc
+            if i == j:
+                raise InvalidGraphError(f"{path}:{line_no}: self loops are not allowed")
+            if min(i, j) < 0 or (n_nodes is not None and max(i, j) >= n_nodes):
+                raise InvalidGraphError(f"{path}:{line_no}: node index out of range in {line!r}")
+            entries.append((i, j, w))
+    if not entries:
+        raise InvalidGraphError(f"{path}: no edges found")
+    i, j, w = zip(*entries)
+    return Graph.from_edges(i, j, w, max(i + j) + 1 if n_nodes is None else n_nodes)
+
+
+# Fields as they appear in hand-written files, and the whitespace str.split splits at.
+INDEX_FIELDS = ["0", "1", "2", "3", "+4", "05", "1_1", "7"]
+WEIGHT_FIELDS = ["0.5", "1", "2e-3", "0", "+1.5", ".25", "1_0", "5e-324", "1e308", "0.30000000000000004"]
+SEPARATORS = [" ", "\t", "  ", " \x0b", "\x0c", "\x1c "]
+EDGE_FAULTS = {
+    "two_fields": "1 2", "four_fields": "1 2 0.5 9", "bad_index": "1.0 2 0.5", "bad_weight": "1 2 half",
+    "self_loop": "3 3 1.0", "out_of_range": "1 12 0.5", "negative": "-1 2 0.5", "trailing_comment": "1 2 0.5 # x",
+    "huge_index": "1 99999999999999999999999 1.0",
+}
+
+
 class TestEdgeListIO:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_text_matches_per_edge_format(self, n, seed, data):
+        w = random_weights(n, 0.3, 0, seed)
+        special = data.draw(st.sampled_from([5e-324, 2.5e-310, 1e308, 1.7976931348623157e308, 0.1, 1 / 3]))
+        w[(w == w.max()) & (w > 0)] = special
+        g = Graph.from_dense(w)
+        assert edge_list_text(g) == "".join(f"{i} {j} {x:.17g}\n" for i, j, x in g.edges())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_lines=st.integers(0, 25),
+        fault=st.sampled_from([None, None, *EDGE_FAULTS]),
+        n_nodes=st.sampled_from([None, 12]),
+        final_newline=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_pass_parse_matches_line_loop(self, tmp_path_factory, n_lines, fault, n_nodes, final_newline, data):
+        pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+        lines = []
+        for _ in range(n_lines):
+            kind = pick(["edge", "edge", "edge", "comment", "blank"])
+            if kind == "edge":
+                i, j = data.draw(st.lists(st.sampled_from(INDEX_FIELDS), min_size=2, max_size=2, unique_by=int))
+                fields = [i, pick(SEPARATORS), j, pick(SEPARATORS), pick(WEIGHT_FIELDS)]
+                lines.append(pick(["", " ", "\t"]) + "".join(fields) + pick(["", " ", "\x0c"]))
+            elif kind == "comment":
+                lines.append(pick(["", " ", "\x0b"]) + "#" + pick(["", " 1 2 0.5", " note"]))
+            else:
+                lines.append(pick(["", " ", "\t\x1f"]))
+        if fault:
+            lines.insert(data.draw(st.integers(0, len(lines))), EDGE_FAULTS[fault])
+        path = tmp_path_factory.mktemp("edges") / "g.edges"
+        path.write_text("\n".join(lines) + "\n" * final_newline)
+
+        def outcome(read):
+            try:
+                g = read(path, n_nodes)
+                return "graph", g.n_nodes, g.edges()
+            except (InvalidGraphError, OverflowError) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(load_edge_list) == outcome(line_loop_load_edge_list)
+
     def test_round_trip_exact(self, tmp_path):
         g = random_graph(6)
         path = tmp_path / "graph.edges"
