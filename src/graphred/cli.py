@@ -4,7 +4,7 @@ Subcommands: generate, tune, denoise, train, check, spectrum, eval.  Every
 command reads a JSON config (validated strictly: unknown keys are rejected)
 plus the global flags ``--config``, ``--seed``, ``--out``, ``--threads``.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or input
-error (a missing file, a malformed point cloud or edge list).
+error (a missing file, or a bad line of a point cloud, edge list or signal).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exceptions import (
     ParseError,
     TrainingError,
 )
-from .graphs import build_laplacian, eigendecompose, gft, rmse
+from .graphs import build_laplacian, eigendecompose, gft, rmse, table_text, write_json, write_text
 from . import datasets as ds
 
 # Names from the modules that only some commands run.  Each command binds
@@ -98,13 +98,6 @@ def _check_keys(cfg: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-def _write_json(path, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
     """Write metrics.json: the RMSE of each output, and of each observation, against its clean signal."""
     per_sample = [rmse(x, record.clean) for x, record in zip(outputs, records)]
@@ -117,7 +110,7 @@ def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
         "mean_rmse": float(np.mean(per_sample)),
         "observed_rmse": float(np.mean([rmse(r.observed[sigma], r.clean) for r in records])),
     }
-    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
+    write_json(os.path.join(out_dir, "metrics.json"), metrics)
     return metrics
 
 
@@ -268,8 +261,7 @@ def tune_method(
 
 
 def _tuned_lookup(tuned_path, method, sigma) -> dict:
-    with open(tuned_path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+    payload = _load_json_config(tuned_path)
     entries = payload.get("entries", []) if isinstance(payload, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ConfigError(f"{tuned_path}: expected an object whose 'entries' is a list of objects")
@@ -362,7 +354,7 @@ def cmd_tune(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             print(
                 f"tuned {method} at sigma={sigma:g}: train_rmse={entries[-1]['train_rmse']:.6g}"
             )
-    _write_json(os.path.join(out_dir, "tuned.json"), {"schema": "graphred-tuned-v1", "entries": entries})
+    write_json(os.path.join(out_dir, "tuned.json"), {"schema": "graphred-tuned-v1", "entries": entries})
 
 
 def _resolve_denoise_params(cfg, method, sigma) -> dict:
@@ -427,20 +419,17 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             return report.x, report
         return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
 
-    from concurrent.futures import ThreadPoolExecutor
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_one, records))
+    else:
+        results = list(map(run_one, records))
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(run_one, records))
-
-    denoised_dir = os.path.join(out_dir, "denoised")
-    os.makedirs(denoised_dir, exist_ok=True)
     for record, (x, report) in zip(records, results):
-        np.savetxt(
-            os.path.join(denoised_dir, f"sample_{record.index:03d}.csv"),
-            x, fmt="%.17g", delimiter=",",
-        )
+        write_text(os.path.join(out_dir, "denoised", f"sample_{record.index:03d}.csv"), table_text(x))
         if report is not None:
-            _write_json(
+            write_json(
                 os.path.join(out_dir, "diagnostics", f"sample_{record.index:03d}.json"),
                 report.to_dict(),
             )
@@ -517,7 +506,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     save_loss_history(history, os.path.join(out_dir, "loss_history.csv"))
     clean = _stack([np.asarray(r.clean, dtype=float) for r in records])
     final_rmse = rmse(unrolled_forward(lap, y, params, decomp=decomp, pnp_iters=pnp_iters), clean)
-    _write_json(
+    write_json(
         os.path.join(out_dir, "train_report.json"),
         {
             "schema": "graphred-train-v1",
@@ -580,7 +569,7 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
                     "passivity_ratio": check_passivity(apply, ones),
                 }
             )
-    _write_json(os.path.join(out_dir, "check_report.json"), {"schema": "graphred-check-v1", "rows": rows})
+    write_json(os.path.join(out_dir, "check_report.json"), {"schema": "graphred-check-v1", "rows": rows})
     worst = max(
         (r.get("max_passivity_ratio", r.get("passivity_ratio", 0.0)) for r in rows), default=0.0
     )
@@ -618,9 +607,8 @@ def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             alpha_lr=alpha_lr,
         )
         source = {"kind": "grid", **source_params}
-    os.makedirs(out_dir, exist_ok=True)
     write_response_csv(os.path.join(out_dir, "spectrum.csv"), comparison)
-    _write_json(
+    write_json(
         os.path.join(out_dir, "spectrum_meta.json"),
         {
             "schema": "graphred-spectrum-v1",
@@ -643,7 +631,7 @@ def cmd_eval(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     outputs = []
     for record in records:
         path = os.path.join(cfg["denoised"], f"sample_{record.index:03d}.csv")
-        x = np.loadtxt(path, delimiter=",", ndmin=1)
+        x = ds.load_signal(path)
         if x.shape != np.asarray(record.clean).shape:
             raise ConfigError(f"{path}: shape {x.shape} does not match dataset")
         outputs.append(x)

@@ -8,14 +8,13 @@ sampling, and use their coordinates as a 3-channel signal.
 
 All randomness goes through PCG64 generators keyed by
 ``SeedSequence([seed, split, sample, stream, ...])`` so every artifact is
-reproducible from the manifest alone; signals are written with ``%.17g``
-which round-trips float64 exactly.
+reproducible from the manifest alone; signals, point clouds and edge lists
+go through the text reader and writer of :mod:`graphred.graphs`.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 import os
@@ -26,7 +25,8 @@ import numpy as np
 from .construct import _distances, knn_graph, normalize_weights
 from .exceptions import ConfigError, InvalidGraphError, NumericalError, ParseError
 from .graphs import (
-    Graph, SpectralDecomp, _uncommented_lines, build_laplacian, edge_list_text, eigendecompose, load_edge_list,
+    Graph, SpectralDecomp, build_laplacian, edge_list_text, eigendecompose, load_edge_list, read_csv, table_text,
+    write_json, write_text,
 )
 
 MANIFEST_SCHEMA = "graphred-dataset-v1"
@@ -122,71 +122,24 @@ def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
 
 
 def save_point_cloud(points: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(points, dtype=float), fmt="%.17g", delimiter=",")
-
-
-def _load_csv_points(path) -> np.ndarray:
-    """Points of a CSV file, one per line (blank and ``#`` lines skipped).
-
-    The data lines are parsed at once (numpy calls ``float`` on each
-    field); only a file that breaks a rule is read again line by line, to
-    raise :class:`ParseError` at the first line that does.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    rows = list(filter(None, map(str.strip, _uncommented_lines(text))))
-    if len(set(map(str.count, rows, itertools.repeat(",")))) == 1:
-        try:
-            return np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
-        except ValueError:
-            pass
-    rows = []
-    width = None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=line_no) from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"expected {width} columns, got {len(row)}", path=str(path), line=line_no
-            )
-        rows.append(row)
-    if not rows:
-        raise ParseError("no points found", path=str(path), line=0)
-    return np.array(rows)
+    write_text(path, table_text(points))
 
 
 def _load_off_points(path) -> np.ndarray:
     """Vertices of an OFF mesh; the face block is ignored."""
     with open(path, "r", encoding="ascii") as fh:
         lines = list(fh)
-
-    def meaningful():
-        for line_no, raw in enumerate(lines, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield line_no, text
-
-    stream = meaningful()
-    try:
-        line_no, header = next(stream)
-    except StopIteration:
-        raise ParseError("empty OFF file", path=str(path), line=0) from None
+    items = [(n, text) for n, raw in enumerate(lines, start=1) if (text := raw.split("#", 1)[0].strip())]
+    if not items:
+        raise ParseError("empty OFF file", path=str(path), line=0)
+    line_no, header = items[0]
     if not header.startswith("OFF"):
         raise ParseError("missing OFF header", path=str(path), line=line_no)
-    rest = header[3:].split()
+    rest, start = header[3:].split(), 1
     if not rest:
-        try:
-            line_no, counts_text = next(stream)
-        except StopIteration:
-            raise ParseError("missing OFF counts line", path=str(path), line=line_no) from None
+        if len(items) == 1:
+            raise ParseError("missing OFF counts line", path=str(path), line=line_no)
+        (line_no, counts_text), start = items[1], 2
         rest = counts_text.split()
     if len(rest) != 3:
         raise ParseError("OFF counts line needs 3 integers", path=str(path), line=line_no)
@@ -198,13 +151,7 @@ def _load_off_points(path) -> np.ndarray:
         raise ParseError("OFF file declares no vertices", path=str(path), line=line_no)
 
     points = []
-    for _ in range(n_vertices):
-        try:
-            line_no, text = next(stream)
-        except StopIteration:
-            raise ParseError(
-                f"expected {n_vertices} vertices, file ended early", path=str(path), line=len(lines)
-            ) from None
+    for line_no, text in items[start : start + n_vertices]:
         parts = text.split()
         if len(parts) < 3:
             raise ParseError("vertex line needs 3 coordinates", path=str(path), line=line_no)
@@ -212,6 +159,8 @@ def _load_off_points(path) -> np.ndarray:
             points.append([float(v) for v in parts[:3]])
         except ValueError as exc:
             raise ParseError(f"bad coordinate: {exc}", path=str(path), line=line_no) from exc
+    if len(points) < n_vertices:
+        raise ParseError(f"expected {n_vertices} vertices, file ended early", path=str(path), line=len(lines))
     return np.array(points)
 
 
@@ -221,7 +170,7 @@ def load_point_cloud(path, format: str | None = None) -> np.ndarray:
         ext = os.path.splitext(str(path))[1].lower()
         format = "off" if ext == ".off" else "csv"
     if format == "csv":
-        return _load_csv_points(path)
+        return read_csv(path)
     if format == "off":
         return _load_off_points(path)
     raise ValueError(f"unknown point-cloud format {format!r}")
@@ -362,20 +311,9 @@ def _sigma_name(sigma: float) -> str:
     return f"observed_sigma{sigma:g}.csv"
 
 
-def _signal_text(signal) -> str:
-    """A ``(N,)`` or ``(N, S)`` signal as ``np.savetxt(fmt="%.17g", delimiter=",")`` writes it, in one ``%``."""
-    values = np.asarray(signal, dtype=float)
-    row = ",".join(["%.17g"] * (values.shape[1] if values.ndim == 2 else 1)) + "\n"
-    return (row * len(values)) % tuple(values.ravel().tolist())
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
-def _load_signal(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=1)
+def load_signal(path) -> np.ndarray:
+    """A signal file in the shape numpy's ``loadtxt`` gives with ``ndmin=1``: ``(N,)`` for one column."""
+    return np.atleast_1d(read_csv(path).squeeze())
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
@@ -392,18 +330,14 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
             texts[id(obj)] = fmt(obj)
         return texts[id(obj)]
 
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(dataset.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), dataset.manifest)
     for split in ("train", "test"):
         for record in dataset.split(split):
             sample_dir = os.path.join(out_dir, split, f"sample_{record.index:03d}")
-            os.makedirs(sample_dir, exist_ok=True)
-            _write_text(os.path.join(sample_dir, "graph.edges"), text(record.graph, edge_list_text))
-            _write_text(os.path.join(sample_dir, "clean.csv"), text(record.clean, _signal_text))
+            write_text(os.path.join(sample_dir, "graph.edges"), text(record.graph, edge_list_text))
+            write_text(os.path.join(sample_dir, "clean.csv"), text(record.clean, table_text))
             for sigma, y in sorted(record.observed.items()):
-                _write_text(os.path.join(sample_dir, _sigma_name(sigma)), _signal_text(y))
+                write_text(os.path.join(sample_dir, _sigma_name(sigma)), table_text(y))
 
 
 def load_dataset(path, graphs: bool = True) -> Dataset:
@@ -437,9 +371,9 @@ def load_dataset(path, graphs: bool = True) -> Dataset:
                 if edges not in parsed:
                     parsed[edges] = load_edge_list(edges_path, n_nodes=n_nodes)
                 graph = parsed[edges]
-            clean = _load_signal(os.path.join(sample_dir, "clean.csv"))
+            clean = load_signal(os.path.join(sample_dir, "clean.csv"))
             observed = {
-                sigma: _load_signal(os.path.join(sample_dir, _sigma_name(sigma)))
+                sigma: load_signal(os.path.join(sample_dir, _sigma_name(sigma)))
                 for sigma in sigmas
             }
             splits[split].append(

@@ -56,10 +56,10 @@ class TrainingError(GraphRedError):
 
 
 class ParseError(GraphRedError):
-    """Malformed input file."""
+    """Malformed input file; the message starts with ``path:line:`` (``path:`` when ``line`` is 0)."""
 
     def __init__(self, message, path=None, line=None):
-        super().__init__(message)
+        super().__init__(message if path is None else f"{path}:{line}: {message}" if line else f"{path}: {message}")
         self.path = path
         self.line = line
 

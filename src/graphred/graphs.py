@@ -10,17 +10,21 @@ either a single signal of shape ``(N,)`` or a batch of independent signals
 stacked as columns of an ``(N, S)`` array; the output matches the input
 shape.  All container types are frozen dataclasses and every operation is a
 pure function, so shared instances are safe to use from multiple threads.
+
+Every numeric text file is formatted by :func:`table_text` and parsed by
+:func:`read_table`; JSON artifacts are written by :func:`write_json`.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, GraphTooLargeError, InvalidGraphError, NumericalError
+from .exceptions import ConvergenceError, GraphTooLargeError, InvalidGraphError, NumericalError, ParseError
 
 # Relative residual allowed of an eigendecomposition.
 DECOMP_TOL = 1e-8
@@ -39,8 +43,6 @@ KRYLOV_STRIDE = 8
 KRYLOV_TOL = 1e-12
 KRYLOV_ROUNDING = 1e-14
 MAX_KRYLOV_STEPS = 512
-# A line whose first non-blank character is "#" (re's \s is str.split's whitespace on ASCII text).
-_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*$", re.MULTILINE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +118,14 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.indices) // 2
 
-    def edges(self) -> list:
-        """Edge list as (i, j, weight) tuples with integer indices, i < j, in row order."""
+    def _edge_columns(self) -> tuple:
         rows = self._rows()
         upper = self.indices > rows
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist()))
+        return rows[upper], self.indices[upper], self.weights[upper]
+
+    def edges(self) -> list:
+        """Edge list as (i, j, weight) tuples with integer indices, i < j, in row order."""
+        return list(zip(*(col.tolist() for col in self._edge_columns())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,43 +408,78 @@ def rmse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
     return float(np.sqrt(mse(x_hat, x_star)))
 
 
-def edge_list_text(graph: Graph) -> str:
-    """The graph as text lines ``i j w`` (0-based, each edge once), as :func:`save_edge_list` writes it.
+def table_text(values, header: str = "", sep: str = ",") -> str:
+    """``header`` on a line if given, then one line per row of ``values`` (``(N,)`` or ``(N, C)``).
 
-    One ``%`` operation formats every edge; ``%.17g`` round-trips float64.
+    Fields are ``%.17g`` (the shortest ``%g`` that round-trips float64) joined by ``sep``, all formatted
+    by one ``%``: the bytes numpy's ``savetxt`` writes with that format, and ``%d``'s for integers below 2**53.
     """
-    return ("%d %d %.17g\n" * graph.n_edges) % tuple(itertools.chain.from_iterable(graph.edges()))
+    values = np.asarray(values, dtype=float)
+    row = sep.join(["%.17g"] * (values.shape[1] if values.ndim == 2 else 1)) + "\n"
+    return header + "\n" * bool(header) + (row * len(values)) % tuple(values.ravel().tolist())
+
+
+def write_text(path, text: str) -> None:
+    """Write ASCII ``text`` to ``path``, making its directory if needed."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write a JSON artifact: indent 2, sorted keys, a final newline."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_table(path, convert, check):
+    """``convert(lines)`` of the data lines (stripped, not blank, not ``#...``) of the ASCII file at ``path``.
+
+    ``convert`` parses all lines at once, raising ``ValueError`` or ``OverflowError`` if one breaks the
+    format.  Only then does ``check(line, line_no, first_line)`` run on each data line in turn, to raise
+    the format's own error at the first bad one; if none does, the conversion's error is raised.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    numbered = [(n, s) for n, s in enumerate(map(str.strip, text.split("\n")), start=1) if s and s[0] != "#"]
+    try:
+        return convert([line for _, line in numbered])
+    except (ValueError, OverflowError):
+        for line_no, line in numbered:
+            check(line, line_no, numbered[0][1])
+        raise
+
+
+def read_csv(path) -> np.ndarray:
+    """The ``(N, C)`` array of a file of comma-separated numbers, one row per data line.
+
+    A field ``float`` rejects, a row wider or narrower than the first, or no row raises :class:`ParseError`.
+    """
+
+    def convert(lines):
+        if not lines:
+            raise ParseError("no points found", path=str(path), line=0)
+        return np.array([line.split(",") for line in lines], dtype=float)  # ValueError on rows of unequal width
+
+    def check(line, line_no, first_line):
+        parts, width = line.split(","), first_line.count(",") + 1
+        try:
+            list(map(float, parts))
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(path), line=line_no) from exc
+        if len(parts) != width:
+            raise ParseError(f"expected {width} columns, got {len(parts)}", path=str(path), line=line_no)
+
+    return read_table(path, convert, check)
+
+
+def edge_list_text(graph: Graph) -> str:
+    """The graph as text lines ``i j w`` (0-based, each edge once), as :func:`save_edge_list` writes it."""
+    return table_text(np.column_stack(graph._edge_columns()), sep=" ")
 
 
 def save_edge_list(graph: Graph, path) -> None:
     """Write the graph as text lines ``i j w`` (0-based, each edge once)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(edge_list_text(graph))
-
-
-def _uncommented_lines(text: str) -> list:
-    """The lines of ``text``, each comment line (first non-blank character ``#``) made blank."""
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
-    return text.split("\n")
-
-
-def _parse_edges(text: str):
-    """``(i, j, w)`` arrays of an edge-list text, or ``None`` unless every data line is three fields that parse.
-
-    All lines are split at once and each column is converted by numpy,
-    which parses a string field with ``int`` or ``float``.
-    """
-    rows = list(map(str.split, _uncommented_lines(text)))
-    if not set(map(len, rows)) <= {0, 3}:
-        return None
-    cols = list(zip(*filter(None, rows)))
-    if not cols:
-        return None
-    try:
-        return tuple(np.array(col, dtype=dtype) for col, dtype in zip(cols, (np.intp, np.intp, float)))
-    except (ValueError, OverflowError):
-        return None
+    write_text(path, edge_list_text(graph))
 
 
 def load_edge_list(path, n_nodes: int | None = None) -> Graph:
@@ -449,35 +489,31 @@ def load_edge_list(path, n_nodes: int | None = None) -> Graph:
     explicitly if trailing nodes are isolated.  A pair's last line sets its
     weight, and a zero weight leaves it out.  Malformed lines, self loops and
     indices outside ``[0, n_nodes)`` raise :class:`InvalidGraphError` at ``path:line``.
-    The whole text is parsed at once; only a file that breaks a rule is
-    read again line by line, to find the first line that does.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    parsed = _parse_edges(text)
-    if parsed is not None:
-        i, j, w = parsed
-        top = max(i.max(), j.max())
-        if not np.any(i == j) and min(i.min(), j.min()) >= 0 and (n_nodes is None or top < n_nodes):
-            return Graph.from_edges(i, j, w, int(top) + 1 if n_nodes is None else n_nodes)
-    entries = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def convert(lines):
+        if not lines:
+            raise InvalidGraphError(f"{path}: no edges found")
+        rows = list(map(str.split, lines))
+        if set(map(len, rows)) != {3}:
+            raise ValueError("an edge line is not three fields")
+        i, j, w = (np.array(col, dtype=dtype) for col, dtype in zip(zip(*rows), (np.intp, np.intp, float)))
+        top = int(max(i.max(), j.max()))
+        if np.any(i == j) or min(i.min(), j.min()) < 0 or (n_nodes is not None and top >= n_nodes):
+            raise ValueError("an edge is a self loop or names a node out of range")
+        return i, j, w, top + 1 if n_nodes is None else n_nodes
+
+    def check(line, line_no, first_line):
         parts = line.split()
         if len(parts) != 3:
             raise InvalidGraphError(f"{path}:{line_no}: expected 'i j w', got {line!r}")
         try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            i, j, _ = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise InvalidGraphError(f"{path}:{line_no}: {exc}") from exc
         if i == j:
             raise InvalidGraphError(f"{path}:{line_no}: self loops are not allowed")
         if min(i, j) < 0 or (n_nodes is not None and max(i, j) >= n_nodes):
             raise InvalidGraphError(f"{path}:{line_no}: node index out of range in {line!r}")
-        entries.append((i, j, w))
-    if not entries:
-        raise InvalidGraphError(f"{path}: no edges found")
-    i, j, w = zip(*entries)
-    return Graph.from_edges(i, j, w, max(i + j) + 1 if n_nodes is None else n_nodes)
+
+    return Graph.from_edges(*read_table(path, convert, check))

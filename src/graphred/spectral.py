@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Laplacian, SpectralDecomp, eigendecompose
+from .graphs import Laplacian, SpectralDecomp, eigendecompose, table_text, write_text
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,4 @@ def red_filter_matrix(decomp: SpectralDecomp, alpha_red: float, alpha_lr: float)
 
 def write_response_csv(path, comparison: ResponseComparison) -> None:
     """CSV export with header ``lambda,h_lr,h_red``, one row per eigenvalue."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("lambda,h_lr,h_red\n")
-        for lam, a, b in comparison.rows():
-            fh.write(f"{lam:.17g},{a:.17g},{b:.17g}\n")
+    write_text(path, table_text(comparison.rows(), header="lambda,h_lr,h_red"))

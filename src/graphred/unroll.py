@@ -25,7 +25,7 @@ import numpy as np
 
 from .denoisers import DEFAULT_PNP_ITERS, KINDS, gain_table
 from .exceptions import ConfigError, TrainingError
-from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
+from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft, table_text, write_text
 from .graphs import mse, rmse  # noqa: F401  (part of this module's API)
 from .red import UnrolledParams, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
 
@@ -34,9 +34,7 @@ _N2N_STREAM = 3  # RNG stream tag for re-noising draws
 
 
 def save_params(params: UnrolledParams, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(params.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(params.to_json_dict(), indent=2) + "\n")  # keys in to_json_dict's order
 
 
 def load_params(path) -> UnrolledParams:
@@ -50,10 +48,7 @@ def load_params(path) -> UnrolledParams:
 
 
 def save_loss_history(history, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,loss\n")
-        for e, v in enumerate(history):
-            fh.write(f"{e},{v:.17g}\n")
+    write_text(path, table_text(np.column_stack([np.arange(len(history)), history]), header="epoch,loss"))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,13 @@ def write_config(path, payload):
     return str(path)
 
 
+def put_line(path, line_no, text):
+    """Replace line ``line_no`` (1-based) of the file at ``path`` by ``text``."""
+    lines = path.read_text().split("\n")
+    lines[line_no - 1] = text
+    path.write_text("\n".join(lines))
+
+
 def tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -119,6 +126,18 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "points must be finite" in err and "RuntimeWarning" not in err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+    def test_bad_csv_field_names_its_line(self, tmp_path, capsys):
+        source = tmp_path / "cloud.csv"
+        source.write_text("0,0,0\n1,oops,0\n2,2,2\n")
+        cfg = write_config(
+            tmp_path / "gen.json",
+            {"kind": "pointcloud", "source": str(source), "m": 3, "k": 2, "sigmas": [0.1], "n_train": 1, "n_test": 1},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert f"input error: {source}:2: bad number: could not convert string to float: 'oops'" in err
 
 
 class TestTune:
@@ -459,6 +478,19 @@ class TestDenoise:
         )
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
         assert "graph.edges:" in capsys.readouterr().err
+
+    def test_malformed_bundle_signal_is_input_error_at_its_line(self, dataset_dir, tmp_path, capsys):
+        bundle = tmp_path / "dset"
+        shutil.copytree(dataset_dir, bundle)
+        clean = bundle / "test" / "sample_001" / "clean.csv"
+        put_line(clean, 5, "abc")
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(bundle), "method": "lr", "sigma": 0.5, "params": {"alpha_lr": 1.0}},
+        )
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert f"input error: {clean}:5: bad number: could not convert string to float: 'abc'" in err
 
     def test_diagnostics_written_for_red(self, dataset_dir, tmp_path):
         cfg = write_config(
@@ -835,6 +867,22 @@ class TestEval:
         b = json.loads((eval_out / "metrics.json").read_text())
         assert a["mean_rmse"] == pytest.approx(b["mean_rmse"], rel=1e-12)
         assert a["per_sample_rmse"] == pytest.approx(b["per_sample_rmse"], rel=1e-12)
+
+    def test_malformed_denoised_output_is_input_error_at_its_line(self, dataset_dir, tmp_path, capsys):
+        den_cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "lr", "sigma": 1.0, "params": {"alpha_lr": 2.0}},
+        )
+        assert main(["denoise", "--config", den_cfg, "--out", str(tmp_path / "den")]) == 0
+        output = tmp_path / "den" / "denoised" / "sample_000.csv"
+        put_line(output, 5, "abc")
+        cfg = write_config(
+            tmp_path / "eval.json",
+            {"dataset": str(dataset_dir), "denoised": str(output.parent), "sigma": 1.0, "method": "lr"},
+        )
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 4
+        err = capsys.readouterr().err
+        assert f"input error: {output}:5: bad number: could not convert string to float: 'abc'" in err
 
     def test_reads_no_edge_list(self, dataset_dir, tmp_path):
         den_cfg = write_config(

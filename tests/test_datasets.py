@@ -32,7 +32,10 @@ from graphred import (
     save_point_cloud,
 )
 from graphred.construct import _pairwise_distances
-from graphred.datasets import _load_csv_points, _signal_text
+from graphred.datasets import _load_off_points, load_signal
+from graphred.graphs import read_csv, table_text
+from graphred.spectral import ResponseComparison, write_response_csv
+from graphred.unroll import save_loss_history
 
 TORUS = "data/torus.off"
 
@@ -266,6 +269,15 @@ class TestPointCloudIO:
             load_point_cloud(path)
         assert exc.value.line == 2
 
+    def test_parse_error_message_names_the_location(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,0\n1,oops\n")
+        with pytest.raises(ParseError) as exc:
+            load_point_cloud(path)
+        assert str(exc.value) == f"{path}:2: bad number: could not convert string to float: 'oops'"
+        assert str(ParseError("no points found", path="a.csv", line=0)) == "a.csv: no points found"
+        assert str(ParseError("bad", path=None, line=None)) == "bad"
+
     def test_malformed_off_reports_line(self, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("OFF\n2 0 0\n0 0 0\n")
@@ -348,25 +360,156 @@ class TestPointCloudParse:
             except ParseError as exc:
                 return "error", str(exc), exc.line
 
-        assert outcome(_load_csv_points) == outcome(line_loop_csv_points)
+        assert outcome(read_csv) == outcome(line_loop_csv_points)
+
+
+def stream_off_points(path):
+    """The OFF reader that walks a generator of its lines, which the list-based reader must agree with."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = list(fh)
+
+    def meaningful():
+        for line_no, raw in enumerate(lines, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield line_no, text
+
+    stream = meaningful()
+    try:
+        line_no, header = next(stream)
+    except StopIteration:
+        raise ParseError("empty OFF file", path=str(path), line=0) from None
+    if not header.startswith("OFF"):
+        raise ParseError("missing OFF header", path=str(path), line=line_no)
+    rest = header[3:].split()
+    if not rest:
+        try:
+            line_no, counts_text = next(stream)
+        except StopIteration:
+            raise ParseError("missing OFF counts line", path=str(path), line=line_no) from None
+        rest = counts_text.split()
+    if len(rest) != 3:
+        raise ParseError("OFF counts line needs 3 integers", path=str(path), line=line_no)
+    try:
+        n_vertices = int(rest[0])
+    except ValueError as exc:
+        raise ParseError(f"bad vertex count: {exc}", path=str(path), line=line_no) from exc
+    if n_vertices < 1:
+        raise ParseError("OFF file declares no vertices", path=str(path), line=line_no)
+    points = []
+    for _ in range(n_vertices):
+        try:
+            line_no, text = next(stream)
+        except StopIteration:
+            raise ParseError(
+                f"expected {n_vertices} vertices, file ended early", path=str(path), line=len(lines)
+            ) from None
+        parts = text.split()
+        if len(parts) < 3:
+            raise ParseError("vertex line needs 3 coordinates", path=str(path), line=line_no)
+        try:
+            points.append([float(v) for v in parts[:3]])
+        except ValueError as exc:
+            raise ParseError(f"bad coordinate: {exc}", path=str(path), line=line_no) from exc
+    return np.array(points)
+
+
+def off_outcome(read, path):
+    try:
+        return "points", read(path).tobytes(), read(path).shape
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+OFF_HEADERS = ["OFF", "OFF", "OFF", "OFF {n} 1 0", "OFF{n} 0 0", " OFF # mesh", "COFF", "OFF {n} 1", "3 1 0"]
+OFF_COUNTS = ["{n} 1 0", "{n} 1 0", "{n} 0 0 # counts", "{n} 1", "x 1 0", "0 0 0", "-2 0 0", "{n} 1 0 9"]
+OFF_VERTICES = ["0 0 0", "1.5 -2 3e-3", "1 2 3 4", "\t1 2 3 # c", "nan 1 inf", "1_0 2 3", "1 2", "1 x 3"]
+OFF_FILLERS = ["", "   ", "# comment", "  # 1 2 3", "\x0c"]
+# Files where the order of the checks decides the error.
+OFF_CASES = [
+    "", "# only a comment\n", "OFF\n", "OFF\n\n# c\n", "OFF\n3 1 0\n0 0 0\n1 x 3\n",
+    "OFF\n3 1 0\n0 0 0\n1 2\n", "OFF 2 0 0\n0 0 0\n", "OFF\n2 0 0\n0 0 0 # a\n1 1 1\n3 0 1 2\n",
+]
+
+
+class TestOffParse:
+    @pytest.mark.parametrize("text", OFF_CASES)
+    def test_list_reader_matches_stream_reader_on_cases(self, tmp_path, text):
+        path = tmp_path / "mesh.off"
+        path.write_text(text)
+        assert off_outcome(_load_off_points, path) == off_outcome(stream_off_points, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5), extra=st.sampled_from([-2, -1, 0, 0, 0, 1]), final_newline=st.booleans(),
+           data=st.data())
+    def test_list_reader_matches_stream_reader(self, tmp_path_factory, n, extra, final_newline, data):
+        pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+        header = pick(OFF_HEADERS).format(n=n)
+        body = [] if "{n}" in header or header == "3 1 0" else [pick(OFF_COUNTS).format(n=n)]
+        body += [pick(OFF_VERTICES) for _ in range(n + extra)]
+        body += ["3 0 1 2"] * data.draw(st.sampled_from([0, 0, 1, 2]))  # faces
+        lines = [header] * data.draw(st.sampled_from([0, 1, 1, 1])) + body
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(data.draw(st.integers(0, len(lines))), pick(OFF_FILLERS))
+        path = tmp_path_factory.mktemp("off") / "mesh.off"
+        path.write_text("\n".join(lines) + "\n" * final_newline)
+        assert off_outcome(_load_off_points, path) == off_outcome(stream_off_points, path)
 
 
 class TestSignalText:
     VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3,
               -7.0, 123456789.0, 1e-7, np.inf, -np.inf, np.nan]
 
-    @settings(max_examples=80, deadline=None)
-    @given(rows=st.integers(0, 12), columns=st.sampled_from([None, 1, 2, 3, 5]), data=st.data())
-    def test_matches_savetxt(self, rows, columns, data):
-        shape = (rows,) if columns is None else (rows, columns)
+    def draw_signal(self, data, shape):
+        """Special values or standard normals in ``shape``."""
         picks = data.draw(st.lists(st.sampled_from(self.VALUES), min_size=int(np.prod(shape)),
                                    max_size=int(np.prod(shape))))
         randoms = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
-        signal = np.where(data.draw(st.booleans()), np.reshape(picks, shape), randoms)
+        return np.where(data.draw(st.booleans()), np.reshape(picks, shape), randoms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(0, 12), columns=st.sampled_from([None, 1, 2, 3, 5]), data=st.data())
+    def test_matches_savetxt(self, rows, columns, data):
+        signal = self.draw_signal(data, (rows,) if columns is None else (rows, columns))
         buf = io.BytesIO()
         np.savetxt(buf, signal, fmt="%.17g", delimiter=",")
-        assert _signal_text(signal).encode("ascii") == buf.getvalue()
-        assert _signal_text(np.asfortranarray(signal)) == _signal_text(signal)
+        assert table_text(signal).encode("ascii") == buf.getvalue()
+        assert table_text(np.asfortranarray(signal)) == table_text(signal)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 12), columns=st.sampled_from([None, 1, 2, 3, 5]), data=st.data())
+    def test_reader_matches_loadtxt(self, tmp_path_factory, rows, columns, data):
+        signal = self.draw_signal(data, (rows,) if columns is None else (rows, columns))
+        path = tmp_path_factory.mktemp("signal") / "clean.csv"
+        np.savetxt(path, signal, fmt="%.17g", delimiter=",")
+        want = np.loadtxt(path, delimiter=",", ndmin=1)
+        got = load_signal(path)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+FLOATS = st.one_of(st.sampled_from(TestSignalText.VALUES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestHeaderedWriters:
+    """The loss-history and spectrum writers against the per-row f-strings they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(history=st.lists(FLOATS, max_size=30))
+    def test_loss_history_matches_per_row_format(self, tmp_path_factory, history):
+        path = tmp_path_factory.mktemp("loss") / "loss_history.csv"
+        save_loss_history(history, path)
+        expected = "epoch,loss\n" + "".join(f"{e},{v:.17g}\n" for e, v in enumerate(history))
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=30))
+    def test_spectrum_csv_matches_per_row_format(self, tmp_path_factory, rows):
+        lam, a, b = (np.array(col, dtype=float) for col in zip(*rows)) if rows else (np.zeros(0),) * 3
+        comparison = ResponseComparison(eigenvalues=lam, h_lr=a, h_red=b, alpha_red=1.0, alpha_lr=1.0)
+        path = tmp_path_factory.mktemp("spectrum") / "spectrum.csv"
+        write_response_csv(path, comparison)
+        expected = "lambda,h_lr,h_red\n" + "".join(f"{x:.17g},{y:.17g},{z:.17g}\n" for x, y, z in comparison.rows())
+        assert path.read_bytes() == expected.encode("ascii")
 
 
 class TestSyntheticDataset:

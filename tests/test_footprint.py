@@ -118,7 +118,11 @@ def test_spectral_commands_import_no_scipy(tmp_path):
 
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
-    """generate and eval load no solver, trainer, spectrum or thread-pool module; denoise loads RED only for red_*."""
+    """No command loads a solver, trainer, spectrum or thread-pool module it does not run.
+
+    generate and eval load none of them; denoise loads RED only for red_*, and
+    the thread pool only above one thread.
+    """
     watched = {"graphred.red", "graphred.unroll", "graphred.spectral", "concurrent.futures"}
 
     def loaded(command, config, out):
@@ -135,8 +139,8 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     common = {"dataset": bundle, "sigma": 1.0}
     red_pnp = {"alpha_red": 3.0, "alpha_pnp": 0.3, "rho": 1.0}
     assert loaded("denoise", {**common, "method": "red_pnp", "params": red_pnp, "save_diagnostics": True},
-                  "red_pnp") == {"graphred.red", "concurrent.futures"}
-    assert loaded("denoise", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}, "lr") == {"concurrent.futures"}
+                  "red_pnp") == {"graphred.red"}
+    assert loaded("denoise", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}, "lr") == set()
     assert loaded("eval", {**common, "denoised": str(tmp_path / "red_pnp" / "denoised")}, "eval") == set()
 
 

@@ -1,3 +1,5 @@
+import inspect
+import os
 from unittest import mock
 
 import numpy as np
@@ -390,6 +392,21 @@ EDGE_FAULTS = {
     "self_loop": "3 3 1.0", "out_of_range": "1 12 0.5", "negative": "-1 2 0.5", "trailing_comment": "1 2 0.5 # x",
     "huge_index": "1 99999999999999999999999 1.0",
 }
+
+
+def test_numeric_text_goes_through_the_codec():
+    """No module calls ``np.loadtxt`` or ``np.savetxt``, and only ``graphs.table_text`` spells the ``%.17g`` field."""
+    src = os.path.dirname(graphred.graphs.__file__)
+    codec = inspect.getsource(graphred.graphs.table_text)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            for number, line in enumerate(text.replace(codec, "").split("\n"), start=1):
+                if "np.loadtxt(" in line or "np.savetxt(" in line or ".17g" in line:
+                    found.append(f"{name}:{number}: {line.strip()}")
+    assert not found, "\n".join(found)
 
 
 class TestEdgeListIO:
