@@ -18,7 +18,6 @@ from importlib import import_module
 
 import numpy as np
 
-from .construct import knn_graph, normalize_weights
 from .denoisers import DEFAULT_PNP_ITERS, KINDS, Denoiser, apply_denoiser, denoiser_gains, gain_filter, gain_table
 from .exceptions import (
     ConfigError,
@@ -36,6 +35,7 @@ from . import datasets as ds
 # the names it uses when it starts (see _bind), so a process imports only
 # what its command needs.
 _DEFERRED = {
+    "construct": ("knn_graph", "normalize_weights"),
     "red": (
         "RedProblem", "UnrolledParams", "candidate_mse", "check_homogeneity", "check_passivity", "krylov_screen_mse",
         "red_cg_layers", "red_cg_solve",
@@ -208,8 +208,9 @@ def tune_method(
     pass.  If the screen diverges, or a confirmed CG value falls outside the
     range the screen gave it, every candidate runs through the CG core.
 
-    A dict passed as ``gain_tables`` to several calls keeps each gain table,
-    keyed by eigenvalues and grid, between them.  A grid bound that is zero,
+    A dict passed as ``gain_tables`` to several calls keeps the graph's
+    decomposition, keyed by its arrays, and each gain table, keyed by
+    eigenvalues and grid, between them.  A grid bound that is zero,
     negative or NaN raises :class:`ConfigError`.
     """
     _bind("red")
@@ -224,13 +225,17 @@ def tune_method(
     rhos = np.geomspace(rho_range[0], rho_range[1], grid_points)
     if not _records_share_graph(records):
         raise ConfigError("tuning expects records on a shared graph")
-    _, decomp = _graph_setup(records[0])
+    tables = {} if gain_tables is None else gain_tables
+    graph = records[0].graph
+    graph_key = ("decomp",) + tuple(a.tobytes() for a in (graph.indptr, graph.indices, graph.weights))
+    if graph_key not in tables:
+        tables[graph_key] = _graph_setup(records[0])[1]
+    decomp = tables[graph_key]
     y = gft(decomp, _stack([np.asarray(r.observed[sigma], dtype=float) for r in records]))
     target = gft(decomp, _stack([np.asarray(r.clean, dtype=float) for r in records]))
 
     den_grids = [{"alpha": alphas, "rho": rhos}[field] for field in KINDS[kind].fields]
     key = (kind, decomp.eigenvalues.tobytes(), alphas.tobytes(), rhos.tobytes(), pnp_iters)
-    tables = {} if gain_tables is None else gain_tables
     if key not in tables:
         with np.errstate(over="ignore"):  # an overflowed alpha * lambda gives the limit gain, 0
             tables[key] = gain_table(kind, decomp.eigenvalues, itertools.product(*den_grids), pnp_iters)
@@ -401,6 +406,8 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
     if rebuild and dataset.manifest.get("kind") != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
+    if rebuild:
+        _bind("construct")
     save_diag = bool(cfg.get("save_diagnostics", False))
     k = int(dataset.manifest.get("k", 5))
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import _distances, knn_graph, normalize_weights
 from .exceptions import ConfigError, InvalidGraphError, NumericalError, ParseError
 from .graphs import (
     Graph, SpectralDecomp, build_laplacian, edge_list_text, eigendecompose, load_edge_list, read_csv, table_text,
@@ -99,6 +98,8 @@ def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
         raise ValueError(f"start must be in [0, {n - 1}]")
     if not np.all(np.isfinite(points)):
         raise InvalidGraphError("points must be finite")
+    from .construct import _distances  # graph construction loads only where a graph is built
+
     axis = int(np.argmax(np.ptp(points, axis=0)))
     order = np.argsort(points[:, axis], kind="stable")
     rank = np.argsort(order)
@@ -248,6 +249,8 @@ def _noisy_splits(graph, clean, sigmas, seed, n_train, n_test) -> dict:
 
 def generate_synthetic_dataset(spec: SyntheticSpec) -> Dataset:
     """Full synthetic protocol: points, graph, signal, noisy splits."""
+    from .construct import knn_graph, normalize_weights
+
     points = generate_sensor_points(spec.n_nodes, spec.side, spec.seed)
     graph = normalize_weights(knn_graph(points, spec.k))
     decomp = eigendecompose(build_laplacian(graph))
@@ -286,6 +289,8 @@ def generate_pointcloud_dataset(
     graph is built from the clean coordinates (rebuilding from observed
     coordinates is a denoising-time choice).
     """
+    from .construct import knn_graph, normalize_weights
+
     points = np.asarray(points, dtype=float)
     m = min(m, points.shape[0])
     sampled = fps(points, m, start=start)
@@ -313,7 +318,7 @@ def _sigma_name(sigma: float) -> str:
 
 def load_signal(path) -> np.ndarray:
     """A signal file in the shape numpy's ``loadtxt`` gives with ``ndmin=1``: ``(N,)`` for one column."""
-    return np.atleast_1d(read_csv(path).squeeze())
+    return np.atleast_1d(read_csv(path, empty="signal file holds no values").squeeze())
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:

@@ -435,30 +435,36 @@ def read_table(path, convert, check):
     """``convert(lines)`` of the data lines (stripped, not blank, not ``#...``) of the ASCII file at ``path``.
 
     ``convert`` parses all lines at once, raising ``ValueError`` or ``OverflowError`` if one breaks the
-    format.  Only then does ``check(line, line_no, first_line)`` run on each data line in turn, to raise
-    the format's own error at the first bad one; if none does, the conversion's error is raised.
+    format.  Only then are the lines numbered, and ``check(line, line_no, first_line)`` runs on each data
+    line in turn, to raise the format's own error at the first bad one; if none does, the conversion's
+    error is raised.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    numbered = [(n, s) for n, s in enumerate(map(str.strip, text.split("\n")), start=1) if s and s[0] != "#"]
+    lines = [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
     try:
-        return convert([line for _, line in numbered])
+        return convert(lines)
     except (ValueError, OverflowError):
-        for line_no, line in numbered:
-            check(line, line_no, numbered[0][1])
+        for line_no, line in enumerate(map(str.strip, text.split("\n")), start=1):
+            if line and line[0] != "#":
+                check(line, line_no, lines[0])
         raise
 
 
-def read_csv(path) -> np.ndarray:
+def read_csv(path, empty="no points found") -> np.ndarray:
     """The ``(N, C)`` array of a file of comma-separated numbers, one row per data line.
 
-    A field ``float`` rejects, a row wider or narrower than the first, or no row raises :class:`ParseError`.
+    A field ``float`` rejects or a row wider or narrower than the first raises :class:`ParseError`, and
+    so does a file without data lines, with the message ``empty``.  Rows are split at once, as one line.
     """
 
     def convert(lines):
         if not lines:
-            raise ParseError("no points found", path=str(path), line=0)
-        return np.array([line.split(",") for line in lines], dtype=float)  # ValueError on rows of unequal width
+            raise ParseError(empty, path=str(path), line=0)
+        width = lines[0].count(",") + 1
+        if any(line.count(",") != width - 1 for line in lines):
+            raise ValueError("rows of unequal width")
+        return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
 
     def check(line, line_no, first_line):
         parts, width = line.split(","), first_line.count(",") + 1

@@ -327,8 +327,11 @@ def red_cg_layers(
     the gradient is still nonzero, and :class:`DivergenceError` on
     non-finite iterates, or on a non-finite line-search denominator or step
     of a column not yet converged (an overflowed weight would otherwise
-    leave it at zero).  The objective history is filled only with
-    ``objective=True``; it costs two reductions per layer.
+    leave it at zero).  The converged and stalled masks are built only at
+    layers where some column has converged; with none, a mask would pass
+    every value through unchanged, so the layer skips it and keeps the bits.
+    The objective history is filled only with ``objective=True``; it costs
+    two reductions per layer.
 
     With a ``tape`` list, each layer run appends what a reverse sweep needs:
     ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
@@ -352,67 +355,78 @@ def red_cg_layers(
     joins = dict(joins or {})
     if joins and (start is None or min(joins) <= start[0]):
         raise ValueError("columns can only join a resumed run, after its first layer")
-    full_scale = np.maximum(np.linalg.norm(y, axis=0), 1.0)
-    obs, scale = y, full_scale
+    full_tol = CONVERGED_TOL * np.maximum(np.linalg.norm(y, axis=0), 1.0)
+    add = np.add.reduce  # the kernel np.sum runs, without its dispatch
 
     def gradient(x, r, k):
         d = x - obs
         if objective:
-            objs.append(0.5 * np.sum(d**2, axis=0) + 0.5 * alpha_red[k] * np.sum(x * r, axis=0))
+            objs.append(0.5 * add(d**2, axis=0) + 0.5 * alpha_red[k] * add(x * r, axis=0))
         return d + alpha_red[k] * r
 
     objs = []
     if start is None:
-        first = 1
+        first, obs, tol = 1, y, full_tol
         x = np.zeros_like(y)
         g = gradient(x, regs[0](x), 0)
         p = -g
-        gsq = np.sum(g * g, axis=0)
-        gnorms = [np.sqrt(gsq)]
+        gsq = add(g * g, axis=0)
     else:
         first, (x, p, g, gsq) = start
-        obs, scale = y[:, : x.shape[1]], full_scale[: x.shape[1]]
-        gnorms = []
+        obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
+    gnorm = np.sqrt(gsq)
+    gnorms = [gnorm] if start is None else []
     iterations = 0
-    converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
+    converged = gnorm <= tol
     for k in range(first, K + 1):
         if k in joins:
             x, p, g, gsq = (np.concatenate(pair, axis=-1) for pair in zip((x, p, g, gsq), joins.pop(k)))
-            obs, scale = y[:, : x.shape[1]], full_scale[: x.shape[1]]
-            converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
-        if np.all(converged) and not joins and _flat_from(regs, alpha_red, k - 1):
+            obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
+            converged = np.sqrt(gsq) <= tol
+        n_converged = np.count_nonzero(converged)
+        if n_converged == converged.size and not joins and _flat_from(regs, alpha_red, k - 1):
             break
+        masked = n_converged > 0
         ap = p + alpha_red[k] * regs[k](p)
-        denom = np.sum(p * ap, axis=0)
-        psq = np.sum(p * p, axis=0)
-        stalled = np.abs(denom) < STAGNATION_TOL * psq
-        if np.any(stalled & ~converged):
+        denom = add(p * ap, axis=0)
+        stalled = np.abs(denom) < STAGNATION_TOL * add(p * p, axis=0)
+        if (stalled & ~converged if masked else stalled).any():
             raise StagnationError(
                 f"line-search denominator vanished at iteration {k} "
                 "(direction in the operator's null space)"
             )
-        # Converged columns keep x exactly; their direction may have vanished.
-        safe = np.where(stalled | converged, 1.0, denom)
-        tau = np.where(converged, 0.0, -np.sum(p * g, axis=0) / safe)
-        if not (np.all(np.isfinite(denom) | converged) and np.all(np.isfinite(tau))):
+        num = add(p * g, axis=0)
+        if masked:
+            # Converged columns keep x exactly; their direction may have vanished.
+            safe = np.where(stalled | converged, 1.0, denom)
+            tau = np.where(converged, 0.0, -num / safe)
+            finite = (np.isfinite(denom) | converged).all() and np.isfinite(tau).all()
+        else:
+            safe, tau = denom, -num / denom
+            finite = np.isfinite(denom).all() and np.isfinite(tau).all()
+        if not finite:
             raise DivergenceError(f"non-finite line search at iteration {k}", iteration=k)
         x = x + tau * p
         g_new = gradient(x, regs[k](x), k)
-        gsq_new = np.sum(g_new * g_new, axis=0)
+        gsq_new = add(g_new * g_new, axis=0)
         # A non-finite entry makes its column's gsq non-finite; the full scan
         # runs only then, to tell it from a gsq overflowed by finite entries.
-        if not np.all(np.isfinite(gsq_new)) and not np.all(np.isfinite(g_new)):
+        if not np.isfinite(gsq_new).all() and not np.isfinite(g_new).all():
             raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
-        # Converged columns restart: a ratio over a rounding-level gsq amplifies noise.
-        gamma = np.where(converged, 0.0, gsq_new / np.where(converged, 1.0, gsq))
+        if masked:
+            # Converged columns restart: a ratio over a rounding-level gsq amplifies noise.
+            gamma = np.where(converged, 0.0, gsq_new / np.where(converged, 1.0, gsq))
+        else:
+            gamma = gsq_new / gsq
         if tape is not None:
             tape.append((p, g, gsq, converged, safe, tau, x, g_new, gamma))
-        p = -g_new + gamma * p
+        p = gamma * p - g_new  # the bits of -g_new + gamma p: IEEE addition commutes
         g = g_new
         gsq = gsq_new
-        gnorms.append(np.sqrt(gsq))
+        gnorm = np.sqrt(gsq)
+        gnorms.append(gnorm)
         iterations = k
-        converged = np.sqrt(gsq) <= CONVERGED_TOL * scale
+        converged = gnorm <= tol
     return RedSolveReport(
         x=x, iterations=iterations, gradient_norm_history=gnorms, objective_history=objs
     )

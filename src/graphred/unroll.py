@@ -179,15 +179,17 @@ def _spectral_pairs(pairs, decomp):
     return [(gft(decomp, y).reshape(n, -1), gft(decomp, t).reshape(n, -1)) for y, t in pairs]
 
 
-def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
+def _fd_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     """Loss at ``theta`` and its central-difference gradient, each point run from the layer it perturbs.
 
-    The points (``theta``, each ``theta + h_j e_j``, each ``theta - h_j e_j``)
-    run on GFT coefficients, where the loss equals its node-space value (the
-    basis is orthonormal).  Index-0 entries are not perturbed: layer 0 only
-    ever sees ``x = 0``, so their gradient is exactly 0.  The layer
-    shortfalls ``1 - D_k`` are rows of one table, one row per distinct
-    denoiser ``(alpha,)`` or ``(alpha, rho)`` among all points and layers.
+    ``coeffs`` holds the (input, target) pairs as GFT coefficients
+    (:func:`_spectral_pairs`), where the loss equals its node-space value
+    (the basis is orthonormal).  The points are ``theta``, each
+    ``theta + h_j e_j`` and each ``theta - h_j e_j``.  Index-0 entries are
+    not perturbed: layer 0 only ever sees ``x = 0``, so their gradient is
+    exactly 0.  The layer shortfalls ``1 - D_k`` are rows of one table, one
+    row per distinct denoiser ``(alpha,)`` or ``(alpha, rho)`` among all
+    points and layers.
 
     A point that perturbs layer j computes layers 1 .. j-1 exactly as the
     centre ``theta`` does.  So the centre runs once, taped, and every other
@@ -200,69 +202,94 @@ def _fd_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     the arithmetic of such a full run, so loss and gradient keep their bits.
     numpy sums a lone column in another order than wider arrays, so a single
     signal keeps every point a lone column, as a one-signal solve does, and
-    no point's bits depend on the block it lands in.
+    no point's bits depend on the block it lands in.  At layer k every
+    column but those of the points joining there runs the centre's
+    parameters, so a block's op scales by the centre's shortfall column and
+    overwrites only the joining columns.
     """
     n = K + 1
     live = np.flatnonzero(np.arange(theta.size) % n)
     h = FD_STEP * np.maximum(1.0, np.abs(theta[live]))
-    steps = np.zeros((live.size, theta.size))
-    steps[np.arange(live.size), live] = h
-    decoded = softplus(np.vstack([theta, theta + steps, theta - steps]))
-    a_red = decoded[:, :n]
-    den_rows = np.swapaxes(decoded[:, n:].reshape(len(decoded), -1, n), 1, 2)
-    distinct, index = np.unique(den_rows.reshape(-1, den_rows.shape[2]), axis=0, return_inverse=True)
-    index = index.reshape(a_red.shape)
-    shortfall = 1.0 - gain_table(kind, decomp.eigenvalues, distinct, pnp_iters)
-    perturbed = np.tile(live % n, 2)  # the layer each of points 1 .. 2P perturbs
-    order = 1 + np.argsort(perturbed, kind="stable")
-    layer = perturbed[order - 1]
+    centre = softplus(theta).reshape(-1, n)  # alpha_red, then the denoiser's parameters, by layer
+    moved = softplus(np.concatenate([theta[live] + h, theta[live] - h]))  # the entry points 1 .. 2P perturb
+    field, perturbed = np.tile(live // n, 2), np.tile(live % n, 2)  # which entry, and the layer it sits in
+    # A point's layer-k parameters are the centre's, except at the layer it perturbs: its own weight and
+    # denoiser row there.  Rows are numbered by first appearance, the centre's first.
+    own_a = np.where(field == 0, moved, centre[0, perturbed])
+    rows = centre[1:].T[perturbed]
+    rows[field > 0, field[field > 0] - 1] = moved[field > 0]
+    numbers = {}
+    row_of = [numbers.setdefault(row, len(numbers)) for row in map(tuple, np.vstack([centre[1:].T, rows]).tolist())]
+    shortfall = 1.0 - gain_table(kind, decomp.eigenvalues, list(numbers), pnp_iters)
+    centre_short, own_short = shortfall[row_of[:n]], shortfall[row_of[n:]]
+    order = np.argsort(perturbed, kind="stable")  # points 1 .. 2P, as indices 0 .. 2P-1, by layer
+    layer = perturbed[order]
+    # An op object per layer: no early stop, every layer taped.
+    centre_ops = [(lambda v, s=s[:, None]: s * v, a) for s, a in zip(centre_short, centre[0])]
 
-    total = np.zeros(len(decoded))
-    for z, t in _spectral_pairs(pairs, decomp):
+    total = np.zeros(1 + len(order))
+    for z, t in coeffs:
         n_sig = z.shape[1]
 
-        def layer_op(points, k):
-            """Layer k's op and weights on the columns of ``points``."""
-            s = np.repeat(shortfall[index[points, k]].T, n_sig, axis=1)
-            return (lambda v: s * v), np.repeat(a_red[points, k], n_sig)
+        def joined_op(k, held, joining):
+            """Layer k's op and weights: ``held`` points on the centre's parameters, then the ``joining`` ones."""
+            if not len(joining):
+                return centre_ops[k]
+            s, split = np.repeat(own_short[joining].T, n_sig, axis=1), held * n_sig
+            weights = np.repeat(np.concatenate([np.full(held, centre[0, k]), own_a[joining]]), n_sig)
+            if not held:
+                return (lambda v: s * v), weights
+
+            def op(v):
+                out = centre_short[k][:, None] * v
+                np.multiply(s, v[:, split:], out=out[:, split:])
+                return out
+
+            return op, weights
 
         tape = []
-        centre = [layer_op([0], k) for k in range(n)]  # an op object per layer: no early stop, every layer taped
-        total[0] += candidate_mse(z, t, 1, lambda cand, obs: red_cg_layers(obs, *zip(*centre), tape).x)[0]
+        total[0] += candidate_mse(z, t, 1, lambda cand, obs: red_cg_layers(obs, *zip(*centre_ops), tape).x)[0]
         iterates = [np.zeros_like(z)] + [row[6] for row in tape]
         entering = [None] + [(iterates[k - 1],) + tape[k - 1][:3] for k in range(1, n)]  # x, p, g, gsq
 
         def resume(cand, obs):
             points, lay = order[cand], layer[cand]
             first = int(lay[0])
-            state = lambda k: tuple(np.tile(a, np.count_nonzero(lay == k)) for a in entering[k])
-            ops = [(None, None)] * first + [layer_op(points[: np.count_nonzero(lay <= k)], k) for k in range(first, n)]
-            joins = {k: state(k) for k in set(lay.tolist()) if k > first}  # np.unique would import numpy.ma
-            return red_cg_layers(obs, *zip(*ops), start=(first, state(first)), joins=joins).x
+            bounds = np.searchsorted(lay, np.arange(first, n + 1)).tolist()  # points before layers first .. K + 1
+            spans = list(zip(range(first, n), bounds, bounds[1:]))  # layer k, then its joining points lo .. hi - 1
+            state = lambda k, count: tuple(np.concatenate([a] * count, axis=-1) for a in entering[k])
+            ops = [(None, None)] * first + [joined_op(k, lo, points[lo:hi]) for k, lo, hi in spans]
+            joins = {k: state(k, hi - lo) for k, lo, hi in spans[1:] if hi > lo}
+            return red_cg_layers(obs, *zip(*ops), start=(first, state(first, bounds[1])), joins=joins).x
 
         def run_block(cand, obs):  # not recursive: a self-calling closure is a cycle that would hold the tape
             if n_sig == 1:  # a lone signal: every point stays a lone column
                 return np.hstack([resume(cand[i : i + 1], obs[:, i : i + 1]) for i in range(len(cand))])
             return resume(cand, obs)
 
-        total[order] += candidate_mse(z, t, len(order), run_block)
-    loss = total / len(pairs)
+        total[1 + order] += candidate_mse(z, t, len(order), run_block)
+    loss = total / len(coeffs)
     grad = np.zeros(theta.size)
     grad[live] = (loss[1 : live.size + 1] - loss[live.size + 1 :]) / (2.0 * h)
     return loss[0], grad
 
 
-def _exact_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
-    """Loss at ``theta`` and its exact gradient, by one reverse sweep per pair.
+def _exact_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
+    """Loss at ``theta`` and its exact gradient, by one reverse sweep per pair of ``coeffs``.
 
-    On GFT coefficients layer k's gradient operator is the diagonal
+    ``coeffs`` holds the (input, target) pairs as GFT coefficients
+    (:func:`_spectral_pairs`).  There layer k's gradient operator is the diagonal
     ``m_k = 1 + alpha_red[k] (1 - gain_k)``.  The forward pass is a taped
     :func:`red_cg_layers` run; the reverse sweep walks the tape back and
     sums ``dL/dm_k`` per frequency over columns, and the chain rule takes
     that through ``1 - gain_k``, the gain Jacobian and softplus' to
     ``theta``.  The solver's guards hold in reverse too: a converged column
     took no step and passes no adjoint through ``tau`` or ``gamma`` (its
-    direction restarts), and layers never run get no gradient.
+    direction restarts), and layers never run get no gradient.  As in the
+    forward pass, those masks are built only at layers where some column
+    has converged.  The sweep carries the recursive adjoints only; the row
+    sums feeding ``dL/dm_k`` run once per pair after it, in the order a
+    per-layer accumulation would add them.
     """
     n = K + 1
     decoded = softplus(theta).reshape(-1, n)  # alpha_red, then the denoiser's parameters
@@ -271,40 +298,53 @@ def _exact_loss_grad(pairs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS)
     short = 1.0 - gains
     m = 1.0 + a_red[:, None] * short
     regs = [lambda v, s=s[:, None]: s * v for s in short]
+    m_col = m[:, :, None]
     m_bar = np.zeros_like(m)
+    add = np.add.reduce  # the kernel np.sum runs, without its dispatch
     total = 0.0
-    for z, t in _spectral_pairs(pairs, decomp):
+    for z, t in coeffs:
         tape = []
         resid = red_cg_layers(z, regs, a_red, tape).x - t
         total += float(np.sum(resid * resid)) / resid.size
         x_bar = 2.0 * resid / resid.size
         g_bar, p_bar, gsq_bar = 0.0, 0.0, 0.0  # adjoints of the layer's outputs
+        terms = []  # per layer, last first: the two products whose row sums feed m_bar
         for k in range(len(tape), 0, -1):
             p, g, gsq, converged, safe, tau, x, g_new, gamma = tape[k - 1]
-            mk = m[k][:, None]
+            mk = m_col[k]
+            masked = np.count_nonzero(converged) > 0  # as in the forward pass
             # p_new = -g_new + gamma p;  gamma = gsq_new / gsq, 0 where converged
-            gamma_bar = np.where(converged, 0.0, np.sum(p_bar * p, axis=0))
+            gamma_bar = add(p_bar * p, axis=0)
+            gsq_safe = gsq
+            if masked:
+                gamma_bar = np.where(converged, 0.0, gamma_bar)
+                gsq_safe = np.where(converged, 1.0, gsq)
             g_bar = g_bar - p_bar
             p_bar = gamma * p_bar
-            gsq_safe = np.where(converged, 1.0, gsq)
             gsq_bar = gsq_bar + gamma_bar / gsq_safe
             gsq_old_bar = -gamma_bar * gamma / gsq_safe
             # gsq_new = sum(g_new^2);  g_new = m_k x - z
             g_bar = g_bar + 2.0 * gsq_bar * g_new
-            m_bar[k] += np.sum(g_bar * x, axis=1)
+            terms.append(g_bar * x)
             x_bar = x_bar + mk * g_bar
             # x = x_old + tau p;  tau = -sum(p g) / sum(p m_k p), 0 where converged
-            tau_bar = np.where(converged, 0.0, np.sum(x_bar * p, axis=0))
+            tau_bar = add(x_bar * p, axis=0)
+            if masked:
+                tau_bar = np.where(converged, 0.0, tau_bar)
             num_bar = tau_bar / safe
             den_bar = -tau_bar * tau / safe
             p_bar = p_bar + tau * x_bar - num_bar * g + 2.0 * den_bar * (mk * p)
-            m_bar[k] += np.sum(den_bar * p * p, axis=1)
+            terms.append(den_bar * p * p)
             g_bar = -num_bar * p
             gsq_bar = gsq_old_bar
-    m_bar /= len(pairs)
+        if terms:
+            # One row-sum pass over every layer, added as a per-layer "m_bar[k] += A; m_bar[k] += B" would.
+            sums = add(np.stack(terms), axis=-1).reshape(len(tape), 2, -1)[::-1]
+            m_bar[1 : len(tape) + 1] = (m_bar[1 : len(tape) + 1] + sums[:, 0]) + sums[:, 1]
+    m_bar /= len(coeffs)
     grad = np.concatenate([np.sum(m_bar * short, axis=1), (-a_red * np.sum(m_bar * jac, axis=2)).ravel()])
     # softplus' = sigmoid(theta) = 1 - exp(-softplus(theta))
-    return total / len(pairs), grad * -np.expm1(-decoded.ravel())
+    return total / len(coeffs), grad * -np.expm1(-decoded.ravel())
 
 
 def train(
@@ -337,9 +377,11 @@ def train(
     theta = init.to_theta()
     state = AdamState.fresh(theta.size)
     history = []
+    coeffs = None
     for epoch in range(start_epoch, start_epoch + config.epochs):
-        pairs = _epoch_pairs(samples, config, epoch)
-        loss, grad = loss_grad(pairs, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
+        if coeffs is None or config.mode != "supervised":  # supervised pairs are the same every epoch
+            coeffs = _spectral_pairs(_epoch_pairs(samples, config, epoch), decomp)
+        loss, grad = loss_grad(coeffs, decomp, init.K, init.denoiser_kind, theta, pnp_iters)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         history.append(float(loss))

@@ -171,6 +171,18 @@ class TestTune:
         entry = json.loads((out / "tuned.json").read_text())["entries"][0]
         assert entry["alpha_lr"] == 2.5
 
+    def test_one_decomposition_for_every_method(self, dataset_dir, tmp_path, monkeypatch):
+        calls = []
+        real = graphred.cli.eigendecompose
+        monkeypatch.setattr(graphred.cli, "eigendecompose", lambda *args: calls.append(1) or real(*args))
+        cfg = write_config(
+            tmp_path / "tune.json",
+            {"dataset": str(dataset_dir), "methods": ["lr", "pnp", "red_lr", "red_pnp"], "sigmas": [1.0],
+             "grid_points": 3},
+        )
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_unknown_method_rejected(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "tune.json", {"dataset": str(dataset_dir), "methods": ["tv"]})
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -883,6 +895,30 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 4
         err = capsys.readouterr().err
         assert f"input error: {output}:5: bad number: could not convert string to float: 'abc'" in err
+
+    def test_empty_clean_signal_is_input_error_naming_a_signal(self, dataset_dir, tmp_path, capsys):
+        den_cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "lr", "sigma": 1.0, "params": {"alpha_lr": 2.0}},
+        )
+        assert main(["denoise", "--config", den_cfg, "--out", str(tmp_path / "den")]) == 0
+        bundle = tmp_path / "dset"
+        shutil.copytree(dataset_dir, bundle)
+        clean = bundle / "test" / "sample_001" / "clean.csv"
+        clean.write_text("")
+        den_cfg = write_config(
+            tmp_path / "den_empty.json",
+            {"dataset": str(bundle), "method": "lr", "sigma": 1.0, "params": {"alpha_lr": 2.0}},
+        )
+        eval_cfg = write_config(
+            tmp_path / "eval.json",
+            {"dataset": str(bundle), "denoised": str(tmp_path / "den" / "denoised"), "sigma": 1.0, "method": "lr"},
+        )
+        for command, cfg in (("denoise", den_cfg), ("eval", eval_cfg)):
+            capsys.readouterr()
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 4
+            err = capsys.readouterr().err
+            assert f"input error: {clean}: signal file holds no values" in err and "points" not in err
 
     def test_reads_no_edge_list(self, dataset_dir, tmp_path):
         den_cfg = write_config(

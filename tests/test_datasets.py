@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphred.construct
 import graphred.datasets
 
 from graphred import (
@@ -211,8 +213,8 @@ class TestFps:
 
     def test_slab_computes_few_distances(self, monkeypatch):
         entries = []
-        kernel = graphred.datasets._distances
-        monkeypatch.setattr(graphred.datasets, "_distances", lambda a, b: entries.append(len(b)) or kernel(a, b))
+        kernel = graphred.construct._distances  # fps imports it when it runs
+        monkeypatch.setattr(graphred.construct, "_distances", lambda a, b: entries.append(len(b)) or kernel(a, b))
         points = load_point_cloud(TORUS)
         got = fps(points, 256)
         assert got.tobytes() == self.dense_loop_oracle(points, 256, 0).tobytes()
@@ -485,6 +487,27 @@ class TestSignalText:
         want = np.loadtxt(path, delimiter=",", ndmin=1)
         got = load_signal(path)
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+    def test_reader_peak_memory(self, tmp_path):
+        # One flat split of the data lines, numbered only if one is bad: a (2000, 3) signal peaked at
+        # 1.26 MB when every line was numbered and split into a list of its own.
+        path = tmp_path / "clean.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((2000, 3)), fmt="%.17g", delimiter=",")
+        load_signal(path)
+        tracemalloc.start()
+        try:
+            load_signal(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1e6
+
+    def test_empty_signal_file_names_a_signal(self, tmp_path):
+        path = tmp_path / "clean.csv"
+        path.write_text("# no rows\n\n")
+        with pytest.raises(ParseError) as exc:
+            load_signal(path)
+        assert str(exc.value) == f"{path}: signal file holds no values"
 
 
 FLOATS = st.one_of(st.sampled_from(TestSignalText.VALUES), st.floats(allow_nan=True, allow_infinity=True))

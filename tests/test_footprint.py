@@ -118,12 +118,14 @@ def test_spectral_commands_import_no_scipy(tmp_path):
 
 
 def test_commands_import_only_the_modules_they_run(tmp_path):
-    """No command loads a solver, trainer, spectrum or thread-pool module it does not run.
+    """No command loads a graph-construction, solver, trainer, spectrum or thread-pool module it does not run.
 
-    generate and eval load none of them; denoise loads RED only for red_*, and
-    the thread pool only above one thread.
+    generate loads graph construction only; tune and train load RED, and train
+    the trainer; eval loads none of them; denoise loads RED only for red_*,
+    graph construction only to rebuild graphs, and the thread pool only above
+    one thread.
     """
-    watched = {"graphred.red", "graphred.unroll", "graphred.spectral", "concurrent.futures"}
+    watched = {"graphred.construct", "graphred.red", "graphred.unroll", "graphred.spectral", "concurrent.futures"}
 
     def loaded(command, config, out):
         code, modules = run_command(tmp_path, command, config, out)
@@ -132,16 +134,21 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
 
     bundle = str(tmp_path / "synthetic")
     assert loaded("generate", {"kind": "synthetic", "seed": 1, "n_nodes": 20, "k": 3, "sigmas": [1.0],
-                               "n_train": 0, "n_test": 1}, "synthetic") == set()
+                               "n_train": 2, "n_test": 1}, "synthetic") == {"graphred.construct"}
     np.savetxt(tmp_path / "cloud.csv", np.random.default_rng(1).uniform(0.0, 10.0, size=(80, 3)), delimiter=",")
     assert loaded("generate", {"kind": "pointcloud", "source": str(tmp_path / "cloud.csv"), "m": 40, "k": 5,
-                               "sigmas": [1.0], "n_train": 0, "n_test": 1}, "cloud") == set()
+                               "sigmas": [1.0], "n_train": 0, "n_test": 1}, "cloud") == {"graphred.construct"}
     common = {"dataset": bundle, "sigma": 1.0}
     red_pnp = {"alpha_red": 3.0, "alpha_pnp": 0.3, "rho": 1.0}
+    assert loaded("tune", {"dataset": bundle, "grid_points": 2}, "tune") == {"graphred.red"}
+    assert loaded("train", {**common, "K": 2, "epochs": 2}, "train") == {"graphred.red", "graphred.unroll"}
     assert loaded("denoise", {**common, "method": "red_pnp", "params": red_pnp, "save_diagnostics": True},
                   "red_pnp") == {"graphred.red"}
     assert loaded("denoise", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}, "lr") == set()
     assert loaded("eval", {**common, "denoised": str(tmp_path / "red_pnp" / "denoised")}, "eval") == set()
+    rebuild = {"dataset": str(tmp_path / "cloud"), "sigma": 1.0, "method": "red_lr",
+               "params": {"alpha_red": 3.0, "alpha_lr": 1.0}, "rebuild_graph_from_observed": True}
+    assert loaded("denoise", rebuild, "rebuild") == {"graphred.construct", "graphred.red"}
 
 
 def test_package_imports_its_modules_on_first_use():

@@ -264,8 +264,8 @@ class TestGradients:
         params = UnrolledParams.constant(K, "lr", 1.3, 2.1)
         pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
         theta = params.to_theta()
-        l_fd, g_fd = _fd_loss_grad(pairs, dec, K, "lr", theta)
-        l_an, g_an = _exact_loss_grad(pairs, dec, K, "lr", theta)
+        l_fd, g_fd = _fd_loss_grad(_spectral_pairs(pairs, dec), dec, K, "lr", theta)
+        l_an, g_an = _exact_loss_grad(_spectral_pairs(pairs, dec), dec, K, "lr", theta)
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
         assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
 
@@ -277,8 +277,8 @@ class TestGradients:
         init = UnrolledParams.constant(K, "lr", 1.3, 2.1)
         theta = init.to_theta()
         pairs = _epoch_pairs([TrainSample(y=y, target=target)], TrainConfig(epochs=1), 0)
-        l_fd, g_fd = _fd_loss_grad(pairs, dec, K, "lr", theta)
-        l_an, g_an = _exact_loss_grad(pairs, dec, K, "lr", theta)
+        l_fd, g_fd = _fd_loss_grad(_spectral_pairs(pairs, dec), dec, K, "lr", theta)
+        l_an, g_an = _exact_loss_grad(_spectral_pairs(pairs, dec), dec, K, "lr", theta)
         assert np.isfinite(l_an) and np.all(np.isfinite(g_an))
         assert abs(l_fd - l_an) <= 1e-12 * max(1.0, abs(l_an))
         assert np.linalg.norm(g_fd - g_an) / np.linalg.norm(g_an) <= 1e-4
@@ -371,7 +371,7 @@ class TestBatchedFiniteDifferences:
         pairs = [(y, target)]
         # The block size must not change any column's result.
         with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
-            loss, grad = _fd_loss_grad(pairs, dec, K, kind, theta, pnp_iters)
+            loss, grad = _fd_loss_grad(_spectral_pairs(pairs, dec), dec, K, kind, theta, pnp_iters)
         ref_loss, ref_grad = per_point_fd(pairs, lap, dec, K, kind, theta, pnp_iters)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         # Both passes evaluate every point's loss, rounding it by a few ulps of
@@ -409,7 +409,7 @@ class TestBatchedFiniteDifferences:
             y[:, 1] = 3.0 * dec.basis[:, 4]
         pairs = [(y, target)]
         with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
-            loss, grad = _fd_loss_grad(pairs, dec, K, kind, theta, pnp_iters)
+            loss, grad = _fd_loss_grad(_spectral_pairs(pairs, dec), dec, K, kind, theta, pnp_iters)
         # The reference runs one point per block, so a single signal's points
         # are lone columns there too (numpy sums those in another order).
         with mock.patch.object(graphred.red, "BLOCK_COLUMNS", 1 if y.ndim == 1 else y.shape[1]):
@@ -434,7 +434,7 @@ class TestBatchedFiniteDifferences:
         theta = UnrolledParams.constant(K, kind, 1.3, 2.1, 0.8 if kind == "pnp" else None).to_theta()
         theta = theta + np.random.default_rng(3).uniform(-1.0, 1.0, theta.size)
         with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
-            _fd_loss_grad([(y, target)], dec, K, kind, theta)
+            _fd_loss_grad(_spectral_pairs([(y, target)], dec), dec, K, kind, theta)
         # The centre runs K layers; a point that perturbs layer j runs K - j + 1.
         expected = K * n_sig + sum(per_layer * (K - j + 1) * n_sig for j in range(1, K + 1))
         assert sum(widths) == 2 * expected
@@ -453,11 +453,11 @@ class TestBatchedFiniteDifferences:
         monkeypatch.setattr(graphred.unroll, "gain_table", counted)
         init = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8)
         theta = init.to_theta() + np.random.default_rng(0).uniform(-1.0, 1.0, init.n_params)
-        _fd_loss_grad([(y, target)], dec, K, "pnp", theta)
+        _fd_loss_grad(_spectral_pairs([(y, target)], dec), dec, K, "pnp", theta)
         # Per layer: the centre, alpha +- h and rho +- h; layer 0 is never perturbed.
         assert len(rows) == len(set(rows)) == 5 * K + 1
         rows.clear()
-        _fd_loss_grad([(y, target)], dec, K, "pnp", init.to_theta())
+        _fd_loss_grad(_spectral_pairs([(y, target)], dec), dec, K, "pnp", init.to_theta())
         assert len(rows) == 5  # flat layers share all five
 
     def test_block_width_does_not_change_bits(self, fd_graph):
@@ -468,7 +468,7 @@ class TestBatchedFiniteDifferences:
         runs = []
         for block in (y.shape[1], 2 * y.shape[1], 100):  # one, two, several candidates per block
             with mock.patch.object(graphred.red, "BLOCK_COLUMNS", block):
-                runs.append(_fd_loss_grad([(y, target)], dec, K, "pnp", theta))
+                runs.append(_fd_loss_grad(_spectral_pairs([(y, target)], dec), dec, K, "pnp", theta))
         for loss, grad in runs[1:]:
             assert loss == runs[0][0] and np.array_equal(grad, runs[0][1])
 
@@ -561,7 +561,7 @@ def check_exact_against_complex_step(fd_graph, kind, K, scalars, flat, shape, pn
         # One non-constant eigenvector converges at layer 1 too, but each
         # per-layer operator scales it differently, so it can un-converge.
         y[:, 1] = 3.0 * dec.basis[:, 4]
-    loss, grad = _exact_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
+    loss, grad = _exact_loss_grad(_spectral_pairs([(y, target)], dec), dec, K, kind, theta, pnp_iters)
     ref_loss, ref_grad, smallest = complex_step_loss_grad([(y, target)], dec, K, kind, theta, pnp_iters)
     assert abs(loss - ref_loss) <= 1e-12 * ref_loss
     # A derivative through a column whose gradient norm has fallen to r
@@ -602,7 +602,7 @@ class TestExactGradient:
         K = 4
         theta = UnrolledParams.constant(K, "pnp", 1.3, 2.1, 0.8).to_theta()
         theta = theta + np.random.default_rng(1).uniform(-1.0, 1.0, theta.size)
-        _, grad = _exact_loss_grad([(y, target)], dec, K, "pnp", theta)
+        _, grad = _exact_loss_grad(_spectral_pairs([(y, target)], dec), dec, K, "pnp", theta)
         assert np.all(grad[:: K + 1] == 0.0) and np.all(grad[1 : K + 1] != 0.0)
 
 
