@@ -23,8 +23,7 @@ _EXPORTS = {
         "load_point_cloud", "save_dataset", "save_point_cloud",
     ),
     "denoisers": (
-        "Denoiser", "apply_denoiser", "denoiser_gains", "lr_denoise", "lr_denoise_cg", "lr_gains", "lr_smoother",
-        "pnp_admm_denoise", "pnp_gains",
+        "Denoiser", "apply_denoiser", "denoiser_gains", "lr_denoise", "lr_denoise_cg", "lr_gains", "pnp_gains",
     ),
     "exceptions": (
         "ConfigError", "ConvergenceError", "DegenerateDistanceError", "DivergenceError", "GraphRedError",

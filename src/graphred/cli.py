@@ -40,7 +40,7 @@ _DEFERRED = {
         "RedProblem", "UnrolledParams", "candidate_mse", "check_homogeneity", "check_passivity", "krylov_screen_mse",
         "red_cg_layers", "red_cg_solve",
     ),
-    "spectral": ("ResponseComparison", "compare_responses", "h_lr", "h_red", "write_response_csv"),
+    "spectral": ("compare_responses", "write_response_csv"),
     "unroll": (
         "TrainConfig", "TrainSample", "load_params", "save_loss_history", "save_params", "train", "unrolled_forward",
     ),
@@ -601,19 +601,12 @@ def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     if "dataset" in cfg:
         dataset = ds.load_dataset(cfg["dataset"])
         records = dataset.train or dataset.test
-        lap, decomp = _graph_setup(records[0])
-        comparison = compare_responses(decomp, alpha_red, alpha_lr)
+        graph_spec = build_laplacian(records[0].graph)  # decomposed by compare_responses
         source = {"kind": "dataset", "path": str(cfg["dataset"]), **source_params}
     else:
-        lam = np.linspace(0.0, float(cfg.get("lambda_max", 10.0)), int(cfg.get("n_points", 200)))
-        comparison = ResponseComparison(
-            eigenvalues=lam,
-            h_lr=h_lr(lam, alpha_lr).response,
-            h_red=h_red(lam, alpha_red, alpha_lr).response,
-            alpha_red=alpha_red,
-            alpha_lr=alpha_lr,
-        )
+        graph_spec = np.linspace(0.0, float(cfg.get("lambda_max", 10.0)), int(cfg.get("n_points", 200)))
         source = {"kind": "grid", **source_params}
+    comparison = compare_responses(graph_spec, alpha_red, alpha_lr)
     write_response_csv(os.path.join(out_dir, "spectrum.csv"), comparison)
     write_json(
         os.path.join(out_dir, "spectrum_meta.json"),

@@ -5,19 +5,18 @@ keys and per-layer fields, its gains and their Jacobian.  Every other module
 reads a kind from there.  Two kinds are registered:
 
 * ``"lr"``, Laplacian regularization: the closed-form smoother
-  ``x = (I + alpha L)^{-1} y``, also available as a sparse direct solve and a
-  matrix-free conjugate-gradient approximation.
+  ``x = (I + alpha L)^{-1} y`` (:func:`lr_denoise`), with a matrix-free
+  conjugate-gradient solve as an iterative reference (:func:`lr_denoise_cg`).
 * ``"pnp"``, plug-and-play ADMM: a fixed number of ADMM iterations on the
   denoising objective, with the LR smoother plugged in as the proximal
   step for the prior.
 
 Both are graph filters: each is one gain per graph frequency
-(:func:`denoiser_gains`), and that gain vector is the only spectral form of
-a denoiser here.  :func:`apply_denoiser` evaluates it at the eigenvalues of
-a decomposition, or else at the Ritz values of one Lanczos basis per signal
-column.  The sparse solves (which import scipy) remain as library API and
-as the oracles the tests check those paths against.  Everything accepts
-``(N,)`` or ``(N, S)`` signals; batches are independent columns.
+(:func:`denoiser_gains`), and that gain vector is the only form in which a
+denoiser runs here.  :func:`apply_denoiser` evaluates it at the eigenvalues
+of a decomposition, or else at the Ritz values of one Lanczos basis per
+signal column; nothing here factors a matrix.  Everything accepts ``(N,)``
+or ``(N, S)`` signals; batches are independent columns.
 """
 
 from __future__ import annotations
@@ -27,15 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DivergenceError, NumericalError
+from .exceptions import ConvergenceError, NumericalError
 from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft, on_frequencies
 
-SOLVE_TOL = 1e-8
 DEFAULT_PNP_ITERS = 10
-
-# An iterate whose norm exceeds the input norm by this factor is treated as
-# divergent rather than merely slow.
-DIVERGENCE_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -59,47 +53,10 @@ class Denoiser:
             raise ValueError(f"{self.kind} denoiser needs iters >= 1")
 
 
-def lr_smoother(lap: Laplacian, alpha: float):
-    """The LR smoother ``v -> (I + alpha L)^{-1} v`` for one ``alpha``.
-
-    ``I + alpha L`` (symmetric positive definite for ``alpha >= 0``, and as
-    sparse as the graph) is factored once as a sparse LU; each call then
-    costs two triangular solves, and its residual is checked against
-    ``SOLVE_TOL``.  ``alpha = 0`` gives the identity.  A failed
-    factorization or check raises :class:`NumericalError`.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    n = lap.n_nodes
-    if alpha == 0:
-        return lambda v: _check_signal(v, n).copy()
-    import scipy.sparse.linalg  # only node-space solves need it, and it costs memory
-
-    # I + alpha L from the (symmetric, so also CSC) rows: the sparse sum gives the
-    # entries, order and dropped zeros that identity + alpha * csc(dense L) gave.
-    g = lap.graph
-    off = scipy.sparse.csc_matrix((alpha * -g.weights, g.indices, g.indptr), shape=(n, n))
-    system = off + scipy.sparse.diags(1.0 + alpha * lap.degree, format="csc")
-    try:
-        factor = scipy.sparse.linalg.splu(system)
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
-
-    def smooth(v):
-        v = _check_signal(v, n)
-        x = factor.solve(v)
-        v_norm = np.linalg.norm(v)
-        residual = np.linalg.norm(system @ x - v) / v_norm if v_norm > 0 else 0.0
-        if not residual <= SOLVE_TOL:
-            raise NumericalError(f"direct solve residual {residual:.3e} exceeds {SOLVE_TOL:.3e}")
-        return x
-
-    return smooth
-
-
 def lr_denoise(lap: Laplacian, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve ``(I + alpha L) x = y`` once, by :func:`lr_smoother`."""
-    return lr_smoother(lap, alpha)(y)
+    """Solve ``(I + alpha L) x = y``: the LR gains at the Ritz values of one
+    Lanczos basis per column (:func:`apply_denoiser` without a decomposition)."""
+    return apply_denoiser(Denoiser("lr", alpha), lap, y)
 
 
 def lr_denoise_cg(
@@ -155,46 +112,6 @@ def lr_denoise_cg(
         residual=float(residual),
         iterations=max_iters,
     )
-
-
-def pnp_admm_denoise(
-    lap: Laplacian,
-    y: np.ndarray,
-    alpha: float,
-    rho: float,
-    iters: int = DEFAULT_PNP_ITERS,
-) -> np.ndarray:
-    """Plug-and-play ADMM denoiser built around the LR smoother.
-
-    Starting from ``x = v = y`` and ``u = 0``, each iteration runs
-
-    1. ``v <- lr_denoise(x + u, alpha)``
-    2. ``x <- (y + rho (v - u)) / (1 + rho)``
-    3. ``u <- u + x - v``
-
-    and the final ``x`` is returned.  Large ``rho`` pins ``x`` to the
-    denoised ``v``; small ``rho`` pins it to the observation ``y``.
-    ``I + alpha L`` is factored once for all iterations.  Raises
-    :class:`DivergenceError` if an iterate stops being finite or its norm
-    explodes.
-    """
-    y = _check_signal(y, lap.n_nodes)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    smooth = lr_smoother(lap, alpha)
-    x = y.copy()
-    v = y.copy()
-    u = np.zeros_like(y)
-    scale = max(np.linalg.norm(y), 1.0)
-    for k in range(1, iters + 1):
-        v = smooth(x + u)
-        x = (y + rho * (v - u)) / (1.0 + rho)
-        u = u + x - v
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_FACTOR * scale:
-            raise DivergenceError(f"PnP-ADMM diverged at iteration {k}", iteration=k)
-    return x
 
 
 def lr_gains(lambdas: np.ndarray, alpha: float) -> np.ndarray:

@@ -77,19 +77,19 @@ class ResponseComparison:
 
 
 def compare_responses(graph_spec, alpha_red: float, alpha_lr: float) -> ResponseComparison:
-    """Evaluate both responses on a graph's eigenvalues.
+    """Evaluate both responses on a graph's eigenvalues, or on a grid of them.
 
-    ``graph_spec`` is a :class:`SpectralDecomp` or a :class:`Laplacian`
-    (decomposed here).  For a synthetic lambda grid call :func:`h_lr` /
-    :func:`h_red` directly.
+    ``graph_spec`` is a :class:`SpectralDecomp`, a :class:`Laplacian`
+    (decomposed here) or a 1-d array of eigenvalues.
     """
     if isinstance(graph_spec, SpectralDecomp):
-        decomp = graph_spec
+        lam = graph_spec.eigenvalues
     elif isinstance(graph_spec, Laplacian):
-        decomp = eigendecompose(graph_spec)
+        lam = eigendecompose(graph_spec).eigenvalues
+    elif isinstance(graph_spec, np.ndarray) and graph_spec.ndim == 1:
+        lam = graph_spec
     else:
-        raise TypeError("expected SpectralDecomp or Laplacian")
-    lam = decomp.eigenvalues
+        raise TypeError("expected SpectralDecomp, Laplacian or 1-d eigenvalue array")
     return ResponseComparison(
         eigenvalues=lam,
         h_lr=h_lr(lam, alpha_lr).response,

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graphred
 from graphred import (
@@ -21,13 +21,13 @@ from graphred import (
     lr_denoise,
     lr_denoise_cg,
     lr_gains,
-    lr_smoother,
     normalize_weights,
-    pnp_admm_denoise,
 )
 from graphred.datasets import generate_sensor_points
 from graphred.denoisers import KINDS, gain_table, pnp_gains
 from graphred.graphs import Graph
+
+from oracles import lr_smoother, pnp_admm_denoise
 
 
 def two_node_lap():
@@ -102,6 +102,40 @@ class TestLrDenoise:
         for j in range(3):
             assert np.allclose(x[:, j], lr_denoise(lap, y[:, j], 1.2), atol=1e-12)
 
+    COLUMNS = {
+        "random": lambda rng, dec: rng.standard_normal(dec.n_nodes),
+        "constant": lambda rng, dec: np.full(dec.n_nodes, rng.uniform(-3.0, 3.0)),
+        "eigenvector": lambda rng, dec: 2.0 * dec.basis[:, rng.integers(1, dec.n_nodes)],
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-3, 1e3)),
+        columns=st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=3),
+        batched=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha=0.0, columns=sorted(COLUMNS), batched=True, seed=0)
+    @example(alpha=0.0, columns=["random"], batched=False, seed=0)
+    def test_matches_sparse_lu_oracle(self, graph50, alpha, columns, batched, seed):
+        lap, dec = graph50
+        rng = np.random.default_rng(seed)
+        y = np.column_stack([self.COLUMNS[c](rng, dec) for c in columns])
+        y = y if batched else y[:, 0]
+        got = lr_denoise(lap, y, alpha)
+        want = lr_smoother(lap, alpha)(y)
+        assert got.shape == y.shape
+        if alpha == 0:
+            assert got.tobytes() == y.tobytes()
+        # The bound TestLanczosNodePath puts on apply_denoiser against the same oracle.
+        cond = 1.0 + alpha * dec.eigenvalues[-1]
+        assert np.linalg.norm(got - want) <= 1e-13 * cond * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            lr_denoise(two_node_lap(), np.ones(shape), 1.0)
+
 
 class TestLrSmoother:
     def test_matches_dense_solve(self):
@@ -164,7 +198,7 @@ class TestLrDenoiseCg:
         lap = synthetic_lap(0, n=100)
         rng = np.random.default_rng(5)
         y = rng.standard_normal(100)
-        direct = lr_denoise(lap, y, 1.0)
+        direct = lr_smoother(lap, 1.0)(y)
         viacg = lr_denoise_cg(lap, y, 1.0, tol=1e-10)
         assert np.linalg.norm(viacg - direct) / np.linalg.norm(direct) <= 1e-7
 
@@ -204,7 +238,7 @@ class TestPnpAdmm:
         rng = np.random.default_rng(8)
         y = rng.standard_normal(lap.n_nodes)
         x = pnp_admm_denoise(lap, y, 2.0, 1e6, iters=1)
-        ref = lr_denoise(lap, y, 2.0)
+        ref = lr_smoother(lap, 2.0)(y)
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 0.01
 
     def test_fixed_point_is_stationary(self):

@@ -12,7 +12,7 @@ import pytest
 
 import graphred
 from graphred import (
-    Denoiser, RedProblem, apply_denoiser, build_laplacian, knn_graph, load_edge_list, lr_smoother, normalize_weights,
+    Denoiser, RedProblem, apply_denoiser, build_laplacian, knn_graph, load_edge_list, lr_denoise, normalize_weights,
     red_cg_solve, save_edge_list,
 )
 
@@ -39,7 +39,7 @@ def test_node_space_path_stays_below_one_dense_array(tmp_path):
     def denoise():
         graph = normalize_weights(knn_graph(points, 8))
         save_edge_list(graph, path)
-        lr_smoother(build_laplacian(graph), 1.0)(y)
+        lr_denoise(build_laplacian(graph), y, 1.0)
 
     assert traced_peak(denoise) < DENSE_BYTES
     assert traced_peak(lambda: load_edge_list(path, n_nodes=N)) < DENSE_BYTES
@@ -63,20 +63,16 @@ def test_lanczos_denoise_stays_below_one_dense_array():
     assert traced_peak(lambda: apply_denoiser(pnp, lap, y)) < DENSE_BYTES
 
 
-def run_command(tmp_path, command, config, out=None):
-    """Run one CLI command in a fresh process with scipy blocked (an import of it fails loudly).
+def run_probe(body):
+    """Run ``body`` in a fresh process with scipy blocked (an import of it fails loudly).
 
-    Returns the exit code and the set of modules the process loaded.
+    ``body`` sets ``code``; returns it and the set of modules the process loaded.
     """
     src = os.path.dirname(os.path.dirname(graphred.__file__))
-    out = out or command
-    cfg = tmp_path / f"{out}.json"
-    cfg.write_text(json.dumps(config))
     probe = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
-        "from graphred.cli import main\n"
-        f"code = main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / out)!r}])\n"
+        f"{body}"
         "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() if mod is not None)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
@@ -85,12 +81,51 @@ def run_command(tmp_path, command, config, out=None):
     return code, set(modules)
 
 
+def run_command(tmp_path, command, config, out=None):
+    """Run one CLI command by :func:`run_probe`; returns its exit code and the modules loaded."""
+    out = out or command
+    cfg = tmp_path / f"{out}.json"
+    cfg.write_text(json.dumps(config))
+    return run_probe(
+        "from graphred.cli import main\n"
+        f"code = main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / out)!r}])\n"
+    )
+
+
+# One call of each name tests/test_acceptance.py pins, after a star import of the package.
+LIBRARY_CALLS = """\
+import numpy as np
+import graphred
+from graphred import *
+from graphred.cli import apply_method, tune_method
+
+data = generate_synthetic_dataset(SyntheticSpec(n_nodes=20, sigmas=(1.0,), n_train=2, n_test=1))
+lap = build_laplacian(data.train[0].graph)
+y = data.train[0].observed[1.0]
+den = Denoiser("pnp", 1.0, rho=1.0)
+prob = RedProblem(y=y, alpha_red=1.0, denoiser=den, lap=lap)
+red_gradient(prob, y), red_objective(prob, y), red_gradient_descent(prob, 0.5, 2), red_cg_solve(prob, 2)
+check_homogeneity(den, y, lap=lap), check_passivity(den, y, lap=lap)
+lr_denoise(lap, y, 1.0), lr_denoise_cg(lap, y, 1.0)
+h_red(np.linspace(0.0, 2.0, 5), 1.0, 1.0), red_filter_matrix(eigendecompose(lap), 1.0, 1.0)
+unrolled_forward(lap, y, UnrolledParams.constant(2, "lr", alpha_red=1.0, alpha_denoiser=1.0))
+apply_method("red_lr", {"alpha_red": 1.0, "alpha_lr": 1.0}, lap, None, y)
+tune_method(data.train, 1.0, "red_pnp", grid_points=2)
+code = 0
+"""
+
+
 def test_spectral_commands_import_no_scipy(tmp_path):
-    """No command imports scipy."""
+    """Neither the library's pinned API nor any command imports scipy."""
+
+    def check(result, what):
+        code, modules = result
+        assert (code, sorted(m for m in modules if m.split(".")[0] == "scipy")) == (0, []), what
+
+    check(run_probe(LIBRARY_CALLS), "library")
 
     def run(command, config, out=None):
-        code, modules = run_command(tmp_path, command, config, out)
-        assert (code, sorted(m for m in modules if m.split(".")[0] == "scipy")) == (0, []), command
+        check(run_command(tmp_path, command, config, out), command)
 
     bundle = str(tmp_path / "generate")
     run("generate", {"kind": "synthetic", "seed": 1, "n_nodes": 20, "k": 3, "sigmas": [1.0], "n_train": 2, "n_test": 1})
@@ -164,6 +199,6 @@ def test_package_imports_its_modules_on_first_use():
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == [[], 76, 76, "graphred.cli", "graphred.spectral", False]
+    assert json.loads(out.stdout) == [[], 74, 74, "graphred.cli", "graphred.spectral", False]
     with pytest.raises(AttributeError):
         graphred.no_such_name  # noqa: B018

@@ -20,9 +20,7 @@ from graphred import (
     gft,
     igft,
     knn_graph,
-    lr_denoise,
     normalize_weights,
-    pnp_admm_denoise,
     red_cg_layers,
     red_cg_solve,
     red_gradient,
@@ -34,6 +32,8 @@ from graphred.graphs import Graph
 from graphred.cli import SCREEN_MARGIN
 from graphred.denoisers import gain_table
 from graphred.red import CONVERGED_TOL, candidate_mse, krylov_screen_mse
+
+from oracles import lr_denoise, pnp_admm_denoise
 
 
 def setup_graph(seed=0, n=50, k=5):

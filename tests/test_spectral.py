@@ -84,6 +84,17 @@ class TestCompareResponses:
         via_dec = compare_responses(dec, 1.0, 1.0)
         assert np.allclose(via_lap.eigenvalues, via_dec.eigenvalues, atol=1e-12)
 
+    def test_eigenvalue_grid_gives_the_responses_bits(self):
+        lam = np.linspace(0.0, 10.0, 200)
+        cmp = compare_responses(lam, 2.0, 0.5)
+        assert cmp.eigenvalues is lam
+        assert cmp.h_lr.tobytes() == h_lr(lam, 0.5).response.tobytes()
+        assert cmp.h_red.tobytes() == h_red(lam, 2.0, 0.5).response.tobytes()
+        _, dec = setup_graph(5)
+        via_grid = compare_responses(dec.eigenvalues, 2.0, 0.5)
+        via_dec = compare_responses(dec, 2.0, 0.5)
+        assert via_grid.rows() == via_dec.rows()
+
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             compare_responses(np.eye(3), 1.0, 1.0)
