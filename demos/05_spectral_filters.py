@@ -7,6 +7,9 @@ equally instead of ever harder, which is the mechanism behind RED's
 better RMSE at matched smoothing strength.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from graphred import (
@@ -45,8 +48,10 @@ def main():
     err = np.linalg.norm(mat @ x - direct) / np.linalg.norm(direct)
     print(f"U diag(h_red) U^T x equals alpha_red (x - D(x)): rel err {err:.2e}")
 
-    write_response_csv("/tmp/spectrum_demo.csv", comparison)
-    print("wrote /tmp/spectrum_demo.csv (columns: lambda,h_lr,h_red)")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spectrum_demo.csv")
+        write_response_csv(path, comparison)
+        print(f"wrote {path} (columns: lambda,h_lr,h_red)")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ command reads a JSON config (validated strictly: unknown keys are rejected)
 plus the global flags ``--config``, ``--seed``, ``--out``, ``--threads``.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or input
 error (a missing file, or a bad line of a point cloud, edge list or signal).
+
+The modules that only some commands run (construct, red, spectral, unroll)
+are imported inside the functions that use them, so a process loads only
+what its command needs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import itertools
 import json
 import os
 import sys
-from importlib import import_module
 
 import numpy as np
 
@@ -30,43 +33,6 @@ from .exceptions import (
 )
 from .graphs import build_laplacian, eigendecompose, gft, rmse, table_text, write_json, write_text
 from . import datasets as ds
-
-# Names from the modules that only some commands run.  Each command binds
-# the names it uses when it starts (see _bind), so a process imports only
-# what its command needs.
-_DEFERRED = {
-    "construct": ("knn_graph", "normalize_weights"),
-    "red": (
-        "RedProblem", "UnrolledParams", "candidate_mse", "check_homogeneity", "check_passivity", "krylov_screen_mse",
-        "red_cg_layers", "red_cg_solve",
-    ),
-    "spectral": ("compare_responses", "write_response_csv"),
-    "unroll": (
-        "TrainConfig", "TrainSample", "load_params", "save_loss_history", "save_params", "train", "unrolled_forward",
-    ),
-}
-
-
-def _bind(*modules) -> None:
-    """Import ``modules`` and bind the names this module takes from them.
-
-    A name bound already (by an earlier call, or replaced from outside, as a
-    test's patch does) is kept.
-    """
-    for module in modules:
-        loaded = import_module(f".{module}", __package__)
-        for name in _DEFERRED[module]:
-            globals().setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name):
-    """A deferred name read from outside before any command bound it (PEP 562)."""
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 # A method applies a registered denoiser kind, alone or plugged into RED as "red_<kind>": (kind, red).
 _METHOD_KINDS = {**{kind: (kind, False) for kind in KINDS}, **{f"red_{kind}": (kind, True) for kind in KINDS}}
@@ -153,7 +119,7 @@ def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pn
     denoiser = method_denoiser(method, params, pnp_iters)
     if not _method_kind(method)[1]:
         return apply_denoiser(denoiser, lap, y, decomp=decomp)
-    _bind("red")
+    from .red import RedProblem, red_cg_solve
     return red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap, decomp), cg_layers).x
 
 
@@ -168,6 +134,7 @@ def _screened_errors(y, target, table, alphas, cg_layers, solve):
     ``None`` when the screen is not trusted: it diverged, or a confirmed CG
     value fell outside its bracket.
     """
+    from .red import candidate_mse, krylov_screen_mse
     try:
         mse, spread = krylov_screen_mse(y, target, 1.0 - table, alphas, cg_layers)
     except DivergenceError:
@@ -213,7 +180,7 @@ def tune_method(
     eigenvalues and grid, between them.  A grid bound that is zero,
     negative or NaN raises :class:`ConfigError`.
     """
-    _bind("red")
+    from .red import candidate_mse, red_cg_layers
     kind, red = _method_kind(method)
     if grid_points < 1:
         raise ConfigError("grid_points must be >= 1")
@@ -398,16 +365,16 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         raise ConfigError(f"denoise: split {split!r} is empty")
     params = _resolve_denoise_params(cfg, method, sigma)
     if method == "unrolled":
-        _bind("unroll")
+        from .unroll import load_params, unrolled_forward
+        uparams = load_params(cfg["unrolled_params"])
     elif red:
-        _bind("red")
-    uparams = load_params(cfg["unrolled_params"]) if method == "unrolled" else None
+        from .red import RedProblem, red_cg_solve
     cg_layers = int(cfg.get("cg_layers", DEFAULT_CG_LAYERS))
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
     if rebuild and dataset.manifest.get("kind") != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
     if rebuild:
-        _bind("construct")
+        from .construct import knn_graph, normalize_weights
     save_diag = bool(cfg.get("save_diagnostics", False))
     k = int(dataset.manifest.get("k", 5))
 
@@ -420,10 +387,10 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         lap = build_laplacian(graph)
         if method == "unrolled":
             return unrolled_forward(lap, y, uparams, pnp_iters=pnp_iters), None
-        if red and save_diag:
+        if red:
             denoiser = method_denoiser(method, params, pnp_iters)
             report = red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap), cg_layers)
-            return report.x, report
+            return report.x, report if save_diag else None
         return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
 
     if threads > 1:
@@ -447,6 +414,8 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
+    from .red import UnrolledParams
+    from .unroll import load_params
     init_cfg = cfg.get("init", {})
     if not isinstance(init_cfg, dict):
         raise ConfigError("train config 'init' must be an object")
@@ -471,7 +440,7 @@ def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
 
 
 def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    _bind("red", "unroll")
+    from .unroll import TrainConfig, TrainSample, save_loss_history, save_params, train, unrolled_forward
     allowed = {
         "dataset", "split", "sigma", "mode", "denoiser", "K", "epochs",
         "learning_rate", "seed", "gradient_method", "init", "start_epoch",
@@ -533,7 +502,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    _bind("red")
+    from .red import check_homogeneity, check_passivity
     kind_keys = {k for spec in KINDS.values() for k in spec.keys}
     allowed = {"datasets", "methods", "pnp_iters", "n_signals", "c", "seed", *kind_keys}
     _check_keys(cfg, allowed, {"datasets"}, "check config")
@@ -584,7 +553,7 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    _bind("spectral")
+    from .spectral import compare_responses, write_response_csv
     allowed = {"dataset", "alpha_red", "alpha_lr", "tuned", "sigma", "lambda_max", "n_points"}
     _check_keys(cfg, allowed, set(), "spectrum config")
     if "tuned" in cfg:

@@ -128,15 +128,16 @@ def pnp_gains(lambdas: np.ndarray, alpha: float, rho: float, iters: int) -> np.n
     is obtained by running the three-step recursion on spectral coefficients
     with an input coefficient of 1.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     return _pnp_recursion(np.asarray(lambdas, dtype=float), alpha, rho, iters)
 
 
 def _pnp_recursion(lambdas, alpha, rho, iters):
-    """The :func:`pnp_gains` recursion; ``alpha`` and ``rho`` may be arrays that broadcast against ``lambdas``."""
+    """The :func:`pnp_gains` recursion and its checks; ``alpha`` and ``rho``
+    may be arrays that broadcast against ``lambdas``."""
+    if np.any(np.less_equal(rho, 0)):
+        raise ValueError("rho must be positive")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     f = lr_gains(lambdas, alpha)
     x = np.ones_like(f)
     u = np.zeros_like(f)
@@ -180,13 +181,13 @@ class DenoiserKind:
     order (``alpha >= 0`` first, later ones positive), ``keys`` their config
     keys and ``layers`` their per-layer :class:`unroll.UnrolledParams`
     fields.  ``gains(lam, params, iters)`` is one filter's gains for one
-    scalar per field (the kind's public gain function, which checks them);
-    ``table(lam, params, iters)`` runs the same elementwise steps on
-    ``(R, 1, ...)`` columns, one row per filter, so each row has ``gains``'
-    bits.  ``jacobian(lam, params, iters)``, for a ``(1, N)`` row ``lam``
-    and one ``(F, 1)`` column per field, returns the ``(F, N)`` gains
-    (``table`` rows, bit for bit) and their ``(P, F, N)`` derivatives in the
-    P fields.  ``iterative`` kinds run ``iters`` steps.
+    scalar per field (the kind's public gain function); ``table(lam, params,
+    iters)`` runs the same elementwise steps and checks on ``(R, 1, ...)``
+    columns, one row per filter, so each row has ``gains``' bits.
+    ``jacobian(lam, params, iters)``, for a ``(1, N)`` row ``lam`` and one
+    ``(F, 1)`` column per field, returns the ``(F, N)`` gains (``table``
+    rows, bit for bit) and their ``(P, F, N)`` derivatives in the P fields.
+    ``iterative`` kinds run ``iters`` steps.
     """
 
     fields: tuple
@@ -232,24 +233,19 @@ def check_params(kind, values) -> None:
             raise ValueError(f"{kind} denoiser needs {name} {'>= 0' if i == 0 else '> 0'}")
 
 
-def denoiser_gains(
-    denoiser: Denoiser,
-    lambdas: np.ndarray,
-    alpha: float | None = None,
-    rho: float | None = None,
-) -> np.ndarray:
-    """Spectral gains of ``denoiser``; ``alpha``/``rho`` override stored values."""
+def denoiser_gains(denoiser: Denoiser, lambdas: np.ndarray) -> np.ndarray:
+    """Spectral gains of ``denoiser`` at ``lambdas``."""
     spec = KINDS[denoiser.kind]
-    row = [getattr(denoiser, f) if v is None else v for f, v in zip(spec.fields, (alpha, rho))]
-    return spec.gains(lambdas, row, denoiser.iters)
+    return spec.gains(lambdas, [getattr(denoiser, f) for f in spec.fields], denoiser.iters)
 
 
 def gain_table(kind: str, lambdas: np.ndarray, params, iters: int = DEFAULT_PNP_ITERS) -> np.ndarray:
     """Gains of the ``kind`` denoiser at ``lambdas``, one row per parameter tuple of ``params``.
 
     All rows run one broadcast evaluation (the kind's ``table``), whose
-    elementwise operations are those of :func:`lr_gains` and
-    :func:`pnp_gains`, so each row has their bits.
+    elementwise operations and checks are those of :func:`lr_gains` and
+    :func:`pnp_gains`, so each row has their bits, and a ``"pnp"`` table with
+    a ``rho <= 0`` or ``iters < 1`` raises :class:`ValueError` as they do.
     """
     lam = np.asarray(lambdas, dtype=float)
     spec = KINDS[kind]

@@ -12,6 +12,7 @@ import pytest
 import graphred.cli
 import graphred.denoisers
 import graphred.graphs
+import graphred.red
 import graphred.unroll
 from graphred import (
     Denoiser, RedProblem, TrainConfig, TrainSample, UnrolledParams, build_laplacian, eigendecompose,
@@ -257,9 +258,9 @@ class TestScreenedTune:
     @pytest.fixture
     def spy(self, monkeypatch):
         calls = []
-        real = graphred.cli.candidate_mse
+        real = graphred.red.candidate_mse
         monkeypatch.setattr(
-            graphred.cli, "candidate_mse", lambda *a, **kw: calls.append(kw.get("needed")) or real(*a, **kw)
+            graphred.red, "candidate_mse", lambda *a, **kw: calls.append(kw.get("needed")) or real(*a, **kw)
         )
         return calls
 
@@ -286,7 +287,7 @@ class TestScreenedTune:
     @pytest.mark.parametrize("method", ["red_lr", "red_pnp"])
     def test_untrusted_screen_falls_back_to_cg(self, dataset_dir, method, fault, spy, monkeypatch):
         records = self.records(dataset_dir, 1.0, "with_constant")
-        real = graphred.cli.krylov_screen_mse
+        real = graphred.red.krylov_screen_mse
 
         def faulty(*args):
             if fault == "diverge":
@@ -296,7 +297,7 @@ class TestScreenedTune:
             mse[worst] = 0.5 * mse.min()  # the worst candidate now screens best
             return mse, spread
 
-        monkeypatch.setattr(graphred.cli, "krylov_screen_mse", faulty)
+        monkeypatch.setattr(graphred.red, "krylov_screen_mse", faulty)
         entry = tune_method(records, 1.0, method, grid_points=5)
         assert entry == exhaustive_red_tune(records, 1.0, method, 5)
         assert spy[-1] is None  # the exhaustive pass ran
@@ -312,6 +313,17 @@ class TestScreenedTune:
             % (json.dumps(str(dataset_dir)), method, key, *bounds)
         )
         assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "tuned.json").exists()
+
+    def test_zero_pnp_iters_is_config_error(self, dataset_dir, tmp_path, capsys):
+        # With no PnP iteration the gain table is all ones: every candidate
+        # would tune to the identity filter and report the observed RMSE.
+        cfg = write_config(
+            tmp_path / "tune.json",
+            {"dataset": str(dataset_dir), "methods": ["pnp", "red_pnp"], "grid_points": 3, "pnp_iters": 0},
+        )
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "iters must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tuned.json").exists()
 
     def test_overflowing_alpha_range_exits_3(self, dataset_dir, tmp_path):

@@ -355,11 +355,6 @@ class TestGainsAndDispatch:
         with pytest.raises(ValueError):
             Denoiser(kind="pnp", alpha=1.0, rho=1.0, iters=0)
 
-    def test_gain_overrides(self):
-        lam = np.linspace(0.0, 3.0, 7)
-        den = Denoiser(kind="lr", alpha=1.0)
-        assert np.allclose(denoiser_gains(den, lam, alpha=3.0), lr_gains(lam, 3.0), atol=1e-15)
-
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(["lr", "pnp"]),

@@ -155,10 +155,11 @@ def test_spectral_commands_import_no_scipy(tmp_path):
 def test_commands_import_only_the_modules_they_run(tmp_path):
     """No command loads a graph-construction, solver, trainer, spectrum or thread-pool module it does not run.
 
-    generate loads graph construction only; tune and train load RED, and train
-    the trainer; eval loads none of them; denoise loads RED only for red_*,
-    graph construction only to rebuild graphs, and the thread pool only above
-    one thread.
+    generate loads graph construction only; tune, train and check load RED,
+    and train the trainer; spectrum loads spectral analysis only; eval loads
+    none of them; denoise loads RED only for red_* and unrolled, the trainer
+    only for unrolled, graph construction only to rebuild graphs, and the
+    thread pool only above one thread.
     """
     watched = {"graphred.construct", "graphred.red", "graphred.unroll", "graphred.spectral", "concurrent.futures"}
 
@@ -177,6 +178,10 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     red_pnp = {"alpha_red": 3.0, "alpha_pnp": 0.3, "rho": 1.0}
     assert loaded("tune", {"dataset": bundle, "grid_points": 2}, "tune") == {"graphred.red"}
     assert loaded("train", {**common, "K": 2, "epochs": 2}, "train") == {"graphred.red", "graphred.unroll"}
+    unrolled = {**common, "method": "unrolled", "unrolled_params": str(tmp_path / "train" / "params.json")}
+    assert loaded("denoise", unrolled, "unrolled") == {"graphred.red", "graphred.unroll"}
+    assert loaded("check", {"datasets": [bundle], "n_signals": 2}, "check") == {"graphred.red"}
+    assert loaded("spectrum", {"alpha_red": 3.0, "alpha_lr": 1.0, "n_points": 5}, "spectrum") == {"graphred.spectral"}
     assert loaded("denoise", {**common, "method": "red_pnp", "params": red_pnp, "save_diagnostics": True},
                   "red_pnp") == {"graphred.red"}
     assert loaded("denoise", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}, "lr") == set()
