@@ -380,11 +380,13 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
     # One solve per record, on one Lanczos basis per signal column: a few
     # dozen sparse products with L cost less than an eigendecomposition.  A
-    # rebuilt graph comes from the noisy coordinates, the only graph real clouds have.
+    # rebuilt graph comes from the noisy coordinates, the only graph real clouds
+    # have; stored graphs get one Laplacian each, however many records share them.
+    laps = {} if rebuild else {g: build_laplacian(g) for g in dict.fromkeys(r.graph for r in records)}
+
     def run_one(record):
         y = np.asarray(record.observed[sigma], dtype=float)
-        graph = normalize_weights(knn_graph(y, k)) if rebuild else record.graph
-        lap = build_laplacian(graph)
+        lap = build_laplacian(normalize_weights(knn_graph(y, k))) if rebuild else laps[record.graph]
         if method == "unrolled":
             return unrolled_forward(lap, y, uparams, pnp_iters=pnp_iters), None
         if red:

@@ -17,8 +17,9 @@ from .graphs import Graph
 MIN_NEIGHBOR_DISTANCE = 1e-12
 # Rows of the distance matrix held at once while picking neighbours exactly.
 KNN_BLOCK_ROWS = 128
-# Candidate distances (rows x padded candidates) the grid search holds at once.
-KNN_CANDIDATE_ENTRIES = 1 << 17
+# Candidate distances (rows x padded candidates) the grid search holds at once:
+# a block's nine or so live arrays of this many entries take about 2 MB.
+KNN_CANDIDATE_ENTRIES = 1 << 15
 # The grid bins points on at most this many coordinates, the widest first.
 GRID_AXES = 3
 
@@ -32,10 +33,19 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``sqrt(sum(diff**2, axis=-1))`` below 8 coordinates; from 8 on numpy
     sums pairwise and they may differ.
     """
-    diff = a[..., 0] - b[..., 0]
-    sq = np.multiply(diff, diff, out=diff)
-    for c in range(1, a.shape[-1]):
-        diff = a[..., c] - b[..., c]
+    return _root_sum_squares(a[..., c] - b[..., c] for c in range(a.shape[-1]))
+
+
+def _root_sum_squares(diffs) -> np.ndarray:
+    """``sqrt`` of the summed squares of the arrays ``diffs`` yields, one coordinate's differences each.
+
+    Each is squared in place and added to the first one's square, so a
+    generator keeps one difference array alive besides the sum.
+    """
+    diffs = iter(diffs)
+    sq = next(diffs)
+    np.multiply(sq, sq, out=sq)
+    for diff in diffs:
         sq += np.multiply(diff, diff, out=diff)
     return np.sqrt(sq, out=sq)
 
@@ -90,12 +100,13 @@ def _grid_neighbours(points: np.ndarray, k: int):
 
     Points are binned into cells on up to ``GRID_AXES`` coordinates, and a
     row's candidates are the points in its cell's 3^m block of neighbouring
-    cells, with :func:`_distances`' bits.  A row is certified when its k-th
-    candidate distance is strictly below ``reach``: every point outside the
-    block is apart from it by at least that gap along one binned coordinate,
-    and the computed distance never falls below the computed gap, as each
-    rounding step is monotone and the other coordinates only add.  Its first
-    k candidates by (distance, index) are then its first k of all points.
+    cells, with :func:`_distances`' bits; candidate coordinates are gathered
+    one coordinate at a time.  A row is certified when its k-th candidate
+    distance is strictly below ``reach``: every point outside the block is
+    apart from it by at least that gap along one binned coordinate, and the
+    computed distance never falls below the computed gap, as each rounding
+    step is monotone and the other coordinates only add.  Its first k
+    candidates by (distance, index) are then its first k of all points.
     Returns ``(found, rest)``: a list of ``(i, j, dist)`` arrays of the
     certified rows' pairs, and the rows left (outliers, dense clusters, rows
     with fewer than k candidates), ascending.
@@ -140,7 +151,7 @@ def _grid_neighbours(points: np.ndarray, k: int):
     # KNN_CANDIDATE_ENTRIES candidates; index n is a point at infinity.
     rows = order[np.argsort(total[cell_of[order]], kind="stable")]
     width = np.maximum(total[cell_of[rows]], k)
-    padded = np.vstack([points, np.full(points.shape[1], np.inf)])
+    coords = np.hstack([points.T, np.full((points.shape[1], 1), np.inf)])  # (d, n + 1), a row per coordinate
     found, rest = [], []
     start = 0
     while start < n:
@@ -157,7 +168,8 @@ def _grid_neighbours(points: np.ndarray, k: int):
             np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + flat
         ]
         cand = table[np.cumsum(new) - 1]
-        dist = _distances(points[block, None, :], padded[cand])
+        own = points[block]
+        dist = _root_sum_squares(own[:, None, c] - coords[c][cand] for c in range(len(coords)))
         dist[cand == block[:, None]] = np.inf
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
         ok = kth[:, 0] < reach[block]
@@ -194,7 +206,9 @@ def knn_graph(
     to all points, at most ``KNN_BLOCK_ROWS`` rows and about
     ``KNN_CANDIDATE_ENTRIES`` distances at a time.  Both give the same
     distance bits and the same tie rule, so the graph does not depend on
-    which path a row took.
+    which path a row took.  Either path's block of arrays takes about 2 MB
+    (256 KiB per float64 array of ``KNN_CANDIDATE_ENTRIES``) besides the
+    O(N k) pairs.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or not points.shape[1]:
@@ -225,6 +239,7 @@ def knn_graph(
         local, j = np.nonzero(keep)
         found.append((block[local], j, dist[local, j]))
     i, j, dist = (np.concatenate(part) for part in zip(*found))
+    del found  # the graph's assembly holds a few arrays of the pairs' size; free the parts first
     if values is None:
         d = dist
     else:
@@ -239,7 +254,7 @@ def knn_graph(
             f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
         )
     # Distances are exactly symmetric: a pair chosen from both ends gets one weight.
-    return Graph.from_edges(i, j, 1.0 / d if weighted else np.ones(len(i)), n)
+    return Graph.from_edges(i, j, np.divide(1.0, d, out=d) if weighted else np.ones(len(i)), n)
 
 
 def normalize_weights(graph: Graph) -> Graph:

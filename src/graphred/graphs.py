@@ -33,6 +33,8 @@ DECOMP_TOL = 1e-8
 MAX_DENSE_NODES = 8192
 # Entries of the dense scratch rows in which build_laplacian sums degrees.
 DEGREE_BLOCK_ENTRIES = 1 << 17
+# Lines load_edge_list parses at once.
+EDGE_BLOCK_LINES = 1024
 # A Lanczos residual this small relative to the operator's norm is rounding
 # noise: the column's Krylov space is exhausted and its basis stops there.
 BREAKDOWN_TOL = 1e-13
@@ -93,14 +95,7 @@ class Graph:
     def from_edges(cls, i, j, w, n_nodes: int) -> Graph:
         """Graph with weight ``w[e]`` on the pair ``(i[e], j[e])``; a pair given
         again (in either order) takes its last weight, and zero weights are dropped."""
-        i, j, w = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp), np.asarray(w, dtype=float)
-        _, first = np.unique((np.minimum(i, j) * n_nodes + np.maximum(i, j))[::-1], return_index=True)
-        last = len(w) - 1 - first
-        last = last[w[last] != 0]
-        rows, cols = np.concatenate([i[last], j[last]]), np.concatenate([j[last], i[last]])
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
-        return cls(indptr, cols[order], np.tile(w[last], 2)[order], n_nodes)
+        return cls(*_union_csr(i, j, w, n_nodes), n_nodes)
 
     def _rows(self) -> np.ndarray:
         """Row index of every stored entry."""
@@ -126,6 +121,28 @@ class Graph:
     def edges(self) -> list:
         """Edge list as (i, j, weight) tuples with integer indices, i < j, in row order."""
         return list(zip(*(col.tolist() for col in self._edge_columns())))
+
+
+def _union_csr(i, j, w, n):
+    """CSR arrays of :meth:`Graph.from_edges`, by one stable sort of both directions' (row, column) keys.
+
+    The two keys of each pair sit side by side, so the sort leaves a key's
+    entries in input order, and the last entry of each run holds its pair's
+    last weight.  Only the CSR arrays outlive the call.
+    """
+    i, j, w = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp), np.asarray(w, dtype=float)
+    if len(w) and not (min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) < n):
+        raise InvalidGraphError(f"edge indices must lie in [0, {n})")
+    key = np.empty(2 * len(w), dtype=np.intp)
+    key[0::2], key[1::2] = i * n + j, j * n + i
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    weights = w[order[last] // 2]
+    kept = weights != 0
+    rows, cols = np.divmod(key[last][kept], n)
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]), cols, weights[kept]
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,17 +283,24 @@ def lanczos(matvec, b: np.ndarray, floor, reorthogonalize: bool = False):
     Krylov space: its later basis vectors and tridiagonal entries are zero,
     so it adds nothing past there.  With ``reorthogonalize``, each new vector
     is orthogonalized against all earlier ones of its row (one classical
-    Gram-Schmidt pass), which keeps the basis orthonormal to rounding.
+    Gram-Schmidt pass), which keeps the basis orthonormal to rounding.  The
+    yielded arrays are views of storage that a later step may replace by a
+    larger copy; a caller holding them into that step keeps the old storage alive.
     """
     n_rows, n = b.shape
     norm = np.sqrt(np.sum(b * b, axis=1))
-    # Storage doubles as steps accrue; 16 covers the tune screen's usual K of 10.
+    # 16 steps cover the tune screen's usual K of 10.  Full storage is copied
+    # into storage half as large again (16 steps at least) and dropped, so a
+    # growth holds 2.5 times the old basis at most, and only while it copies.
     basis, diag, off = np.zeros((n_rows, 16, n)), np.zeros((n_rows, 16)), np.zeros((n_rows, 16))
     q = b / np.where(norm > 0, norm, 1.0)[:, None]
     q_prev, beta = np.zeros_like(b), np.zeros_like(norm)
     for k in itertools.count():
-        if k == basis.shape[1]:  # double the storage
-            basis, diag, off = (np.concatenate([a, np.zeros_like(a)], axis=1) for a in (basis, diag, off))
+        if k == basis.shape[1]:
+            grown = [np.zeros(a.shape[:1] + (k + max(16, k // 2),) + a.shape[2:]) for a in (basis, diag, off)]
+            for new, old in zip(grown, (basis, diag, off)):
+                new[:, :k] = old
+            basis, diag, off = grown
         basis[:, k] = q
         w = matvec(q) - beta[:, None] * q_prev
         diag[:, k] = np.einsum("ij,ij->i", q, w)  # row dot products, without a temporary
@@ -284,10 +308,11 @@ def lanczos(matvec, b: np.ndarray, floor, reorthogonalize: bool = False):
         if reorthogonalize:
             done = basis[:, : k + 1]
             w -= (done.transpose(0, 2, 1) @ (done @ w[:, :, None]))[:, :, 0]
+            del done  # a view, which would keep old storage alive through a growth
         beta = np.sqrt(np.einsum("ij,ij->i", w, w))
         beta[beta <= floor] = 0.0
         off[:, k] = beta
-        q_prev, q = q, w / np.where(beta > 0, beta, np.inf)[:, None]
+        q_prev, q = q, np.divide(w, np.where(beta > 0, beta, np.inf)[:, None], out=w)
         yield basis[:, : k + 1], diag[:, : k + 1], off[:, : k + 1]
 
 
@@ -316,7 +341,8 @@ def krylov_solve(lap: Laplacian, v: np.ndarray, solve, cond: float = 1.0):
     computation, sizes the rounding floor of that change), or once every
     column's Krylov space is exhausted (a residual below ``BREAKDOWN_TOL *
     lap.norm_bound``, or N - 1 steps).  The Lanczos basis holds ``m N C``
-    floats, at most ``MAX_KRYLOV_STEPS * 8`` bytes per node and column;
+    floats, at most ``MAX_KRYLOV_STEPS * 8`` bytes per node and column, in
+    storage of at most 1.5 times the basis (2.5 times while it grows);
     :class:`ConvergenceError` (a :class:`NumericalError`) is raised if that
     many steps do not meet the rule.  Returns ``(x, extra)``.
     """
@@ -335,10 +361,12 @@ def krylov_solve(lap: Laplacian, v: np.ndarray, solve, cond: float = 1.0):
         w = lap.matvec(q.T).T
         return w - (w @ unit)[:, None] * unit
 
-    prev = None
-    for m, (basis, diag, off) in enumerate(lanczos(matvec, rest, BREAKDOWN_TOL * lap.norm_bound, True), start=1):
+    prev, steps = None, lanczos(matvec, rest, BREAKDOWN_TOL * lap.norm_bound, True)
+    for m in itertools.count(1):  # enumerate would hold the last step's views into the next
+        basis, diag, off = next(steps)
         exhausted = m >= n - 1 or not np.any(off[:, -1])
         if m % KRYLOV_STRIDE and not exhausted:
+            del basis, diag, off  # the next step may move them to larger storage
             continue
         tri = np.zeros((len(rows), m, m))
         i = np.arange(m)
@@ -368,6 +396,7 @@ def krylov_solve(lap: Laplacian, v: np.ndarray, solve, cond: float = 1.0):
                 iterations=m,
             )
         prev = delta
+        del basis, diag, off
 
 
 def on_frequencies(lap: Laplacian, v: np.ndarray, solve, decomp: SpectralDecomp | None = None, cond: float = 1.0):
@@ -500,10 +529,16 @@ def load_edge_list(path, n_nodes: int | None = None) -> Graph:
     def convert(lines):
         if not lines:
             raise InvalidGraphError(f"{path}: no edges found")
-        rows = list(map(str.split, lines))
-        if set(map(len, rows)) != {3}:
+        if any(len(line.split()) != 3 for line in lines):
             raise ValueError("an edge line is not three fields")
-        i, j, w = (np.array(col, dtype=dtype) for col, dtype in zip(zip(*rows), (np.intp, np.intp, float)))
+        # A block of lines at a time, split as one line and read by stride:
+        # no list per line, and few field strings alive at once.
+        cols = [], [], []
+        for start in range(0, len(lines), EDGE_BLOCK_LINES):
+            fields = " ".join(lines[start : start + EDGE_BLOCK_LINES]).split()
+            for c, (col, dtype) in enumerate(zip(cols, (np.intp, np.intp, float))):
+                col.append(np.array(fields[c::3], dtype=dtype))
+        i, j, w = map(np.concatenate, cols)
         top = int(max(i.max(), j.max()))
         if np.any(i == j) or min(i.min(), j.min()) < 0 or (n_nodes is not None and top >= n_nodes):
             raise ValueError("an edge is a self loop or names a node out of range")

@@ -1,11 +1,14 @@
-"""Sparse-LU oracles: the node-space LR and PnP-ADMM solves the package ran before its spectral core.
+"""Oracles: earlier implementations the package's faster paths are checked against.
 
-``lr_smoother`` factors ``I + alpha L`` once as a SuperLU factorization and
-runs two triangular solves per call; ``pnp_admm_denoise`` runs ADMM with
-those solves as the prior's proximal step.  Neither shares code with
-``denoisers.apply_denoiser`` (gains on GFT coefficients or at Lanczos Ritz
-values), so the tests check that path against them.  They import scipy,
-which the package itself does not need.
+Sparse LU: ``lr_smoother`` factors ``I + alpha L`` once as a SuperLU
+factorization and runs two triangular solves per call; ``pnp_admm_denoise``
+runs ADMM with those solves as the prior's proximal step.  Neither shares
+code with ``denoisers.apply_denoiser`` (gains on GFT coefficients or at
+Lanczos Ritz values), so the tests check that path against them.  They
+import scipy, which the package itself does not need.
+
+``from_edges_by_unique`` assembles ``Graph.from_edges``' CSR arrays with
+three sorts: a unique over the pair keys, a lexsort and the validating one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import scipy.sparse.linalg
 
 from graphred.denoisers import DEFAULT_PNP_ITERS
 from graphred.exceptions import DivergenceError, NumericalError
-from graphred.graphs import Laplacian, _check_signal
+from graphred.graphs import Graph, Laplacian, _check_signal
 
 SOLVE_TOL = 1e-8
 
@@ -105,3 +108,15 @@ def pnp_admm_denoise(
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_FACTOR * scale:
             raise DivergenceError(f"PnP-ADMM diverged at iteration {k}", iteration=k)
     return x
+
+
+def from_edges_by_unique(i, j, w, n_nodes: int) -> Graph:
+    """``Graph.from_edges`` by a unique over the pairs' reversed keys (each pair's last line), then a lexsort."""
+    i, j, w = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp), np.asarray(w, dtype=float)
+    _, first = np.unique((np.minimum(i, j) * n_nodes + np.maximum(i, j))[::-1], return_index=True)
+    last = len(w) - 1 - first
+    last = last[w[last] != 0]
+    rows, cols = np.concatenate([i[last], j[last]]), np.concatenate([j[last], i[last]])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
+    return Graph(indptr, cols[order], np.tile(w[last], 2)[order], n_nodes)

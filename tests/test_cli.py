@@ -637,6 +637,32 @@ class TestDenoiseNodeSpace:
             outs[name] = tree_bytes(tmp_path / f"out_{name}" / "denoised")
         assert outs["signals_only"] == outs["pc"]
 
+    def test_records_sharing_a_graph_share_its_laplacian(self, tmp_path, monkeypatch):
+        gen = write_config(
+            tmp_path / "gen.json",
+            {"kind": "pointcloud", "source": "data/torus.off", "m": 60, "k": 5, "sigmas": [0.1],
+             "n_train": 0, "n_test": 2},
+        )
+        assert main(["generate", "--config", gen, "--out", str(tmp_path / "pc")]) == 0
+        records = load_dataset(str(tmp_path / "pc")).test
+        assert records[0].graph is records[1].graph  # one stored graph, parsed once
+        params = self.CASES["red_pnp"]
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(tmp_path / "pc"), "method": "red_pnp", "sigma": 0.1, "params": params},
+        )
+        calls = []
+        real = graphred.cli.build_laplacian
+        monkeypatch.setattr(graphred.cli, "build_laplacian", lambda graph: calls.append(graph) or real(graph))
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+        assert len(calls) == 1
+        # The same bytes as a Laplacian built for each record on its own.
+        for record in records:
+            ref = apply_method("red_pnp", params, build_laplacian(record.graph), None, record.observed[0.1])
+            got = (tmp_path / "out" / "denoised" / f"sample_{record.index:03d}.csv").read_text()
+            assert got == graphred.graphs.table_text(ref)
+
 
 class TestTrain:
     def test_supervised_outputs(self, dataset_dir, tmp_path):

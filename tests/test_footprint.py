@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import graphred
+import graphred.graphs
 from graphred import (
     Denoiser, RedProblem, apply_denoiser, build_laplacian, knn_graph, load_edge_list, lr_denoise, normalize_weights,
     red_cg_solve, save_edge_list,
 )
+from test_construct import torus
 
 N = 2000
 DENSE_BYTES = N * N * 8  # one dense N x N float64 array
@@ -49,8 +51,8 @@ def test_lanczos_denoise_stays_below_one_dense_array():
     """A Lanczos node-path denoise of a 3-column signal at N=2000, with the cloud benchmark's parameters.
 
     Its basis holds m N C floats: 1.9 MB at the m = 40 these solves reach
-    (3.1 MB of storage, which doubles as it grows), and 512 * 2000 * 3 * 8 =
-    24.6 MB at the cap ``MAX_KRYLOV_STEPS``, against 32 MB for one dense
+    (2.3 MB of storage, which grows by half when full), and 512 * 2000 * 3 *
+    8 = 24.6 MB at the cap ``MAX_KRYLOV_STEPS``, against 32 MB for one dense
     N x N array.
     """
     rng = np.random.default_rng(0)
@@ -61,6 +63,48 @@ def test_lanczos_denoise_stays_below_one_dense_array():
     for den in (pnp, Denoiser(kind="lr", alpha=1.0)):
         assert traced_peak(lambda: red_cg_solve(RedProblem(y=y, alpha_red=3.0, denoiser=den, lap=lap), 10)) < DENSE_BYTES
     assert traced_peak(lambda: apply_denoiser(pnp, lap, y)) < DENSE_BYTES
+
+
+def test_knn_peak_is_one_candidate_block_over_the_pairs():
+    """kNN on an N=2000 torus at k = 8: the grid search holds one block of
+    ``KNN_CANDIDATE_ENTRIES`` candidates (about 2 MB of arrays) besides the O(N k) pairs."""
+    points = torus(N, 0)
+    assert traced_peak(lambda: knn_graph(points, 8)) < 3.5e6
+
+
+def test_edge_list_parse_keeps_no_list_per_line(tmp_path):
+    """Reading that graph's edge list (about 9,300 lines) parses a block of lines at a time."""
+    save_edge_list(normalize_weights(knn_graph(torus(N, 0), 8)), tmp_path / "graph.edges")
+    assert traced_peak(lambda: load_edge_list(tmp_path / "graph.edges", n_nodes=N)) < 3.2e6
+
+
+def test_lanczos_storage_grows_without_a_doubling_peak(monkeypatch):
+    """A Lanczos denoise peaks at its basis storage's last growth, plus a few vectors.
+
+    Full storage is copied into storage half as large again (16 steps at
+    least) and dropped, and no view of it outlives the copy.  A solve that
+    ends at m = 32 steps then peaks at 16 + 32 steps of storage while it
+    grows (1.5 times its final basis), and one that ends at m = 40 at 32 + 48
+    (2 times); doubling storage held 16 + 16 + 32 and 32 + 32 + 64.
+    """
+    steps = []
+    lanczos = graphred.graphs.lanczos
+
+    def counted(*args):
+        for step in lanczos(*args):
+            steps.append(step[0].shape[1])
+            yield step
+            del step  # hold no view into the next step
+
+    monkeypatch.setattr(graphred.graphs, "lanczos", counted)
+    points = torus(N, 0)
+    y = points + 0.5 * np.random.default_rng(0).standard_normal(points.shape)
+    lap = build_laplacian(normalize_weights(knn_graph(points, 8)))
+    for den, m, ratio in ((Denoiser(kind="pnp", alpha=0.3, rho=1.0), 32, 1.7), (Denoiser(kind="lr", alpha=1.0), 40, 2.2)):
+        steps.clear()
+        peak = traced_peak(lambda: red_cg_solve(RedProblem(y=y, alpha_red=3.0, denoiser=den, lap=lap), 10))
+        assert max(steps) == m
+        assert peak < ratio * m * y.size * 8
 
 
 def run_probe(body):

@@ -25,6 +25,7 @@ import graphred.graphs
 from graphred.datasets import generate_sensor_points
 from graphred.graphs import edge_list_text
 from graphred.construct import knn_graph, normalize_weights
+from oracles import from_edges_by_unique
 
 
 def two_node_graph():
@@ -92,6 +93,34 @@ class TestGraphType:
         w = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(InvalidGraphError):
             Graph.from_dense(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        edges=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8), st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, np.nan])),
+            max_size=40,
+        ),
+    )
+    def test_from_edges_matches_unique_oracle(self, n, edges):
+        """Repeated pairs in both orders, zero weights, self loops and bad weights: the same CSR bytes or error."""
+        i, j, w = (np.array(col, dtype=dtype) for col, dtype in zip(zip(*edges) if edges else ([], [], []),
+                                                                   (np.intp, np.intp, float)))
+        i, j = i % n, j % n
+
+        def build(fn):
+            try:
+                g = fn(i, j, w, n)
+            except InvalidGraphError as exc:
+                return str(exc)
+            return g.indptr.tobytes(), g.indices.tobytes(), g.weights.tobytes()
+
+        assert build(Graph.from_edges) == build(from_edges_by_unique)
+
+    @pytest.mark.parametrize("i, j", [([0, -1], [1, 0]), ([0, 1], [1, 3])])
+    def test_from_edges_rejects_indices_out_of_range(self, i, j):
+        with pytest.raises(InvalidGraphError, match=r"edge indices must lie in \[0, 3\)"):
+            Graph.from_edges(i, j, [1.0, 1.0], 3)
 
 
 class TestSparseCore:
