@@ -512,8 +512,11 @@ def krylov_screen_mse(
     ``w = min(1, dev / ORTHOGONALITY_TOL)``.  In 120,000 random candidates
     (N 5-120, K 1-24, LR and PnP rows) the CG core's MSE stayed within 3 %
     of ``spread``, plus 1e-8 relative, of ``mse``.
-    Raises :class:`DivergenceError` on a non-finite weight or result.
+    Raises :class:`DivergenceError` on a non-finite weight or result, and
+    ``ValueError`` if ``K < 1``.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     n_nodes, n_sig = y.shape
     alpha_red = np.asarray(alpha_red, dtype=float)
     if not np.all(np.isfinite(alpha_red)):
@@ -524,7 +527,8 @@ def krylov_screen_mse(
         rows = shortfalls[start : start + per_block]
         s, b = np.repeat(rows, n_sig, axis=0), np.tile(y.T, (len(rows), 1))  # one row per column, as np.tile(y, R)
         floor = BREAKDOWN_TOL * np.max(np.abs(s), axis=1)
-        *_, (basis, diag, off) = itertools.islice(lanczos(lambda q: s * q, b, floor), K)
+        for basis, diag, off in itertools.islice(lanczos(lambda q: s * q, b, floor), K):
+            pass  # keep only the last step: earlier views would hold outgrown storage
         t = np.tile(target, len(rows))
         gram = basis @ basis.transpose(0, 2, 1)
         live = np.einsum("ckk->ck", gram) > 0  # vectors before a breakdown

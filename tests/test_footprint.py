@@ -16,6 +16,7 @@ from graphred import (
     Denoiser, RedProblem, apply_denoiser, build_laplacian, knn_graph, load_edge_list, lr_denoise, normalize_weights,
     red_cg_solve, save_edge_list,
 )
+from graphred.red import krylov_screen_mse
 from test_construct import torus
 
 N = 2000
@@ -105,6 +106,20 @@ def test_lanczos_storage_grows_without_a_doubling_peak(monkeypatch):
         peak = traced_peak(lambda: red_cg_solve(RedProblem(y=y, alpha_red=3.0, denoiser=den, lap=lap), 10))
         assert max(steps) == m
         assert peak < ratio * m * y.size * 8
+
+
+def test_krylov_screen_keeps_only_its_last_step():
+    """The tune screen past 16 layers: 10 gain rows x 10 signals of N=400 at K = 40 (a 12.8 MB basis).
+
+    Its storage grows 16 -> 32 -> 48 steps; holding only the last step's
+    views, the screen peaks at the 32 + 48 steps of the last growth, not at
+    every outgrown storage at once.
+    """
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((400, 10))
+    shortfalls = rng.uniform(0.0, 1.0, size=(10, 400))
+    peak = traced_peak(lambda: krylov_screen_mse(y, y + 0.1, shortfalls, np.array([0.5, 1.0]), 40))
+    assert peak < 2.3 * 10 * y.size * 40 * 8
 
 
 def run_probe(body):

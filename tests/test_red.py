@@ -532,6 +532,12 @@ class TestKrylovScreen:
             with pytest.raises(DivergenceError):
                 krylov_screen_mse(y, y, shortfalls, np.array([1.0, bad]), K)
 
+    def test_zero_layers_rejected(self, graph30):
+        lap, dec = graph30
+        y = gft(dec, np.random.default_rng(6).standard_normal((lap.n_nodes, 2)))
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            krylov_screen_mse(y, y, 1.0 - gain_table("lr", dec.eigenvalues, [(1.0,)]), np.array([1.0]), 0)
+
 
 class TestNodeSpacePath:
     @settings(max_examples=40, deadline=None)
