@@ -9,6 +9,11 @@ error (a missing file, or a bad line of a point cloud, edge list or signal).
 The modules that only some commands run (construct, red, spectral, unroll)
 are imported inside the functions that use them, so a process loads only
 what its command needs.
+
+``denoise`` runs a plain denoiser kind through :func:`apply_method`, and
+every ``red_*`` and ``unrolled`` record through one call of
+:func:`red.red_cg_unrolled`, on layers resolved once: the trained file, or
+the flat layers of the method's scalar parameters.
 """
 
 from __future__ import annotations
@@ -92,11 +97,6 @@ def _records_share_graph(records) -> bool:
     return all(r.graph is first or all(map(np.array_equal, arrays(r.graph), arrays(first))) for r in records[1:])
 
 
-def _stack(signals) -> np.ndarray:
-    cols = [s if s.ndim == 2 else s[:, None] for s in signals]
-    return np.concatenate(cols, axis=1)
-
-
 def _method_kind(method) -> tuple[str, bool]:
     """``(kind, red)`` of ``method``: the denoiser kind it applies, and whether RED wraps it."""
     if method not in METHODS:
@@ -114,13 +114,22 @@ def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
     return Denoiser(kind=kind, **values, iters=pnp_iters)
 
 
+def _flat_layers(method, params, K, pnp_iters=None):
+    """The K flat layers of ``red_<kind>`` ``method``, set to its scalar ``params`` (keyed as in ``METHOD_PARAM_KEYS``)."""
+    from .red import UnrolledParams
+    if pnp_iters is not None:  # a denoise: the checks a RedProblem makes, in its order
+        method_denoiser(method, params, pnp_iters)
+        if params["alpha_red"] < 0:
+            raise ValueError("alpha_red must be nonnegative")
+    return UnrolledParams.constant(K, _method_kind(method)[0], *(params[k] for k in METHOD_PARAM_KEYS[method]))
+
+
 def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
     """Run one denoising method with explicit scalar parameters (on Lanczos bases if no ``decomp``)."""
-    denoiser = method_denoiser(method, params, pnp_iters)
     if not _method_kind(method)[1]:
-        return apply_denoiser(denoiser, lap, y, decomp=decomp)
-    from .red import RedProblem, red_cg_solve
-    return red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap, decomp), cg_layers).x
+        return apply_denoiser(method_denoiser(method, params, pnp_iters), lap, y, decomp=decomp)
+    from .red import red_cg_unrolled
+    return red_cg_unrolled(lap, y, _flat_layers(method, params, cg_layers, pnp_iters), pnp_iters, decomp).x
 
 
 def _screened_errors(y, target, table, alphas, cg_layers, solve):
@@ -198,8 +207,8 @@ def tune_method(
     if graph_key not in tables:
         tables[graph_key] = _graph_setup(records[0])[1]
     decomp = tables[graph_key]
-    y = gft(decomp, _stack([np.asarray(r.observed[sigma], dtype=float) for r in records]))
-    target = gft(decomp, _stack([np.asarray(r.clean, dtype=float) for r in records]))
+    y = gft(decomp, np.column_stack([np.asarray(r.observed[sigma], dtype=float) for r in records]))
+    target = gft(decomp, np.column_stack([np.asarray(r.clean, dtype=float) for r in records]))
 
     den_grids = [{"alpha": alphas, "rho": rhos}[field] for field in KINDS[kind].fields]
     key = (kind, decomp.eigenvalues.tobytes(), alphas.tobytes(), rhos.tobytes(), pnp_iters)
@@ -251,42 +260,37 @@ def _tuned_lookup(tuned_path, method, sigma) -> dict:
 # ---------------------------------------------------------------- commands
 
 
+# The keys of each dataset kind beyond the ones both kinds share.
+_GENERATE_KEYS = {"synthetic": {"n_nodes", "side", "n_band", "offset"}, "pointcloud": {"source", "m", "fps_start"}}
+
+
 def cmd_generate(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    allowed = {
-        "kind", "seed", "n_nodes", "side", "k", "n_band", "offset",
-        "sigmas", "n_train", "n_test", "source", "m", "fps_start",
-    }
-    _check_keys(cfg, allowed, set(), "generate config")
     kind = cfg.get("kind", "synthetic")
-    seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
+    own = _GENERATE_KEYS[kind] if kind in tuple(_GENERATE_KEYS) else set().union(*_GENERATE_KEYS.values())
+    allowed = {"kind", "seed", "k", "sigmas", "n_train", "n_test", *own}
+    _check_keys(cfg, allowed, {"source"} if kind == "pointcloud" else set(), "generate config")
+    if kind not in tuple(_GENERATE_KEYS):
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    shared = dict(
+        k=int(cfg.get("k", 5)),
+        sigmas=tuple(float(s) for s in cfg.get("sigmas", (10, 15, 20, 25, 30))),
+        n_train=int(cfg.get("n_train", 10)),
+        n_test=int(cfg.get("n_test", 5)),
+        seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
+    )
     if kind == "synthetic":
-        spec = ds.SyntheticSpec(
+        dataset = ds.generate_synthetic_dataset(ds.SyntheticSpec(
             n_nodes=int(cfg.get("n_nodes", 100)),
             side=float(cfg.get("side", 100.0)),
-            k=int(cfg.get("k", 5)),
             n_band=int(cfg.get("n_band", 3)),
             offset=float(cfg.get("offset", 2.0)),
-            sigmas=tuple(float(s) for s in cfg.get("sigmas", (10, 15, 20, 25, 30))),
-            n_train=int(cfg.get("n_train", 10)),
-            n_test=int(cfg.get("n_test", 5)),
-            seed=seed,
-        )
-        dataset = ds.generate_synthetic_dataset(spec)
-    elif kind == "pointcloud":
-        _check_keys(cfg, allowed, {"source"}, "generate config")
+            **shared,
+        ))
+    else:
         points = ds.load_point_cloud(cfg["source"])
         dataset = ds.generate_pointcloud_dataset(
-            points,
-            sigmas=[float(s) for s in cfg.get("sigmas", (10, 15, 20, 25, 30))],
-            m=int(cfg.get("m", 500)),
-            k=int(cfg.get("k", 5)),
-            n_train=int(cfg.get("n_train", 10)),
-            n_test=int(cfg.get("n_test", 5)),
-            seed=seed,
-            start=int(cfg.get("fps_start", 0)),
+            points, m=int(cfg.get("m", 500)), start=int(cfg.get("fps_start", 0)), **shared
         )
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
     ds.save_dataset(dataset, out_dir)
     print(f"wrote dataset ({kind}) to {out_dir}")
 
@@ -330,10 +334,13 @@ def cmd_tune(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
 
 
 def _resolve_denoise_params(cfg, method, sigma) -> dict:
+    sources = [key for key in ("params", "tuned", "unrolled_params") if key in cfg]
+    if len(sources) > 1:
+        raise ConfigError(f"denoise takes exactly one of 'params', 'tuned' or 'unrolled_params', got {sources}")
     if method == "unrolled":
         if "unrolled_params" not in cfg:
             raise ConfigError("method 'unrolled' needs the 'unrolled_params' key")
-        return {}
+        return {"file": cfg["unrolled_params"]}  # as metrics.json records it
     if "params" in cfg:
         params = dict(cfg["params"])
         if set(params) != set(METHOD_PARAM_KEYS[method]):
@@ -355,7 +362,7 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     rebuild = bool(cfg.get("rebuild_graph_from_observed", False))
     dataset = ds.load_dataset(cfg["dataset"], graphs=not rebuild)  # a rebuild never reads the stored graphs
     method = cfg["method"]
-    red = method != "unrolled" and _method_kind(method)[1]
+    red = method == "unrolled" or _method_kind(method)[1]
     sigma = float(cfg["sigma"])
     if sigma not in [float(s) for s in dataset.sigmas]:
         raise ConfigError(f"sigma {sigma:g} not in dataset (has {dataset.sigmas})")
@@ -364,17 +371,19 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     if not records:
         raise ConfigError(f"denoise: split {split!r} is empty")
     params = _resolve_denoise_params(cfg, method, sigma)
-    if method == "unrolled":
-        from .unroll import load_params, unrolled_forward
-        uparams = load_params(cfg["unrolled_params"])
-    elif red:
-        from .red import RedProblem, red_cg_solve
     cg_layers = int(cfg.get("cg_layers", DEFAULT_CG_LAYERS))
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
     if rebuild and dataset.manifest.get("kind") != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
     if rebuild:
         from .construct import knn_graph, normalize_weights
+    if red:  # every RED record runs these layers: the trained ones, or K flat ones from scalar params
+        from .red import red_cg_unrolled
+        if method == "unrolled":
+            from .unroll import load_params
+            layers = load_params(cfg["unrolled_params"])
+        else:
+            layers = _flat_layers(method, params, cg_layers, pnp_iters)
     save_diag = bool(cfg.get("save_diagnostics", False))
     k = int(dataset.manifest.get("k", 5))
 
@@ -387,13 +396,10 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     def run_one(record):
         y = np.asarray(record.observed[sigma], dtype=float)
         lap = build_laplacian(normalize_weights(knn_graph(y, k))) if rebuild else laps[record.graph]
-        if method == "unrolled":
-            return unrolled_forward(lap, y, uparams, pnp_iters=pnp_iters), None
-        if red:
-            denoiser = method_denoiser(method, params, pnp_iters)
-            report = red_cg_solve(RedProblem(y, params["alpha_red"], denoiser, lap), cg_layers)
-            return report.x, report if save_diag else None
-        return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
+        if not red:
+            return apply_method(method, params, lap, None, y, cg_layers, pnp_iters), None
+        report = red_cg_unrolled(lap, y, layers, pnp_iters, objective=save_diag)
+        return report.x, report if save_diag else None
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -409,9 +415,8 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
                 os.path.join(out_dir, "diagnostics", f"sample_{record.index:03d}.json"),
                 report.to_dict(),
             )
-    used = params if method != "unrolled" else {"file": cfg["unrolled_params"]}
     outputs = [x for x, _ in results]
-    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=split, params=used)
+    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=split, params=params)
     print(f"{method} sigma={sigma:g} mean_rmse={metrics['mean_rmse']:.6g} (observed {metrics['observed_rmse']:.6g})")
 
 
@@ -436,8 +441,7 @@ def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
         method = init_cfg.get("method", f"red_{kind}")
         if method != f"red_{kind}":
             raise ConfigError(f"train init: a {kind} denoiser starts from the red_{kind} entry, not {method!r}")
-        scalars = _tuned_lookup(init_cfg["tuned"], method, float(cfg["sigma"]))
-        return UnrolledParams.constant(K, kind, *(scalars[k] for k in METHOD_PARAM_KEYS[method])), start_epoch
+        return _flat_layers(method, _tuned_lookup(init_cfg["tuned"], method, float(cfg["sigma"])), K), start_epoch
     return UnrolledParams.constant(K, kind, *(float(init_cfg.get(k, 1.0)) for k in flat_keys)), start_epoch
 
 
@@ -474,15 +478,15 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     init, start_epoch = _resolve_train_init(cfg, K, kind)
     pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
     lap, decomp = _graph_setup(records[0])
-    y = _stack([np.asarray(r.observed[sigma], dtype=float) for r in records])
-    target = _stack([np.asarray(r.clean, dtype=float) for r in records]) if mode == "supervised" else None
+    y = np.column_stack([np.asarray(r.observed[sigma], dtype=float) for r in records])
+    target = np.column_stack([np.asarray(r.clean, dtype=float) for r in records]) if mode == "supervised" else None
     samples = [TrainSample(y=y, target=target)]
     params, history = train(
         samples, config, init, lap, decomp=decomp, start_epoch=start_epoch, pnp_iters=pnp_iters
     )
     save_params(params, os.path.join(out_dir, "params.json"))
     save_loss_history(history, os.path.join(out_dir, "loss_history.csv"))
-    clean = _stack([np.asarray(r.clean, dtype=float) for r in records])
+    clean = np.column_stack([np.asarray(r.clean, dtype=float) for r in records])
     final_rmse = rmse(unrolled_forward(lap, y, params, decomp=decomp, pnp_iters=pnp_iters), clean)
     write_json(
         os.path.join(out_dir, "train_report.json"),

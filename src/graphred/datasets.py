@@ -231,8 +231,22 @@ def _checked_noise(clean, sigma, rng):
     return y
 
 
-def _noisy_splits(graph, clean, sigmas, seed, n_train, n_test) -> dict:
-    """Train and test records: one noisy observation of ``clean`` per sample and sigma."""
+def _bundle(kind, graph, clean, sigmas, seed, n_train, n_test, **fields) -> Dataset:
+    """A ``kind`` bundle: its manifest, and one noisy observation of ``clean`` per sample and sigma.
+
+    ``fields`` are the kind's own manifest entries; every record shares ``graph`` and ``clean``.
+    """
+    manifest = {
+        "schema": MANIFEST_SCHEMA,
+        "kind": kind,
+        "seed": seed,
+        "n_nodes": len(clean),
+        **fields,
+        "sigmas": [float(s) for s in sigmas],
+        "n_train": n_train,
+        "n_test": n_test,
+        "rng": "pcg64 seeded by SeedSequence([seed, split, sample, stream, sigma_index])",
+    }
     splits = {}
     for split, count in (("train", n_train), ("test", n_test)):
         code = SPLIT_CODES[split]
@@ -244,7 +258,7 @@ def _noisy_splits(graph, clean, sigmas, seed, n_train, n_test) -> dict:
                 observed[float(sigma)] = _checked_noise(clean, float(sigma), rng)
             records.append(DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx))
         splits[split] = records
-    return splits
+    return Dataset(manifest=manifest, **splits)
 
 
 def generate_synthetic_dataset(spec: SyntheticSpec) -> Dataset:
@@ -255,22 +269,10 @@ def generate_synthetic_dataset(spec: SyntheticSpec) -> Dataset:
     graph = normalize_weights(knn_graph(points, spec.k))
     decomp = eigendecompose(build_laplacian(graph))
     clean = generate_bandlimited(decomp, spec.n_band, spec.offset)
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "kind": "synthetic",
-        "seed": spec.seed,
-        "n_nodes": spec.n_nodes,
-        "side": spec.side,
-        "k": spec.k,
-        "n_band": spec.n_band,
-        "offset": spec.offset,
-        "sigmas": [float(s) for s in spec.sigmas],
-        "n_train": spec.n_train,
-        "n_test": spec.n_test,
-        "rng": "pcg64 seeded by SeedSequence([seed, split, sample, stream, sigma_index])",
-    }
-    splits = _noisy_splits(graph, clean, spec.sigmas, spec.seed, spec.n_train, spec.n_test)
-    return Dataset(manifest=manifest, **splits)
+    return _bundle(
+        "synthetic", graph, clean, spec.sigmas, spec.seed, spec.n_train, spec.n_test,
+        side=spec.side, k=spec.k, n_band=spec.n_band, offset=spec.offset,
+    )
 
 
 def generate_pointcloud_dataset(
@@ -295,21 +297,10 @@ def generate_pointcloud_dataset(
     m = min(m, points.shape[0])
     sampled = fps(points, m, start=start)
     graph = normalize_weights(knn_graph(sampled, k))
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "kind": "pointcloud",
-        "seed": seed,
-        "n_nodes": int(sampled.shape[0]),
-        "dims": int(sampled.shape[1]),
-        "k": k,
-        "fps_m": m,
-        "fps_start": start,
-        "sigmas": [float(s) for s in sigmas],
-        "n_train": n_train,
-        "n_test": n_test,
-        "rng": "pcg64 seeded by SeedSequence([seed, split, sample, stream, sigma_index])",
-    }
-    return Dataset(manifest=manifest, **_noisy_splits(graph, sampled, sigmas, seed, n_train, n_test))
+    return _bundle(
+        "pointcloud", graph, sampled, sigmas, seed, n_train, n_test,
+        dims=int(sampled.shape[1]), k=k, fps_m=m, fps_start=start,
+    )
 
 
 def _sigma_name(sigma: float) -> str:

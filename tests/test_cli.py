@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from graphred.exceptions import DivergenceError
 from graphred.graphs import gft
 from graphred.red import candidate_mse, red_cg_layers
 from graphred.unroll import rmse
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, payload):
@@ -99,6 +103,17 @@ class TestGenerate:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "gen.json", {"kind": "synthetic", "n_noodles": 9})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "config, foreign",
+        [("generate_pointcloud", {"n_nodes": 999}), ("generate_synthetic", {"source": "nope.csv", "m": 5})],
+    )
+    def test_other_kinds_keys_rejected(self, tmp_path, capsys, config, foreign):
+        payload = json.loads((CONFIGS / f"{config}.json").read_text())
+        cfg = write_config(tmp_path / "gen.json", {**payload, **foreign})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"generate config: unknown keys {sorted(foreign)}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "gen.json", {"kind": "mnist"})
@@ -540,6 +555,40 @@ class TestDenoise:
         assert main(["denoise", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
         assert tree_bytes(tmp_path / "plain" / "denoised") == tree_bytes(out / "denoised")
 
+    @pytest.mark.parametrize("method", ["red_lr", "unrolled"])
+    def test_more_than_one_parameter_source_is_config_error(self, dataset_dir, tmp_path, capsys, method):
+        tuned = tmp_path / "tuned.json"
+        entry = {"method": "red_lr", "sigma": 0.5, "alpha_red": 1.0, "alpha_lr": 1.0, "train_rmse": 0.0}
+        tuned.write_text(json.dumps({"schema": "graphred-tuned-v1", "entries": [entry]}))
+        save_params(UnrolledParams.constant(3, "lr", 1.0, 1.0), tmp_path / "params.json")
+        payload = {"dataset": str(dataset_dir), "method": method, "sigma": 0.5,
+                   "params": {"alpha_red": 2.0, "alpha_lr": 1.0}}
+        if method == "red_lr":
+            payload["tuned"], found = str(tuned), ["params", "tuned"]
+        else:
+            payload["unrolled_params"], found = str(tmp_path / "params.json"), ["params", "unrolled_params"]
+        cfg = write_config(tmp_path / "den.json", payload)
+        assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"got {found}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "metrics.json").exists()
+
+    def test_diagnostics_written_for_unrolled(self, dataset_dir, tmp_path):
+        save_params(UnrolledParams.constant(4, "pnp", 2.0, 1.5, 0.5), tmp_path / "params.json")
+        cfg = write_config(
+            tmp_path / "den.json",
+            {"dataset": str(dataset_dir), "method": "unrolled", "sigma": 0.5,
+             "unrolled_params": str(tmp_path / "params.json"), "save_diagnostics": True},
+        )
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", cfg, "--out", str(out)]) == 0
+        for index in range(2):
+            report = json.loads((out / "diagnostics" / f"sample_{index:03d}.json").read_text())
+            assert report["iterations"] >= 1
+            assert len(report["gradient_norm_history"]) == report["iterations"] + 1
+            assert len(report["objective_history"]) == report["iterations"] + 1
+            denoised = np.loadtxt(out / "denoised" / f"sample_{index:03d}.csv", delimiter=",")
+            assert np.array_equal(denoised, np.asarray(report["x"]))
+
 
 class TestDenoiseNodeSpace:
     CASES = {
@@ -581,6 +630,20 @@ class TestDenoiseNodeSpace:
                 ref = apply_method(method, self.CASES[method], lap, decomp, y, cg_layers=6)
             got = np.loadtxt(tmp_path / "out" / "denoised" / f"sample_{record.index:03d}.csv", delimiter=",")
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("method", ["red_lr", "red_pnp"])
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_apply_method_is_the_red_problem_solve(self, dataset_dir, method, spectral):
+        params = self.CASES[method]
+        record = load_dataset(str(dataset_dir)).test[0]
+        lap = build_laplacian(record.graph)
+        decomp = eigendecompose(lap) if spectral else None
+        y = record.observed[0.5]
+        kind = method[len("red_"):]
+        den = Denoiser(kind, *(params[key] for key in METHOD_PARAM_KEYS[method][1:]), iters=7)
+        ref = red_cg_solve(RedProblem(y, params["alpha_red"], den, lap, decomp), 6).x
+        got = apply_method(method, params, lap, decomp, y, cg_layers=6, pnp_iters=7)
+        assert got.tobytes() == ref.tobytes()
 
     def test_unsettled_lanczos_basis_exits_3(self, dataset_dir, tmp_path, monkeypatch, capsys):
         cfg = write_config(
