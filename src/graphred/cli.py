@@ -85,6 +85,14 @@ def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
     return metrics
 
 
+def _dataset_sigma(dataset: ds.Dataset, sigma) -> float:
+    """``sigma`` as a float, if ``dataset`` holds observations at that noise level."""
+    sigma = _finite({"sigma": sigma})[0]
+    if sigma not in [float(s) for s in dataset.sigmas]:
+        raise ConfigError(f"sigma {sigma:g} not in dataset (has {dataset.sigmas})")
+    return sigma
+
+
 def _graph_setup(record: ds.DatasetRecord):
     """Laplacian + decomposition of one record's graph."""
     lap = build_laplacian(record.graph)
@@ -104,12 +112,27 @@ def _method_kind(method) -> tuple[str, bool]:
     return _METHOD_KINDS[method]
 
 
+def _finite(named: dict) -> list:
+    """The values of ``named`` as floats; raises ``ValueError`` naming the first key whose value is not a finite number."""
+    values = []
+    for key, value in named.items():
+        try:
+            values.append(float(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be a number, got {value!r}") from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"{key} must be finite, got {values[-1]}")
+    return values
+
+
 def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
     """The denoiser that ``method`` applies (a kind) or plugs into RED (red_<kind>).
 
-    ``params`` holds the method's scalar parameters, keyed as in ``METHOD_PARAM_KEYS``.
+    ``params`` holds the method's scalar parameters, keyed as in
+    ``METHOD_PARAM_KEYS``; each must be finite.
     """
     kind = _method_kind(method)[0]
+    _finite({key: params[key] for key in METHOD_PARAM_KEYS[method]})
     values = {field: params[key] for field, key in zip(KINDS[kind].fields, KINDS[kind].keys)}
     return Denoiser(kind=kind, **values, iters=pnp_iters)
 
@@ -117,11 +140,12 @@ def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
 def _flat_layers(method, params, K, pnp_iters=None):
     """The K flat layers of ``red_<kind>`` ``method``, set to its scalar ``params`` (keyed as in ``METHOD_PARAM_KEYS``)."""
     from .red import UnrolledParams
+    values = _finite({key: params[key] for key in METHOD_PARAM_KEYS[method]})
     if pnp_iters is not None:  # a denoise: the checks a RedProblem makes, in its order
         method_denoiser(method, params, pnp_iters)
-        if params["alpha_red"] < 0:
-            raise ValueError("alpha_red must be nonnegative")
-    return UnrolledParams.constant(K, _method_kind(method)[0], *(params[k] for k in METHOD_PARAM_KEYS[method]))
+    if values[0] < 0:
+        raise ValueError("alpha_red must be nonnegative")
+    return UnrolledParams.constant(K, _method_kind(method)[0], *values)
 
 
 def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
@@ -138,20 +162,63 @@ def _screened_errors(y, target, table, alphas, cg_layers, solve):
     Each candidate's CG RMSE is bracketed by its screened MSE plus or minus
     the screen's spread, widened by ``SCREEN_MARGIN``; the candidates whose
     bracket reaches below every upper end are confirmed by the CG core.
+
+    Gain rows are screened by branch and bound over the records: each stage
+    screens the live rows on as many further records as fill one block, or
+    on all the rest once those fill at most two (so one record, or a grid of
+    few rows, screens in one call).  A stage's screened MSE less its spread,
+    floored at 0, bounds its records' CG MSE from below.  After each stage
+    the live row of least summed bound is screened on every record left,
+    and a row is dropped once each of its candidates' bounds exceeds the
+    least upper end of a fully screened candidate.  Fully screened
+    candidates keep the bracket of one full screen (up to rounding); dropped
+    ones keep their bound as lower end and no upper end, and are not
+    screened, so cannot diverge, on later records.
+
     Returns ``(close, errors)``, where ``errors`` holds the CG RMSE of every
     candidate in a block holding one of ``close`` (NaN elsewhere), or
     ``None`` when the screen is not trusted: it diverged, or a confirmed CG
     value fell outside its bracket.
     """
-    from .red import candidate_mse, krylov_screen_mse
+    from .red import BLOCK_COLUMNS, candidate_mse, krylov_screen_mse
+    n_rows, n_rec = len(table), y.shape[1]
+    shortfalls = 1.0 - table
+    # Per row and alpha_red, summed over the records screened: the MSE, its spread and its bound.
+    mse, spread, bound = np.zeros((3, n_rows, len(alphas)))
+    screened = np.zeros(n_rows, dtype=int)  # records screened per row
+
+    def screen(rows, start, stop):
+        rows_shortfalls = shortfalls if len(rows) == n_rows else shortfalls[rows]  # no copy of the whole table
+        m, s = krylov_screen_mse(y[:, start:stop], target[:, start:stop], rows_shortfalls, alphas, cg_layers)
+        m, s = (v.reshape(len(alphas), len(rows)).T * ((stop - start) / n_rec) for v in (m, s))
+        mse[rows] += m
+        spread[rows] += s
+        bound[rows] += np.maximum(m - s, 0.0)
+        screened[rows] = stop
+
+    live = np.ones(n_rows, dtype=bool)
+    least_high = np.inf
     try:
-        mse, spread = krylov_screen_mse(y, target, 1.0 - table, alphas, cg_layers)
+        while live.any():
+            rows = np.flatnonzero(live)
+            start = screened[rows[0]]
+            stop = start + max(1, BLOCK_COLUMNS // len(rows))
+            if stop >= n_rec or len(rows) * (n_rec - start) <= 2 * BLOCK_COLUMNS:
+                screen(rows, start, n_rec)
+                break
+            screen(rows, start, stop)
+            lead = rows[np.argmin(bound[rows].min(axis=1))]
+            screen([lead], stop, n_rec)
+            least_high = min(least_high, np.sqrt(mse[lead] + spread[lead]).min() * (1.0 + SCREEN_MARGIN))
+            live[lead] = False
+            live[rows] &= (np.sqrt(bound[rows]) * (1.0 - SCREEN_MARGIN) <= least_high).any(axis=1)
     except DivergenceError:
         return None  # the CG pass decides, and diverges where it would have
-    low = np.sqrt(np.maximum(mse - spread, 0.0)) * (1.0 - SCREEN_MARGIN)
-    high = np.sqrt(mse + spread) * (1.0 + SCREEN_MARGIN)
+    full = (screened == n_rec)[:, None]
+    low = np.sqrt(np.where(full, np.maximum(mse - spread, 0.0), bound)).T.ravel() * (1.0 - SCREEN_MARGIN)
+    high = np.where(full, np.sqrt(mse + spread) * (1.0 + SCREEN_MARGIN), np.inf).T.ravel()
     close = np.flatnonzero(low <= high.min())
-    errors = np.sqrt(candidate_mse(y, target, len(mse), solve, needed=close))
+    errors = np.sqrt(candidate_mse(y, target, len(low), solve, needed=close))
     if not np.all((low[close] <= errors[close]) & (errors[close] <= high[close])):
         return None
     return close, errors
@@ -176,12 +243,14 @@ def tune_method(
     table rows times the observations, red_* candidates are extra columns of
     batched CG solves (both blocked by :func:`red.candidate_mse`).
 
-    red_* candidates are screened first by :func:`red.krylov_screen_mse`.
-    Those that may be the minimum, given the screen's spread and
-    ``SCREEN_MARGIN``, are re-solved by the CG core, in the blocks a full
-    pass would run them in, and the pick is the first minimum of their CG
-    values, so picks and ``train_rmse`` carry the bits of the exhaustive CG
-    pass.  If the screen diverges, or a confirmed CG value falls outside the
+    red_* candidates are screened first by :func:`red.krylov_screen_mse`,
+    a few records at a time, and a gain row stops being screened once a
+    bound shows none of its candidates can be the minimum (see
+    :func:`_screened_errors`).  Those that may be the minimum, given the
+    screen's spread and ``SCREEN_MARGIN``, are re-solved by the CG core, in
+    the blocks a full pass would run them in, and the pick is the first
+    minimum of their CG values, so picks and ``train_rmse`` carry the bits
+    of the exhaustive CG pass.  If the screen diverges, or a confirmed CG value falls outside the
     range the screen gave it, every candidate runs through the CG core.
 
     A dict passed as ``gain_tables`` to several calls keeps the graph's
@@ -306,7 +375,7 @@ def cmd_tune(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    sigmas = [float(s) for s in cfg.get("sigmas", dataset.sigmas)]
+    sigmas = [_dataset_sigma(dataset, s) for s in cfg.get("sigmas", dataset.sigmas)]
     records = dataset.split(cfg.get("split", "train"))
     if not records:
         raise ConfigError("tune: selected split is empty")
@@ -347,7 +416,7 @@ def _resolve_denoise_params(cfg, method, sigma) -> dict:
             raise ConfigError(
                 f"params for {method} must have exactly {list(METHOD_PARAM_KEYS[method])}"
             )
-        return {k: float(v) for k, v in params.items()}
+        return dict(zip(params, _finite(params)))
     if "tuned" in cfg:
         return _tuned_lookup(cfg["tuned"], method, sigma)
     raise ConfigError(f"no parameters given for method {method!r} (use 'params' or 'tuned')")
@@ -363,9 +432,7 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     dataset = ds.load_dataset(cfg["dataset"], graphs=not rebuild)  # a rebuild never reads the stored graphs
     method = cfg["method"]
     red = method == "unrolled" or _method_kind(method)[1]
-    sigma = float(cfg["sigma"])
-    if sigma not in [float(s) for s in dataset.sigmas]:
-        raise ConfigError(f"sigma {sigma:g} not in dataset (has {dataset.sigmas})")
+    sigma = _dataset_sigma(dataset, cfg["sigma"])
     split = cfg.get("split", "test")
     records = dataset.split(split)
     if not records:
@@ -442,7 +509,10 @@ def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
         if method != f"red_{kind}":
             raise ConfigError(f"train init: a {kind} denoiser starts from the red_{kind} entry, not {method!r}")
         return _flat_layers(method, _tuned_lookup(init_cfg["tuned"], method, float(cfg["sigma"])), K), start_epoch
-    return UnrolledParams.constant(K, kind, *(float(init_cfg.get(k, 1.0)) for k in flat_keys)), start_epoch
+    values = _finite({k: init_cfg.get(k, 1.0) for k in flat_keys})
+    if values[0] < 0:
+        raise ValueError("alpha_red must be nonnegative")
+    return UnrolledParams.constant(K, kind, *values), start_epoch
 
 
 def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
@@ -454,7 +524,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     }
     _check_keys(cfg, allowed, {"dataset", "sigma"}, "train config")
     dataset = ds.load_dataset(cfg["dataset"])
-    sigma = float(cfg["sigma"])
+    sigma = _dataset_sigma(dataset, cfg["sigma"])
     records = dataset.split(cfg.get("split", "train"))
     if not records:
         raise ConfigError("train: selected split is empty")
@@ -566,12 +636,12 @@ def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         if "sigma" not in cfg:
             raise ConfigError("spectrum: 'tuned' needs 'sigma' to select the entry")
         scalars = _tuned_lookup(cfg["tuned"], "red_lr", float(cfg["sigma"]))
-        alpha_red, alpha_lr = scalars["alpha_red"], scalars["alpha_lr"]
+        alpha_red, alpha_lr = _finite(scalars)
         source_params = {"tuned": cfg["tuned"], "sigma": float(cfg["sigma"])}
     else:
         if "alpha_red" not in cfg or "alpha_lr" not in cfg:
             raise ConfigError("spectrum needs alpha_red and alpha_lr (or a tuned file)")
-        alpha_red, alpha_lr = float(cfg["alpha_red"]), float(cfg["alpha_lr"])
+        alpha_red, alpha_lr = _finite({"alpha_red": cfg["alpha_red"], "alpha_lr": cfg["alpha_lr"]})
         source_params = {"explicit": True}
     if "dataset" in cfg:
         dataset = ds.load_dataset(cfg["dataset"])
@@ -600,7 +670,7 @@ def cmd_eval(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     allowed = {"dataset", "denoised", "split", "sigma", "method"}
     _check_keys(cfg, allowed, {"dataset", "denoised", "sigma"}, "eval config")
     dataset = ds.load_dataset(cfg["dataset"], graphs=False)
-    sigma = float(cfg["sigma"])
+    sigma = _dataset_sigma(dataset, cfg["sigma"])
     split = cfg.get("split", "test")
     records = dataset.split(split)
     outputs = []

@@ -150,8 +150,11 @@ class UnrolledParams:
                 raise ValueError(f"the {kind} solver {'needs' if name in used else 'takes no'} {name}")
             if values is not None:
                 values = np.asarray(values, dtype=float)
-                if values.shape != (self.K + 1,) or not np.all(np.isfinite(values)):
-                    raise ValueError(f"{name} must hold K + 1 = {self.K + 1} finite values, not {values.shape}")
+                if values.shape != (self.K + 1,):
+                    raise ValueError(f"{name} must hold K + 1 = {self.K + 1} values, not shape {values.shape}")
+                if not np.all(np.isfinite(values)):
+                    layer = int(np.argmin(np.isfinite(values)))
+                    raise ValueError(f"{name} must be finite, got {values[layer]} at layer {layer}")
                 object.__setattr__(self, name, values)
         if np.any(self.alpha_red_layers < 0):
             raise ValueError("alpha_red_layers must be nonnegative")

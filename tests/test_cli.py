@@ -156,6 +156,18 @@ class TestGenerate:
         assert f"input error: {source}:2: bad number: could not convert string to float: 'oops'" in err
 
 
+@pytest.fixture(scope="module")
+def wide_dataset_dir(tmp_path_factory):
+    """A bundle of 8 training records on one 50-node graph."""
+    base = tmp_path_factory.mktemp("cli_wide")
+    cfg = write_config(
+        base / "gen.json",
+        {"kind": "synthetic", "seed": 0, "n_nodes": 50, "k": 5, "sigmas": [1.0], "n_train": 8, "n_test": 1},
+    )
+    assert main(["generate", "--config", cfg, "--out", str(base / "dset")]) == 0
+    return base / "dset"
+
+
 class TestTune:
     def test_schema_and_determinism(self, dataset_dir, tmp_path):
         cfg = write_config(
@@ -284,6 +296,8 @@ class TestScreenedTune:
         records = load_dataset(str(dataset_dir)).train
         if shape == "one_record":
             return records[:1]
+        if shape == "all_records":
+            return records
         # A constant observation exhausts its Krylov space at once.
         const = dataclasses.replace(records[0], observed={sigma: np.full(len(records[0].clean), 2.0)})
         return records[1:] + [const]
@@ -297,6 +311,28 @@ class TestScreenedTune:
         assert entry == exhaustive_red_tune(records, sigma, method, 5)
         # One confirming pass, over a few blocks, and no fallback.
         assert len(spy) == 1 and 1 <= len(spy[0]) < 5
+
+    @pytest.mark.parametrize("shape", ["all_records", "with_constant", "one_record"])
+    def test_pruned_screen_equals_exhaustive_cg_grid(self, wide_dataset_dir, shape, spy, monkeypatch):
+        # 64 PnP gain rows over 8 records fill more than two screen blocks,
+        # so the rows are screened in stages and the worst ones dropped.
+        records = self.records(wide_dataset_dir, 1.0, shape)
+        columns = []
+        real = graphred.red.krylov_screen_mse
+        def counted(y, target, shortfalls, *rest):
+            columns.append(len(shortfalls) * y.shape[1])
+            return real(y, target, shortfalls, *rest)
+
+        monkeypatch.setattr(graphred.red, "krylov_screen_mse", counted)
+        entry = tune_method(records, 1.0, "red_pnp", grid_points=8)
+        assert entry == exhaustive_red_tune(records, 1.0, "red_pnp", 8)
+        assert len(spy) == 1 and spy[0] is not None  # no fallback
+        if shape == "one_record":
+            assert columns == [64]  # one call, as an unstaged screen
+        else:
+            assert len(columns) > 1
+        if shape == "all_records":
+            assert sum(columns) < 64 * len(records)
 
     @pytest.mark.parametrize("fault", ["reorder", "diverge"])
     @pytest.mark.parametrize("method", ["red_lr", "red_pnp"])
@@ -491,12 +527,13 @@ class TestDenoise:
         )
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
-    def test_unknown_sigma_rejected(self, dataset_dir, tmp_path):
+    def test_unknown_sigma_rejected(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "den.json",
             {"dataset": str(dataset_dir), "method": "lr", "sigma": 9.0, "params": {"alpha_lr": 1.0}},
         )
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.strip() == "config error: sigma 9 not in dataset (has [0.5, 1.0])"
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg = write_config(
@@ -1041,3 +1078,66 @@ class TestEval:
             assert main(["eval", "--config", cfg, "--out", str(tmp_path / name)]) == 0
             outs[name] = (tmp_path / name / "metrics.json").read_bytes()
         assert outs["signals_only"] == outs["full"]
+
+
+class TestConfigValues:
+    """Config values the bundle or the solvers cannot take exit 2 and name the config key."""
+
+    @pytest.mark.parametrize("sigma, message", [
+        (0.75, "sigma 0.75 not in dataset (has [0.5, 1.0])"),
+        (None, "sigma must be a number, got None"),
+    ])
+    @pytest.mark.parametrize("command", ["tune", "train", "eval", "denoise"])
+    def test_bad_sigma_is_config_error(self, dataset_dir, tmp_path, capsys, command, sigma, message):
+        denoised = tmp_path / "denoised"
+        denoised.mkdir()
+        for i in range(2):
+            shutil.copy(dataset_dir / "test" / f"sample_{i:03d}" / "clean.csv", denoised / f"sample_{i:03d}.csv")
+        common = {"dataset": str(dataset_dir), "sigma": sigma}
+        cfg = {
+            "tune": {"dataset": str(dataset_dir), "sigmas": [sigma], "grid_points": 2},
+            "train": {**common, "K": 2, "epochs": 1},
+            "eval": {**common, "denoised": str(denoised)},
+            "denoise": {**common, "method": "lr", "params": {"alpha_lr": 1.0}},
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("method, params, message", [
+        ("red_lr", {"alpha_red": float("nan"), "alpha_lr": 1.0}, "alpha_red must be finite, got nan"),
+        ("red_pnp", {"alpha_red": 1.0, "alpha_pnp": float("inf"), "rho": 1.0}, "alpha_pnp must be finite, got inf"),
+        ("red_pnp", {"alpha_red": 1.0, "alpha_pnp": 1.0, "rho": float("-inf")}, "rho must be finite, got -inf"),
+        ("lr", {"alpha_lr": float("nan")}, "alpha_lr must be finite, got nan"),
+        ("pnp", {"alpha_pnp": 1.0, "rho": float("inf")}, "rho must be finite, got inf"),
+        ("red_lr", {"alpha_red": None, "alpha_lr": 1.0}, "alpha_red must be a number, got None"),
+    ])
+    def test_bad_denoise_parameter_is_named(self, dataset_dir, tmp_path, capsys, method, params, message):
+        cfg = {"dataset": str(dataset_dir), "sigma": 0.5, "method": method, "params": params}
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("params, message", [
+        ({"alpha_red": float("nan"), "alpha_lr": 1.0}, "alpha_red must be finite, got nan"),
+        ({"alpha_red": 1.0, "alpha_lr": float("inf")}, "alpha_lr must be finite, got inf"),
+    ])
+    def test_non_finite_spectrum_parameter_is_named(self, tmp_path, capsys, params, message):
+        cfg = write_config(tmp_path / "c.json", {**params, "n_points": 5})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+    @pytest.mark.parametrize("init, message", [
+        ({"alpha_red": -1}, "alpha_red must be nonnegative"),
+        ({"alpha_red": float("nan")}, "alpha_red must be finite, got nan"),
+        ({"alpha_denoiser": float("inf")}, "alpha_denoiser must be finite, got inf"),
+        ({"alpha_red": None}, "alpha_red must be a number, got None"),
+    ])
+    def test_bad_train_start_is_named(self, dataset_dir, tmp_path, capsys, init, message):
+        cfg = {"dataset": str(dataset_dir), "sigma": 0.5, "K": 2, "epochs": 1, "init": init}
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert os.listdir(out) == []

@@ -250,6 +250,17 @@ def test_commands_import_only_the_modules_they_run(tmp_path):
     assert loaded("denoise", rebuild, "rebuild") == {"graphred.construct", "graphred.red"}
 
 
+def test_tune_loads_no_numpy_ma(tmp_path):
+    """A tune of every method, its red_pnp screen staged over 8 records, loads no ``numpy.ma``.
+
+    A 1-d ``np.unique`` or ``np.setdiff1d`` imports it, at several ms and about 1 MB per process.
+    """
+    run_command(tmp_path, "generate", {"kind": "synthetic", "seed": 1, "n_nodes": 30, "k": 4, "sigmas": [1.0],
+                                       "n_train": 8, "n_test": 1})
+    code, modules = run_command(tmp_path, "tune", {"dataset": str(tmp_path / "generate"), "grid_points": 8})
+    assert code == 0 and "numpy.ma" not in modules
+
+
 def test_package_imports_its_modules_on_first_use():
     src = os.path.dirname(os.path.dirname(graphred.__file__))
     probe = (

@@ -497,6 +497,13 @@ class TestKrylovScreen:
         screened, spread = krylov_screen_mse(y, target, shortfalls, alpha_red, K)
         expected = self.cg_mse(y, target, shortfalls, alpha_red, K)
         assert np.all(np.abs(screened - expected) <= spread + SCREEN_MARGIN / 100 * expected)
+        # Column by column, as the tuner screens records in stages: each
+        # column's CG error lies within that column's own share of the spread.
+        for col in range(y.shape[1]):
+            one = slice(col, col + 1)
+            screened, spread = krylov_screen_mse(y[:, one], target[:, one], shortfalls, alpha_red, K)
+            expected = self.cg_mse(y[:, one], target[:, one], shortfalls, alpha_red, K)
+            assert np.all(np.abs(screened - expected) <= spread + SCREEN_MARGIN / 100 * expected), col
 
     def test_breakdown_keeps_zero_and_eigenvector_columns_exact(self, graph30):
         lap, dec = graph30

@@ -76,6 +76,14 @@ class TestUnrolledParams:
                 alpha_denoiser_layers=np.ones(4),
             )
 
+    def test_shape_and_finiteness_are_reported_apart(self):
+        with pytest.raises(ValueError, match=r"alpha_red_layers must hold K \+ 1 = 4 values, not shape \(3,\)"):
+            UnrolledParams(K=3, denoiser_kind="lr", alpha_red_layers=np.ones(3), alpha_denoiser_layers=np.ones(4))
+        layers = np.ones(4)
+        layers[2] = np.inf
+        with pytest.raises(ValueError, match="alpha_denoiser_layers must be finite, got inf at layer 2"):
+            UnrolledParams(K=3, denoiser_kind="lr", alpha_red_layers=np.ones(4), alpha_denoiser_layers=layers)
+
     def test_pnp_requires_rho(self):
         with pytest.raises(ValueError):
             UnrolledParams(
