@@ -1,8 +1,13 @@
 """Command line front end.
 
 Subcommands: generate, tune, denoise, train, check, spectrum, eval.  Every
-command reads a JSON config (validated strictly: unknown keys are rejected)
-plus the global flags ``--config``, ``--seed``, ``--out``, ``--threads``.
+command reads a JSON config plus the global flags ``--config``, ``--seed``,
+``--out``, ``--threads``.  ``CONFIG_KEYS`` gives each command's keys with
+their JSON type and default, and :func:`_resolve_config` checks every config
+against it before the command runs: an unknown or missing key, or a value of
+the wrong type, is a config error naming the key.  A bool is not a number, an
+integer may be written 200.0 but not 2.7, and a string is not a list.  The
+commands read only the resolved values.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or input
 error (a missing file, or a bad line of a point cloud, edge list or signal).
 
@@ -60,15 +65,6 @@ def _load_json_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _check_keys(cfg: dict, allowed, required, where: str) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
-
-
 def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
     """Write metrics.json: the RMSE of each output, and of each observation, against its clean signal."""
     per_sample = [rmse(x, record.clean) for x, record in zip(outputs, records)]
@@ -85,10 +81,9 @@ def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
     return metrics
 
 
-def _dataset_sigma(dataset: ds.Dataset, sigma) -> float:
-    """``sigma`` as a float, if ``dataset`` holds observations at that noise level."""
-    sigma = _finite({"sigma": sigma})[0]
-    if sigma not in [float(s) for s in dataset.sigmas]:
+def _dataset_sigma(dataset: ds.Dataset, sigma: float) -> float:
+    """``sigma``, if ``dataset`` holds observations at that noise level."""
+    if sigma not in dataset.sigmas:
         raise ConfigError(f"sigma {sigma:g} not in dataset (has {dataset.sigmas})")
     return sigma
 
@@ -326,120 +321,179 @@ def _tuned_lookup(tuned_path, method, sigma) -> dict:
     raise ConfigError(f"{tuned_path}: no entry for method={method} sigma={sigma:g}")
 
 
+# ---------------------------------------------------------------- config
+
+
+REQUIRED = object()  # the default of a key every config must give
+_FINITE = (np.isfinite, "{key} must be finite, got {value}")
+_METHOD = (METHODS.__contains__, "unknown method {value!r}")
+_COUNT = {"cg_layers": ("integer", DEFAULT_CG_LAYERS), "pnp_iters": ("integer", DEFAULT_PNP_ITERS)}
+
+# Each command's config keys: key -> (JSON type, default, rule).  A default of
+# None marks a key that may be left out, which the command reads as "not given".
+# A rule is a test and the message its failure raises; it checks each item of a list.
+CONFIG_KEYS = {
+    "generate": {
+        "kind": ("string", "synthetic", (("synthetic", "pointcloud").__contains__, "unknown dataset kind {value!r}")),
+        "seed": ("integer", 0), "k": ("integer", 5), "sigmas": ("list of numbers", (10.0, 15.0, 20.0, 25.0, 30.0)),
+        "n_train": ("integer", 10), "n_test": ("integer", 5),
+    },
+    "tune": {
+        "dataset": ("string", REQUIRED), "methods": ("list of strings", METHODS, _METHOD),
+        "sigmas": ("list of numbers", None, _FINITE), "split": ("string", "train"),
+        "grid_points": ("integer", DEFAULT_GRID_POINTS), "alpha_range": ("list of numbers", DEFAULT_ALPHA_RANGE),
+        "rho_range": ("list of numbers", DEFAULT_RHO_RANGE), **_COUNT,
+    },
+    "denoise": {
+        "dataset": ("string", REQUIRED), "split": ("string", "test"),
+        "method": ("string", REQUIRED, ((*METHODS, "unrolled").__contains__, "unknown method {value!r}")),
+        "sigma": ("number", REQUIRED, _FINITE), "params": ("object", None), "tuned": ("string", None),
+        "unrolled_params": ("string", None), **_COUNT,
+        "rebuild_graph_from_observed": ("boolean", False), "save_diagnostics": ("boolean", False),
+    },
+    "train": {
+        "dataset": ("string", REQUIRED), "split": ("string", "train"), "sigma": ("number", REQUIRED, _FINITE),
+        "mode": ("string", "supervised"), "K": ("integer", DEFAULT_CG_LAYERS),
+        "denoiser": ("string", "lr", (KINDS.__contains__, "unknown denoiser {value!r}")),
+        "epochs": ("integer", 200), "learning_rate": ("number", 0.01),
+        "seed": ("integer", 0), "gradient_method": ("string", "exact"), "init": ("object", {}),
+        "start_epoch": ("integer", 0), "pnp_iters": _COUNT["pnp_iters"], "sigma_n2n_range": ("list of numbers", None),
+    },
+    "check": {
+        "datasets": ("list of strings", REQUIRED),
+        "methods": ("list of strings", tuple(KINDS),
+                    (KINDS.__contains__, f"check supports the denoiser methods {list(KINDS)}, got {{value!r}}")),
+        "pnp_iters": _COUNT["pnp_iters"], "n_signals": ("integer", 100), "c": ("number", 1.1), "seed": ("integer", 0),
+        **{key: ("number", 1.0) for spec in KINDS.values() for key in spec.keys},
+    },
+    "spectrum": {
+        "dataset": ("string", None), "alpha_red": ("number", None), "alpha_lr": ("number", None),
+        "tuned": ("string", None), "sigma": ("number", None, _FINITE), "lambda_max": ("number", 10.0),
+        "n_points": ("integer", 200),
+    },
+    "eval": {
+        "dataset": ("string", REQUIRED), "denoised": ("string", REQUIRED), "split": ("string", "test"),
+        "sigma": ("number", REQUIRED, _FINITE), "method": ("string", "unknown"),
+    },
+}
+# The keys of each dataset kind beyond the ones both kinds share.
+DATASET_KIND_KEYS = {
+    "synthetic": {"n_nodes": ("integer", 100), "side": ("number", 100.0), "n_band": ("integer", 3),
+                  "offset": ("number", 2.0)},
+    "pointcloud": {"source": ("string", REQUIRED), "m": ("integer", 500), "fps_start": ("integer", 0)},
+}
+# train's "init" object: a resumed file, a tuned entry, or a flat start (alpha_denoiser is the kind's alpha).
+TRAIN_INIT_KEYS = {
+    "params": ("string", None), "tuned": ("string", None), "method": ("string", None),
+    "alpha_red": ("number", 1.0), "alpha_denoiser": ("number", 1.0),
+    **{field: ("number", 1.0) for spec in KINDS.values() for field in spec.fields[1:]},
+}
+# Each JSON type of a config value, and the Python type a command reads it as.
+_TYPES = {"integer": int, "number": float, "string": str, "boolean": bool, "object": dict}
+
+
+def _typed(key, value, kind, rule, where):
+    """``value`` of config ``key`` read as JSON type ``kind`` (see the module docstring) and checked by ``rule``."""
+    if kind.startswith("list of ") and isinstance(value, list):
+        item = key[:-1] if key.endswith("s") else f"{key} entry"  # "sigmas" items are each a "sigma"
+        return tuple(_typed(item, v, kind[8:-1], rule, where) for v in value)
+    read, got = _TYPES.get(kind), type(value)
+    if not (got is read or (read, got) == (float, int) or read is int and got is float and value.is_integer()):
+        if kind == "object":
+            raise ConfigError(f"{where} {key!r} must be an object")
+        raise ConfigError(f"{key} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}, got {value!r}")
+    value = read(value)
+    if rule is not None and not rule[0](value):
+        raise ConfigError(rule[1].format(key=key, value=value))
+    return value
+
+
+def _parse(table, cfg, where) -> dict:
+    """Every key of ``table`` with its value in ``cfg``, read by :func:`_typed`, or its default."""
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    values = {key: _typed(key, cfg[key], kind, rule[0] if rule else None, where) if key in cfg else default
+              for key, (kind, default, *rule) in table.items()}
+    missing = sorted(key for key, value in values.items() if value is REQUIRED)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return values
+
+
+def _resolve_config(command, cfg: dict, seed=None) -> dict:
+    """``cfg`` resolved against ``command``'s keys; ``seed`` (the ``--seed`` flag) overrides a config seed."""
+    table = CONFIG_KEYS[command]
+    if command == "generate":  # a kind's own keys; both kinds' until the kind is known
+        kind = cfg.get("kind", "synthetic")
+        own = [DATASET_KIND_KEYS[kind]] if kind in tuple(DATASET_KIND_KEYS) else DATASET_KIND_KEYS.values()
+        table = {**table, **{key: spec for keys in own for key, spec in keys.items()}}
+    values = _parse(table, cfg, f"{command} config")
+    if command == "train":
+        values["init"] = _parse(TRAIN_INIT_KEYS, values["init"], "train init")
+    if command == "denoise":  # parameters from exactly one source, one the method reads
+        method, sources = values["method"], [k for k in ("params", "tuned", "unrolled_params") if values[k] is not None]
+        if len(sources) > 1:
+            raise ConfigError(f"denoise takes exactly one of 'params', 'tuned' or 'unrolled_params', got {sources}")
+        if method == "unrolled" and values["unrolled_params"] is None:
+            raise ConfigError("method 'unrolled' needs the 'unrolled_params' key")
+        if method != "unrolled" and values["params"] is None and values["tuned"] is None:
+            raise ConfigError(f"no parameters given for method {method!r} (use 'params' or 'tuned')")
+        if method != "unrolled" and values["params"] is not None:
+            keys = METHOD_PARAM_KEYS[method]
+            if set(values["params"]) != set(keys):
+                raise ConfigError(f"params for {method} must have exactly {list(keys)}")
+            values["params"] = _parse({key: ("number", REQUIRED, _FINITE) for key in keys}, values["params"], "params")
+    if seed is not None and "seed" in values:
+        values["seed"] = seed
+    return values
+
+
 # ---------------------------------------------------------------- commands
 
 
-# The keys of each dataset kind beyond the ones both kinds share.
-_GENERATE_KEYS = {"synthetic": {"n_nodes", "side", "n_band", "offset"}, "pointcloud": {"source", "m", "fps_start"}}
-
-
-def cmd_generate(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    kind = cfg.get("kind", "synthetic")
-    own = _GENERATE_KEYS[kind] if kind in tuple(_GENERATE_KEYS) else set().union(*_GENERATE_KEYS.values())
-    allowed = {"kind", "seed", "k", "sigmas", "n_train", "n_test", *own}
-    _check_keys(cfg, allowed, {"source"} if kind == "pointcloud" else set(), "generate config")
-    if kind not in tuple(_GENERATE_KEYS):
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    shared = dict(
-        k=int(cfg.get("k", 5)),
-        sigmas=tuple(float(s) for s in cfg.get("sigmas", (10, 15, 20, 25, 30))),
-        n_train=int(cfg.get("n_train", 10)),
-        n_test=int(cfg.get("n_test", 5)),
-        seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
-    )
-    if kind == "synthetic":
-        dataset = ds.generate_synthetic_dataset(ds.SyntheticSpec(
-            n_nodes=int(cfg.get("n_nodes", 100)),
-            side=float(cfg.get("side", 100.0)),
-            n_band=int(cfg.get("n_band", 3)),
-            offset=float(cfg.get("offset", 2.0)),
-            **shared,
-        ))
+def cmd_generate(cfg: dict, out_dir: str, threads: int) -> None:
+    shared = {key: cfg[key] for key in ("k", "sigmas", "n_train", "n_test", "seed")}
+    if cfg["kind"] == "synthetic":
+        spec = ds.SyntheticSpec(**shared, **{key: cfg[key] for key in DATASET_KIND_KEYS["synthetic"]})
+        dataset = ds.generate_synthetic_dataset(spec)
     else:
         points = ds.load_point_cloud(cfg["source"])
-        dataset = ds.generate_pointcloud_dataset(
-            points, m=int(cfg.get("m", 500)), start=int(cfg.get("fps_start", 0)), **shared
-        )
+        dataset = ds.generate_pointcloud_dataset(points, m=cfg["m"], start=cfg["fps_start"], **shared)
     ds.save_dataset(dataset, out_dir)
-    print(f"wrote dataset ({kind}) to {out_dir}")
+    print(f"wrote dataset ({cfg['kind']}) to {out_dir}")
 
 
-def cmd_tune(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    allowed = {
-        "dataset", "methods", "sigmas", "split", "grid_points",
-        "alpha_range", "rho_range", "cg_layers", "pnp_iters",
-    }
-    _check_keys(cfg, allowed, {"dataset"}, "tune config")
+def cmd_tune(cfg: dict, out_dir: str, threads: int) -> None:
     dataset = ds.load_dataset(cfg["dataset"])
-    methods = cfg.get("methods", list(METHODS))
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-    sigmas = [_dataset_sigma(dataset, s) for s in cfg.get("sigmas", dataset.sigmas)]
-    records = dataset.split(cfg.get("split", "train"))
+    sigmas = [_dataset_sigma(dataset, s) for s in (dataset.sigmas if cfg["sigmas"] is None else cfg["sigmas"])]
+    records = dataset.split(cfg["split"])
     if not records:
         raise ConfigError("tune: selected split is empty")
+    settings = {key: cfg[key] for key in ("grid_points", "alpha_range", "rho_range", "cg_layers", "pnp_iters")}
     entries = []
     gain_tables = {}
     for sigma in sigmas:
-        for method in methods:
-            entries.append(
-                tune_method(
-                    records,
-                    sigma,
-                    method,
-                    grid_points=int(cfg.get("grid_points", DEFAULT_GRID_POINTS)),
-                    alpha_range=tuple(cfg.get("alpha_range", DEFAULT_ALPHA_RANGE)),
-                    rho_range=tuple(cfg.get("rho_range", DEFAULT_RHO_RANGE)),
-                    cg_layers=int(cfg.get("cg_layers", DEFAULT_CG_LAYERS)),
-                    pnp_iters=int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS)),
-                    gain_tables=gain_tables,
-                )
-            )
-            print(
-                f"tuned {method} at sigma={sigma:g}: train_rmse={entries[-1]['train_rmse']:.6g}"
-            )
+        for method in cfg["methods"]:
+            entries.append(tune_method(records, sigma, method, **settings, gain_tables=gain_tables))
+            print(f"tuned {method} at sigma={sigma:g}: train_rmse={entries[-1]['train_rmse']:.6g}")
     write_json(os.path.join(out_dir, "tuned.json"), {"schema": "graphred-tuned-v1", "entries": entries})
 
 
-def _resolve_denoise_params(cfg, method, sigma) -> dict:
-    sources = [key for key in ("params", "tuned", "unrolled_params") if key in cfg]
-    if len(sources) > 1:
-        raise ConfigError(f"denoise takes exactly one of 'params', 'tuned' or 'unrolled_params', got {sources}")
-    if method == "unrolled":
-        if "unrolled_params" not in cfg:
-            raise ConfigError("method 'unrolled' needs the 'unrolled_params' key")
-        return {"file": cfg["unrolled_params"]}  # as metrics.json records it
-    if "params" in cfg:
-        params = dict(cfg["params"])
-        if set(params) != set(METHOD_PARAM_KEYS[method]):
-            raise ConfigError(
-                f"params for {method} must have exactly {list(METHOD_PARAM_KEYS[method])}"
-            )
-        return dict(zip(params, _finite(params)))
-    if "tuned" in cfg:
-        return _tuned_lookup(cfg["tuned"], method, sigma)
-    raise ConfigError(f"no parameters given for method {method!r} (use 'params' or 'tuned')")
-
-
-def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    allowed = {
-        "dataset", "split", "method", "sigma", "params", "tuned", "unrolled_params",
-        "cg_layers", "pnp_iters", "rebuild_graph_from_observed", "save_diagnostics",
-    }
-    _check_keys(cfg, allowed, {"dataset", "method", "sigma"}, "denoise config")
-    rebuild = bool(cfg.get("rebuild_graph_from_observed", False))
+def cmd_denoise(cfg: dict, out_dir: str, threads: int) -> None:
+    rebuild = cfg["rebuild_graph_from_observed"]
     dataset = ds.load_dataset(cfg["dataset"], graphs=not rebuild)  # a rebuild never reads the stored graphs
     method = cfg["method"]
     red = method == "unrolled" or _method_kind(method)[1]
     sigma = _dataset_sigma(dataset, cfg["sigma"])
-    split = cfg.get("split", "test")
-    records = dataset.split(split)
+    records = dataset.split(cfg["split"])
     if not records:
-        raise ConfigError(f"denoise: split {split!r} is empty")
-    params = _resolve_denoise_params(cfg, method, sigma)
-    cg_layers = int(cfg.get("cg_layers", DEFAULT_CG_LAYERS))
-    pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
+        raise ConfigError(f"denoise: split {cfg['split']!r} is empty")
+    if method == "unrolled":
+        params = {"file": cfg["unrolled_params"]}  # as metrics.json records it
+    else:
+        params = cfg["params"] if cfg["params"] is not None else _tuned_lookup(cfg["tuned"], method, sigma)
+    cg_layers, pnp_iters = cfg["cg_layers"], cfg["pnp_iters"]
     if rebuild and dataset.manifest.get("kind") != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
     if rebuild:
@@ -451,7 +505,7 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             layers = load_params(cfg["unrolled_params"])
         else:
             layers = _flat_layers(method, params, cg_layers, pnp_iters)
-    save_diag = bool(cfg.get("save_diagnostics", False))
+    save_diag = cfg["save_diagnostics"]
     k = int(dataset.manifest.get("k", 5))
 
     # One solve per record, on one Lanczos basis per signal column: a few
@@ -483,76 +537,50 @@ def cmd_denoise(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
                 report.to_dict(),
             )
     outputs = [x for x, _ in results]
-    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=split, params=params)
+    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=cfg["split"], params=params)
     print(f"{method} sigma={sigma:g} mean_rmse={metrics['mean_rmse']:.6g} (observed {metrics['observed_rmse']:.6g})")
 
 
-def _resolve_train_init(cfg, K, kind) -> tuple[UnrolledParams, int]:
+def _resolve_train_init(cfg, K, kind) -> UnrolledParams:
     from .red import UnrolledParams
     from .unroll import load_params
-    init_cfg = cfg.get("init", {})
-    if not isinstance(init_cfg, dict):
-        raise ConfigError("train config 'init' must be an object")
-    # A flat start sets alpha_red, alpha_denoiser (the kind's alpha) and the kind's other parameters by name.
-    flat_keys = ("alpha_red", "alpha_denoiser") + KINDS[kind].fields[1:]
-    other_fields = {f for spec in KINDS.values() for f in spec.fields[1:]}
-    allowed = {"tuned", "method", "params", "alpha_red", "alpha_denoiser", *other_fields}
-    _check_keys(init_cfg, allowed, set(), "train init")
-    start_epoch = int(cfg.get("start_epoch", 0))
-    if "params" in init_cfg:
-        params = load_params(init_cfg["params"])
+    init = cfg["init"]
+    if init["params"] is not None:
+        params = load_params(init["params"])
         if params.K != K or params.denoiser_kind != kind:
             raise ConfigError("resume params do not match the configured K / denoiser")
-        return params, start_epoch
-    if "tuned" in init_cfg:
-        method = init_cfg.get("method", f"red_{kind}")
+        return params
+    if init["tuned"] is not None:
+        method = f"red_{kind}" if init["method"] is None else init["method"]
         if method != f"red_{kind}":
             raise ConfigError(f"train init: a {kind} denoiser starts from the red_{kind} entry, not {method!r}")
-        return _flat_layers(method, _tuned_lookup(init_cfg["tuned"], method, float(cfg["sigma"])), K), start_epoch
-    values = _finite({k: init_cfg.get(k, 1.0) for k in flat_keys})
+        return _flat_layers(method, _tuned_lookup(init["tuned"], method, cfg["sigma"]), K)
+    # A flat start sets alpha_red, alpha_denoiser (the kind's alpha) and the kind's other parameters by name.
+    values = _finite({key: init[key] for key in ("alpha_red", "alpha_denoiser") + KINDS[kind].fields[1:]})
     if values[0] < 0:
         raise ValueError("alpha_red must be nonnegative")
-    return UnrolledParams.constant(K, kind, *values), start_epoch
+    return UnrolledParams.constant(K, kind, *values)
 
 
-def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
+def cmd_train(cfg: dict, out_dir: str, threads: int) -> None:
     from .unroll import TrainConfig, TrainSample, save_loss_history, save_params, train, unrolled_forward
-    allowed = {
-        "dataset", "split", "sigma", "mode", "denoiser", "K", "epochs",
-        "learning_rate", "seed", "gradient_method", "init", "start_epoch",
-        "pnp_iters", "sigma_n2n_range",
-    }
-    _check_keys(cfg, allowed, {"dataset", "sigma"}, "train config")
     dataset = ds.load_dataset(cfg["dataset"])
     sigma = _dataset_sigma(dataset, cfg["sigma"])
-    records = dataset.split(cfg.get("split", "train"))
+    records = dataset.split(cfg["split"])
     if not records:
         raise ConfigError("train: selected split is empty")
     if not _records_share_graph(records):
         raise ConfigError("training expects records on a shared graph")
-    kind = cfg.get("denoiser", "lr")
-    if kind not in tuple(KINDS):
-        raise ConfigError(f"unknown denoiser {kind!r}")
-    K = int(cfg.get("K", DEFAULT_CG_LAYERS))
-    mode = cfg.get("mode", "supervised")
-    config = TrainConfig(
-        mode=mode,
-        learning_rate=float(cfg.get("learning_rate", 0.01)),
-        epochs=int(cfg.get("epochs", 200)),
-        sigma_n2n_range=(
-            tuple(float(v) for v in cfg["sigma_n2n_range"]) if "sigma_n2n_range" in cfg else None
-        ),
-        seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
-        gradient_method=cfg.get("gradient_method", "exact"),
-    )
-    init, start_epoch = _resolve_train_init(cfg, K, kind)
-    pnp_iters = int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS))
+    kind, K, mode, pnp_iters = cfg["denoiser"], cfg["K"], cfg["mode"], cfg["pnp_iters"]
+    config = TrainConfig(**{key: cfg[key] for key in (
+        "mode", "learning_rate", "epochs", "sigma_n2n_range", "seed", "gradient_method")})
+    init = _resolve_train_init(cfg, K, kind)
     lap, decomp = _graph_setup(records[0])
     y = np.column_stack([np.asarray(r.observed[sigma], dtype=float) for r in records])
     target = np.column_stack([np.asarray(r.clean, dtype=float) for r in records]) if mode == "supervised" else None
     samples = [TrainSample(y=y, target=target)]
     params, history = train(
-        samples, config, init, lap, decomp=decomp, start_epoch=start_epoch, pnp_iters=pnp_iters
+        samples, config, init, lap, decomp=decomp, start_epoch=cfg["start_epoch"], pnp_iters=pnp_iters
     )
     save_params(params, os.path.join(out_dir, "params.json"))
     save_loss_history(history, os.path.join(out_dir, "loss_history.csv"))
@@ -562,12 +590,7 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         os.path.join(out_dir, "train_report.json"),
         {
             "schema": "graphred-train-v1",
-            "mode": mode,
-            "denoiser": kind,
-            "K": K,
-            "sigma": sigma,
-            "epochs": config.epochs,
-            "start_epoch": start_epoch,
+            **{key: cfg[key] for key in ("mode", "denoiser", "K", "sigma", "epochs", "start_epoch")},
             "first_loss": history[0],
             "final_loss": history[-1],
             "train_rmse_vs_clean": final_rmse,
@@ -577,27 +600,17 @@ def cmd_train(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     print(f"trained {kind} K={K} mode={mode}: loss {history[0]:.6g} -> {history[-1]:.6g}")
 
 
-def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
+def cmd_check(cfg: dict, out_dir: str, threads: int) -> None:
     from .red import check_homogeneity, check_passivity
-    kind_keys = {k for spec in KINDS.values() for k in spec.keys}
-    allowed = {"datasets", "methods", "pnp_iters", "n_signals", "c", "seed", *kind_keys}
-    _check_keys(cfg, allowed, {"datasets"}, "check config")
-    methods = cfg.get("methods", list(KINDS))
-    for m in methods:
-        if m not in tuple(KINDS):
-            raise ConfigError(f"check supports the denoiser methods {list(KINDS)}, got {m!r}")
-    seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
-    n_signals = int(cfg.get("n_signals", 100))
-    c = float(cfg.get("c", 1.1))
+    n_signals, c = cfg["n_signals"], cfg["c"]
     rows = []
     for path in cfg["datasets"]:
         dataset = ds.load_dataset(path)
         records = dataset.train or dataset.test
         lap, decomp = _graph_setup(records[0])
-        rng = np.random.default_rng(seed)
-        for method in methods:
-            params = {key: float(cfg.get(key, 1.0)) for key in METHOD_PARAM_KEYS[method]}
-            den = method_denoiser(method, params, int(cfg.get("pnp_iters", DEFAULT_PNP_ITERS)))
+        rng = np.random.default_rng(cfg["seed"])
+        for method in cfg["methods"]:
+            den = method_denoiser(method, {key: cfg[key] for key in METHOD_PARAM_KEYS[method]}, cfg["pnp_iters"])
             apply = gain_filter(decomp, denoiser_gains(den, decomp.eigenvalues))
             max_dev = 0.0
             max_ratio = 0.0
@@ -608,7 +621,7 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             ones = np.ones(lap.n_nodes)
             rows.append(
                 {
-                    "dataset": str(path), "method": method, "probe": "random",
+                    "dataset": path, "method": method, "probe": "random",
                     "n_signals": n_signals, "c": c,
                     "max_homogeneity_deviation": max_dev,
                     "max_passivity_ratio": max_ratio,
@@ -616,7 +629,7 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
             )
             rows.append(
                 {
-                    "dataset": str(path), "method": method, "probe": "all_ones", "c": c,
+                    "dataset": path, "method": method, "probe": "all_ones", "c": c,
                     "homogeneity_deviation": check_homogeneity(apply, ones, c),
                     "passivity_ratio": check_passivity(apply, ones),
                 }
@@ -628,28 +641,25 @@ def cmd_check(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     print(f"checked {len(rows)} rows; worst passivity ratio {worst:.9g}")
 
 
-def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
+def cmd_spectrum(cfg: dict, out_dir: str, threads: int) -> None:
     from .spectral import compare_responses, write_response_csv
-    allowed = {"dataset", "alpha_red", "alpha_lr", "tuned", "sigma", "lambda_max", "n_points"}
-    _check_keys(cfg, allowed, set(), "spectrum config")
-    if "tuned" in cfg:
-        if "sigma" not in cfg:
+    if cfg["tuned"] is not None:
+        if cfg["sigma"] is None:
             raise ConfigError("spectrum: 'tuned' needs 'sigma' to select the entry")
-        scalars = _tuned_lookup(cfg["tuned"], "red_lr", float(cfg["sigma"]))
-        alpha_red, alpha_lr = _finite(scalars)
-        source_params = {"tuned": cfg["tuned"], "sigma": float(cfg["sigma"])}
+        alpha_red, alpha_lr = _finite(_tuned_lookup(cfg["tuned"], "red_lr", cfg["sigma"]))
+        source_params = {"tuned": cfg["tuned"], "sigma": cfg["sigma"]}
     else:
-        if "alpha_red" not in cfg or "alpha_lr" not in cfg:
+        if cfg["alpha_red"] is None or cfg["alpha_lr"] is None:
             raise ConfigError("spectrum needs alpha_red and alpha_lr (or a tuned file)")
         alpha_red, alpha_lr = _finite({"alpha_red": cfg["alpha_red"], "alpha_lr": cfg["alpha_lr"]})
         source_params = {"explicit": True}
-    if "dataset" in cfg:
+    if cfg["dataset"] is not None:
         dataset = ds.load_dataset(cfg["dataset"])
         records = dataset.train or dataset.test
         graph_spec = build_laplacian(records[0].graph)  # decomposed by compare_responses
-        source = {"kind": "dataset", "path": str(cfg["dataset"]), **source_params}
+        source = {"kind": "dataset", "path": cfg["dataset"], **source_params}
     else:
-        graph_spec = np.linspace(0.0, float(cfg.get("lambda_max", 10.0)), int(cfg.get("n_points", 200)))
+        graph_spec = np.linspace(0.0, cfg["lambda_max"], cfg["n_points"])
         source = {"kind": "grid", **source_params}
     comparison = compare_responses(graph_spec, alpha_red, alpha_lr)
     write_response_csv(os.path.join(out_dir, "spectrum.csv"), comparison)
@@ -666,13 +676,10 @@ def cmd_spectrum(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
     print(f"wrote spectrum.csv ({len(comparison.eigenvalues)} rows)")
 
 
-def cmd_eval(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
-    allowed = {"dataset", "denoised", "split", "sigma", "method"}
-    _check_keys(cfg, allowed, {"dataset", "denoised", "sigma"}, "eval config")
+def cmd_eval(cfg: dict, out_dir: str, threads: int) -> None:
     dataset = ds.load_dataset(cfg["dataset"], graphs=False)
     sigma = _dataset_sigma(dataset, cfg["sigma"])
-    split = cfg.get("split", "test")
-    records = dataset.split(split)
+    records = dataset.split(cfg["split"])
     outputs = []
     for record in records:
         path = os.path.join(cfg["denoised"], f"sample_{record.index:03d}.csv")
@@ -680,20 +687,11 @@ def cmd_eval(cfg: dict, out_dir: str, seed_override, threads: int) -> None:
         if x.shape != np.asarray(record.clean).shape:
             raise ConfigError(f"{path}: shape {x.shape} does not match dataset")
         outputs.append(x)
-    method = cfg.get("method", "unknown")
-    metrics = _write_metrics(out_dir, records, outputs, sigma, method=method, split=split)
+    metrics = _write_metrics(out_dir, records, outputs, sigma, method=cfg["method"], split=cfg["split"])
     print(f"eval mean_rmse={metrics['mean_rmse']:.6g} over {len(records)} samples")
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "tune": cmd_tune,
-    "denoise": cmd_denoise,
-    "train": cmd_train,
-    "check": cmd_check,
-    "spectrum": cmd_spectrum,
-    "eval": cmd_eval,
-}
+COMMANDS = {command: globals()[f"cmd_{command}"] for command in CONFIG_KEYS}
 
 
 def main(argv=None) -> int:
@@ -712,18 +710,15 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
         os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.command](cfg, args.out, args.seed, max(1, args.threads))
+        COMMANDS[args.command](_resolve_config(args.command, cfg, args.seed), args.out, max(1, args.threads))
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, TrainingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ParseError, InvalidGraphError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

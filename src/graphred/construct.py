@@ -268,4 +268,4 @@ def normalize_weights(graph: Graph) -> Graph:
     w_max = graph.weights.max(initial=0.0)
     if w_max <= 0:
         raise NoEdgesError("graph has no edges to normalize")
-    return Graph(graph.indptr, graph.indices, graph.weights / w_max, graph.n_nodes)
+    return Graph(graph.indptr, graph.indices, graph.weights / w_max, graph.n_nodes, _symmetric=True)

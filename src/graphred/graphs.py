@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -58,8 +58,10 @@ class Graph:
     indices: np.ndarray
     weights: np.ndarray
     n_nodes: int
+    # Private: True from the package's own assembly of symmetric arrays, which skips only the symmetry proof.
+    _symmetric: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _symmetric):
         n = int(self.n_nodes)
         indptr, indices = np.asarray(self.indptr, dtype=np.intp), np.asarray(self.indices, dtype=np.intp)
         w = np.asarray(self.weights, dtype=float)
@@ -71,13 +73,14 @@ class Graph:
                 or indices.shape != (indptr[-1],) or np.any((indices < 0) | (indices >= n))):
             raise InvalidGraphError(f"malformed CSR arrays for {n} nodes")
         rows = self._rows()
-        flip = np.lexsort((rows, indices))  # the transpose's entries in row order
+        flip = None if _symmetric else np.lexsort((rows, indices))  # the transpose's entries in row order
         for ok, problem in (
             (np.all(np.isfinite(w)), "weights must be finite"),
             (np.all(w >= 0), "weights must be nonnegative"),
             (not np.any(rows == indices), "diagonal must be zero"),
             (np.all(w != 0) and np.all(np.diff(rows * n + indices) > 0), "rows must be ascending, distinct, nonzero"),
-            (all(map(np.array_equal, (indices[flip], rows[flip], w[flip]), (rows, indices, w))), "must be symmetric"),
+            (flip is None or all(map(np.array_equal, (indices[flip], rows[flip], w[flip]), (rows, indices, w))),
+             "must be symmetric"),
         ):
             if not ok:
                 raise InvalidGraphError(f"adjacency {problem}")
@@ -95,7 +98,7 @@ class Graph:
     def from_edges(cls, i, j, w, n_nodes: int) -> Graph:
         """Graph with weight ``w[e]`` on the pair ``(i[e], j[e])``; a pair given
         again (in either order) takes its last weight, and zero weights are dropped."""
-        return cls(*_union_csr(i, j, w, n_nodes), n_nodes)
+        return cls(*_union_csr(i, j, w, n_nodes), n_nodes, _symmetric=True)
 
     def _rows(self) -> np.ndarray:
         """Row index of every stored entry."""

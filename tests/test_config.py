@@ -7,16 +7,27 @@ configs and messages are written as ``{name}`` placeholders for the files the
 fixture makes.
 """
 
+import importlib.util
 import json
 import os
+import re
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphred.cli import main
+from graphred.cli import CONFIG_KEYS, DATASET_KIND_KEYS, REQUIRED, TRAIN_INIT_KEYS, _resolve_config, main
 from graphred.red import UnrolledParams
 from graphred.unroll import save_params
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS, README = ROOT / "configs", ROOT / "README.md"
+# The benchmark's workloads, loaded from their file (perfbench is not a package).
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 @pytest.fixture(scope="module")
@@ -194,32 +205,35 @@ CASES = [
     ("check", {**CHECK, "pnp_iters": 0}, 2, 'config error: pnp denoiser needs iters >= 1'),
     ("check", {"methods": ["lr"]}, 2, "config error: check config: missing keys ['datasets']"),
     ("check", CHECK, 0, ''),
-    # Faults: values of the wrong JSON type
-    ("generate", {**GEN, "k": None},
-     1, "TypeError: int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
-    ("generate", {**GEN, "sigmas": 20}, 1, "TypeError: 'int' object is not iterable"),
-    ("generate", {**GEN, "n_nodes": 50.7}, 0, ''),
-    ("generate", {**GEN, "seed": 1.5}, 0, ''),
-    ("generate", {**GEN, "n_train": "2"}, 0, ''),
-    ("tune", {**TUNE, "grid_points": 2.7}, 0, ''),
-    ("tune", {**TUNE, "grid_points": "5"}, 0, ''),
-    ("tune", {**TUNE, "methods": "lr"}, 2, "config error: unknown method 'l'"),
-    ("tune", {**TUNE, "sigmas": 20.0}, 1, "TypeError: 'float' object is not iterable"),
+    # Values of the wrong JSON type.  Each of these once ran on a truncated or
+    # flipped value, or ended in a traceback.
+    ("generate", {**GEN, "k": None}, 2, 'config error: k must be an integer, got None'),
+    ("generate", {**GEN, "sigmas": 20}, 2, 'config error: sigmas must be a list of numbers, got 20'),
+    ("generate", {**GEN, "n_nodes": 50.7}, 2, 'config error: n_nodes must be an integer, got 50.7'),
+    ("generate", {**GEN, "seed": 1.5}, 2, 'config error: seed must be an integer, got 1.5'),
+    ("generate", {**GEN, "n_train": "2"}, 2, "config error: n_train must be an integer, got '2'"),
+    ("tune", {**TUNE, "grid_points": 2.7}, 2, 'config error: grid_points must be an integer, got 2.7'),
+    ("tune", {**TUNE, "grid_points": "5"}, 2, "config error: grid_points must be an integer, got '5'"),
+    ("tune", {**TUNE, "methods": "lr"}, 2, "config error: methods must be a list of strings, got 'lr'"),
+    ("tune", {**TUNE, "sigmas": 20.0}, 2, 'config error: sigmas must be a list of numbers, got 20.0'),
     ("denoise", {**D, "method": "red_lr", "params": {"alpha_red": 1.0, "alpha_lr": 1.0}, "save_diagnostics": "false"},
-     0, ''),
-    ("denoise", {**CLOUD, "rebuild_graph_from_observed": "no"}, 0, ''),
+     2, "config error: save_diagnostics must be a boolean, got 'false'"),
+    ("denoise", {**CLOUD, "rebuild_graph_from_observed": "no"},
+     2, "config error: rebuild_graph_from_observed must be a boolean, got 'no'"),
     ("denoise", {**D, "method": "lr", "params": {"alpha_lr": 1.0}, "split": ["test"]},
-     1, "TypeError: unhashable type: 'list'"),
-    ("denoise", {**D, "method": "red_lr", "params": {"alpha_red": 1.0, "alpha_lr": 1.0}, "cg_layers": "3"}, 0, ''),
-    ("denoise", {**D, "method": "lr", "params": {"alpha_lr": True}}, 0, ''),
-    ("train", {**TRAIN, "epochs": True}, 0, ''),
-    ("train", {**TRAIN, "K": 2.9}, 0, ''),
-    ("train", {**TRAIN, "sigma_n2n_range": 5}, 1, "TypeError: 'int' object is not iterable"),
+     2, "config error: split must be a string, got ['test']"),
+    ("denoise", {**D, "method": "red_lr", "params": {"alpha_red": 1.0, "alpha_lr": 1.0}, "cg_layers": "3"},
+     2, "config error: cg_layers must be an integer, got '3'"),
+    ("denoise", {**D, "method": "lr", "params": {"alpha_lr": True}},
+     2, 'config error: alpha_lr must be a number, got True'),
+    ("train", {**TRAIN, "epochs": True}, 2, 'config error: epochs must be an integer, got True'),
+    ("train", {**TRAIN, "K": 2.9}, 2, 'config error: K must be an integer, got 2.9'),
+    ("train", {**TRAIN, "sigma_n2n_range": 5}, 2, 'config error: sigma_n2n_range must be a list of numbers, got 5'),
     ("check", {**CHECK, "datasets": "out/synthetic"},
-     4, "i/o error: [Errno 2] No such file or directory: 'o/manifest.json'"),
-    ("check", {**CHECK, "n_signals": 2.5}, 0, ''),
-    ("eval", {**EVAL, "method": 7}, 0, ''),
-    ("spectrum", {**SPEC, "n_points": 2.5}, 0, ''),
+     2, "config error: datasets must be a list of strings, got 'out/synthetic'"),
+    ("check", {**CHECK, "n_signals": 2.5}, 2, 'config error: n_signals must be an integer, got 2.5'),
+    ("eval", {**EVAL, "method": 7}, 2, 'config error: method must be a string, got 7'),
+    ("spectrum", {**SPEC, "n_points": 2.5}, 2, 'config error: n_points must be an integer, got 2.5'),
 ]
 
 
@@ -230,3 +244,93 @@ def test_config_outcome(files, tmp_path, capsys, command, cfg, code, last):
     assert outcome(command, fill(cfg, files), out, capsys) == (code, fill(last, files))
     if code:
         assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("denoise", {**D, "method": "lr", "params": {"alpha_lr": "1.5"}}, "alpha_lr must be a number, got '1.5'"),
+    ("train", {**TRAIN, "init": {"alpha_red": "1"}}, "alpha_red must be a number, got '1'"),
+    ("train", {**TRAIN, "epochs": float("inf")}, "epochs must be an integer, got inf"),
+    ("tune", {**TUNE, "methods": ["lr", 7]}, "method must be a string, got 7"),
+    ("tune", {**TUNE, "sigmas": [0.5, None]}, "sigma must be a number, got None"),
+    ("tune", {**TUNE, "alpha_range": [1e-3, "1e3"]}, "alpha_range entry must be a number, got '1e3'"),
+    ("generate", {**GEN, "sigmas": [1.0, False]}, "sigma must be a number, got False"),
+    ("spectrum", {**SPEC, "dataset": None}, "dataset must be a string, got None"),
+    ("check", {**CHECK, "c": True}, "c must be a number, got True"),
+])
+def test_type_rules(files, tmp_path, capsys, command, cfg, message):
+    """Type rules beyond the faults above: a string is not a number, an item has its list's item type."""
+    out = tmp_path / "out"
+    assert outcome(command, fill(cfg, files), out, capsys) == (2, f"config error: {message}")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, cfg, key, value", [
+    ("generate", {**GEN, "n_nodes": 30.0}, "n_nodes", 30),
+    ("tune", {**TUNE, "grid_points": 3.0}, "grid_points", 3),
+    ("train", {**TRAIN, "learning_rate": 1}, "learning_rate", 1.0),
+])
+def test_integral_floats_and_integers_read_as_their_type(command, cfg, key, value):
+    resolved = _resolve_config(command, cfg)
+    assert resolved[key] == value and type(resolved[key]) is type(value)
+
+
+def test_seed_flag_overrides_the_config_seed():
+    assert _resolve_config("generate", {"seed": 4}, seed=9)["seed"] == 9
+    assert _resolve_config("generate", {"seed": 4})["seed"] == 4
+    assert "seed" not in _resolve_config("tune", {"dataset": "d"}, seed=9)
+
+
+def as_resolved(value):
+    """A config value as the parser hands it to a command: lists as tuples, numbers as given."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def shipped_configs():
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield pytest.param(path.stem.split("_")[0], json.loads(path.read_text()), id=f"configs/{path.name}")
+    for name, workload in workloads.WORKLOADS.items():
+        for size in ("full", "tiny"):
+            w = workload(1, size)
+            for command in [w.generate("bundle"), *w.commands("bundle", "pass")]:
+                yield pytest.param(command.subcommand, command.config, id=f"{name}-{size}-{command.label}")
+
+
+@pytest.mark.parametrize("command, cfg", shipped_configs())
+def test_shipped_configs_resolve_to_their_values(command, cfg):
+    """Every config the repository runs resolves with no error, and each given value reads as itself."""
+    resolved = _resolve_config(command, cfg)
+    for key, value in cfg.items():
+        if key == "init":
+            assert {k: resolved[key][k] for k in value} == value
+        else:
+            assert resolved[key] == as_resolved(value), key
+
+
+def readme_section(command):
+    """The README section of ``command``, up to the next heading."""
+    return re.search(rf"### `{command}`.*?(?=\n#)", README.read_text(), re.S).group(0)
+
+
+def render_default(default):
+    if default is REQUIRED:
+        return "required"
+    if default is None:
+        return "—"
+    return f"`{json.dumps(list(default) if isinstance(default, tuple) else default)}`"
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_readme_key_tables_match_the_config_tables(command):
+    """Each command's README key table lists its table's keys, types and defaults, and nothing else."""
+    table = dict(CONFIG_KEYS[command])
+    if command == "generate":
+        for keys in DATASET_KIND_KEYS.values():
+            table.update(keys)
+    if command == "train":
+        table.update({f"init.{key}": spec for key, spec in TRAIN_INIT_KEYS.items()})
+    rows = {}
+    for line in readme_section(command).splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if cells and re.fullmatch(r"`[\w.]+`", cells[0]):
+            rows[cells[0].strip("`")] = tuple(cells[1:3])
+    assert rows == {key: (kind, render_default(default)) for key, (kind, default, *_) in table.items()}

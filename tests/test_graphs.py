@@ -117,6 +117,39 @@ class TestGraphType:
 
         assert build(Graph.from_edges) == build(from_edges_by_unique)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+                       max_size=40),
+        scale=st.sampled_from([1e-300, 0.3, 7.0]),
+    )
+    def test_assembled_graphs_equal_fully_validated_ones(self, n, edges, scale):
+        """``from_edges`` and ``normalize_weights`` skip only the symmetry proof: same arrays as ``Graph(...)``."""
+        i, j, w = (np.array(col, dtype=dtype) for col, dtype in zip(zip(*edges) if edges else ([], [], []),
+                                                                   (np.intp, np.intp, float)))
+        i, j = i % n, j % n
+        keep = i != j
+        i, j, w = i[keep], j[keep], w[keep] * scale
+        arrays = lambda g: (g.indptr, g.indices, g.weights, g.n_nodes)
+        g = Graph.from_edges(i, j, w, n)
+        full = Graph(*graphred.graphs._union_csr(i, j, w, n), n)
+        assert all(map(np.array_equal, arrays(g), arrays(full)))
+        if g.n_edges:
+            normalized = normalize_weights(g)
+            assert all(map(np.array_equal, arrays(normalized), arrays(Graph(*arrays(normalized)))))
+
+    @pytest.mark.parametrize("i, j, w, problem", [
+        ([0, 1], [1, 2], [1.0, np.nan], "weights must be finite"),
+        ([0, 1], [1, 2], [1.0, -0.5], "weights must be nonnegative"),
+        ([0, 1], [1, 1], [1.0, 2.0], "diagonal must be zero"),
+    ])
+    def test_assembled_graph_keeps_the_weight_and_diagonal_checks(self, i, j, w, problem):
+        full = graphred.graphs._union_csr(i, j, w, 3)
+        for build in (lambda: Graph.from_edges(i, j, w, 3), lambda: Graph(*full, 3)):
+            with pytest.raises(InvalidGraphError, match=f"^adjacency {problem}$"):
+                build()
+
     @pytest.mark.parametrize("i, j", [([0, -1], [1, 0]), ([0, 1], [1, 3])])
     def test_from_edges_rejects_indices_out_of_range(self, i, j):
         with pytest.raises(InvalidGraphError, match=r"edge indices must lie in \[0, 3\)"):
