@@ -327,7 +327,7 @@ def _tuned_lookup(tuned_path, method, sigma) -> dict:
 REQUIRED = object()  # the default of a key every config must give
 _FINITE = (np.isfinite, "{key} must be finite, got {value}")
 _METHOD = (METHODS.__contains__, "unknown method {value!r}")
-_COUNT = {"cg_layers": ("integer", DEFAULT_CG_LAYERS), "pnp_iters": ("integer", DEFAULT_PNP_ITERS)}
+_SOLVER_KEYS = {"cg_layers": ("integer", DEFAULT_CG_LAYERS), "pnp_iters": ("integer", DEFAULT_PNP_ITERS)}
 
 # Each command's config keys: key -> (JSON type, default, rule).  A default of
 # None marks a key that may be left out, which the command reads as "not given".
@@ -342,28 +342,29 @@ CONFIG_KEYS = {
         "dataset": ("string", REQUIRED), "methods": ("list of strings", METHODS, _METHOD),
         "sigmas": ("list of numbers", None, _FINITE), "split": ("string", "train"),
         "grid_points": ("integer", DEFAULT_GRID_POINTS), "alpha_range": ("list of numbers", DEFAULT_ALPHA_RANGE),
-        "rho_range": ("list of numbers", DEFAULT_RHO_RANGE), **_COUNT,
+        "rho_range": ("list of numbers", DEFAULT_RHO_RANGE), **_SOLVER_KEYS,
     },
     "denoise": {
         "dataset": ("string", REQUIRED), "split": ("string", "test"),
         "method": ("string", REQUIRED, ((*METHODS, "unrolled").__contains__, "unknown method {value!r}")),
         "sigma": ("number", REQUIRED, _FINITE), "params": ("object", None), "tuned": ("string", None),
-        "unrolled_params": ("string", None), **_COUNT,
+        "unrolled_params": ("string", None), **_SOLVER_KEYS,
         "rebuild_graph_from_observed": ("boolean", False), "save_diagnostics": ("boolean", False),
     },
     "train": {
         "dataset": ("string", REQUIRED), "split": ("string", "train"), "sigma": ("number", REQUIRED, _FINITE),
         "mode": ("string", "supervised"), "K": ("integer", DEFAULT_CG_LAYERS),
         "denoiser": ("string", "lr", (KINDS.__contains__, "unknown denoiser {value!r}")),
-        "epochs": ("integer", 200), "learning_rate": ("number", 0.01),
-        "seed": ("integer", 0), "gradient_method": ("string", "exact"), "init": ("object", {}),
-        "start_epoch": ("integer", 0), "pnp_iters": _COUNT["pnp_iters"], "sigma_n2n_range": ("list of numbers", None),
+        "epochs": ("integer", 200), "learning_rate": ("number", 0.01), "seed": ("integer", 0),
+        "gradient_method": ("string", "exact"), "init": ("object", {}), "start_epoch": ("integer", 0),
+        "pnp_iters": _SOLVER_KEYS["pnp_iters"], "sigma_n2n_range": ("list of numbers", None),
     },
     "check": {
         "datasets": ("list of strings", REQUIRED),
         "methods": ("list of strings", tuple(KINDS),
                     (KINDS.__contains__, f"check supports the denoiser methods {list(KINDS)}, got {{value!r}}")),
-        "pnp_iters": _COUNT["pnp_iters"], "n_signals": ("integer", 100), "c": ("number", 1.1), "seed": ("integer", 0),
+        "pnp_iters": _SOLVER_KEYS["pnp_iters"], "n_signals": ("integer", 100), "c": ("number", 1.1),
+        "seed": ("integer", 0),
         **{key: ("number", 1.0) for spec in KINDS.values() for key in spec.keys},
     },
     "spectrum": {
