@@ -6,8 +6,9 @@ command reads a JSON config plus the global flags ``--config``, ``--seed``,
 their JSON type and default, and :func:`_resolve_config` checks every config
 against it before the command runs: an unknown or missing key, or a value of
 the wrong type, is a config error naming the key.  A bool is not a number, an
-integer may be written 200.0 but not 2.7, and a string is not a list.  The
-commands read only the resolved values.
+integer may be written 200.0 but not 2.7, a string is not a list, a count is
+at least 1 and a number fits a float.  The commands read only the resolved
+values.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or input
 error (a missing file, or a bad line of a point cloud, edge list or signal).
 
@@ -327,6 +328,8 @@ def _tuned_lookup(tuned_path, method, sigma) -> dict:
 REQUIRED = object()  # the default of a key every config must give
 _FINITE = (np.isfinite, "{key} must be finite, got {value}")
 _METHOD = (METHODS.__contains__, "unknown method {value!r}")
+_COUNT = (lambda n: n >= 1, "{key} must be >= 1")
+_SIZE = (lambda n: n >= 0, "{key} must be >= 0")
 _SOLVER_KEYS = {"cg_layers": ("integer", DEFAULT_CG_LAYERS), "pnp_iters": ("integer", DEFAULT_PNP_ITERS)}
 
 # Each command's config keys: key -> (JSON type, default, rule).  A default of
@@ -336,13 +339,14 @@ CONFIG_KEYS = {
     "generate": {
         "kind": ("string", "synthetic", (("synthetic", "pointcloud").__contains__, "unknown dataset kind {value!r}")),
         "seed": ("integer", 0), "k": ("integer", 5), "sigmas": ("list of numbers", (10.0, 15.0, 20.0, 25.0, 30.0)),
-        "n_train": ("integer", 10), "n_test": ("integer", 5),
+        "n_train": ("integer", 10, _SIZE), "n_test": ("integer", 5, _SIZE),
     },
     "tune": {
         "dataset": ("string", REQUIRED), "methods": ("list of strings", METHODS, _METHOD),
         "sigmas": ("list of numbers", None, _FINITE), "split": ("string", "train"),
-        "grid_points": ("integer", DEFAULT_GRID_POINTS), "alpha_range": ("list of numbers", DEFAULT_ALPHA_RANGE),
-        "rho_range": ("list of numbers", DEFAULT_RHO_RANGE), **_SOLVER_KEYS,
+        "grid_points": ("integer", DEFAULT_GRID_POINTS, _COUNT),
+        "alpha_range": ("list of numbers", DEFAULT_ALPHA_RANGE), "rho_range": ("list of numbers", DEFAULT_RHO_RANGE),
+        **_SOLVER_KEYS,
     },
     "denoise": {
         "dataset": ("string", REQUIRED), "split": ("string", "test"),
@@ -353,24 +357,24 @@ CONFIG_KEYS = {
     },
     "train": {
         "dataset": ("string", REQUIRED), "split": ("string", "train"), "sigma": ("number", REQUIRED, _FINITE),
-        "mode": ("string", "supervised"), "K": ("integer", DEFAULT_CG_LAYERS),
+        "mode": ("string", "supervised"), "K": ("integer", DEFAULT_CG_LAYERS, _COUNT),
         "denoiser": ("string", "lr", (KINDS.__contains__, "unknown denoiser {value!r}")),
-        "epochs": ("integer", 200), "learning_rate": ("number", 0.01), "seed": ("integer", 0),
-        "gradient_method": ("string", "exact"), "init": ("object", {}), "start_epoch": ("integer", 0),
+        "epochs": ("integer", 200, _COUNT), "learning_rate": ("number", 0.01), "seed": ("integer", 0),
+        "gradient_method": ("string", "exact"), "init": ("object", {}), "start_epoch": ("integer", 0, _SIZE),
         "pnp_iters": _SOLVER_KEYS["pnp_iters"], "sigma_n2n_range": ("list of numbers", None),
     },
     "check": {
         "datasets": ("list of strings", REQUIRED),
         "methods": ("list of strings", tuple(KINDS),
                     (KINDS.__contains__, f"check supports the denoiser methods {list(KINDS)}, got {{value!r}}")),
-        "pnp_iters": _SOLVER_KEYS["pnp_iters"], "n_signals": ("integer", 100), "c": ("number", 1.1),
+        "pnp_iters": _SOLVER_KEYS["pnp_iters"], "n_signals": ("integer", 100, _COUNT), "c": ("number", 1.1),
         "seed": ("integer", 0),
         **{key: ("number", 1.0) for spec in KINDS.values() for key in spec.keys},
     },
     "spectrum": {
         "dataset": ("string", None), "alpha_red": ("number", None), "alpha_lr": ("number", None),
         "tuned": ("string", None), "sigma": ("number", None, _FINITE), "lambda_max": ("number", 10.0),
-        "n_points": ("integer", 200),
+        "n_points": ("integer", 200, _COUNT),
     },
     "eval": {
         "dataset": ("string", REQUIRED), "denoised": ("string", REQUIRED), "split": ("string", "test"),
@@ -403,7 +407,11 @@ def _typed(key, value, kind, rule, where):
         if kind == "object":
             raise ConfigError(f"{where} {key!r} must be an object")
         raise ConfigError(f"{key} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}, got {value!r}")
-    value = read(value)
+    try:
+        value = read(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        digits = len(str(abs(value)))
+        raise ConfigError(f"{key} must be a number within the float range, got an integer of {digits} digits") from None
     if rule is not None and not rule[0](value):
         raise ConfigError(rule[1].format(key=key, value=value))
     return value

@@ -289,6 +289,30 @@ def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveR
     return RedSolveReport(x=x, iterations=iters, gradient_norm_history=gnorms, objective_history=objs)
 
 
+def _einsum_dot(a, b):
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _reduce_dot(a, b):
+    return np.add.reduce(a * b, axis=0)  # the kernel np.sum runs, without its dispatch
+
+
+def _column_dot(*blocks):
+    """The per-column inner product ``dot(a, b) = sum(a * b, axis=0)`` for operands laid out as ``blocks``.
+
+    On 2-D blocks of two columns or more whose last axis is the fast one
+    (C-ordered arrays and their row-strided or column views), ``np.einsum``
+    adds the products row by row, as ``np.add.reduce(a * b, axis=0)`` does,
+    so it gives the same bits without the product array.  Every other
+    layout gets that reduce itself: ``(N,)`` signals and lone ``(N, 1)``
+    columns, which numpy sums pairwise, and F-ordered blocks, where einsum
+    adds in another order.
+    """
+    if all(b.ndim == 2 and b.shape[1] > 1 and abs(b.strides[1]) < abs(b.strides[0]) for b in blocks):
+        return _einsum_dot
+    return _reduce_dot
+
+
 def _flat_from(regs, alpha_red, k) -> bool:
     """Whether every layer from ``k`` on runs layer k's op object with an equal weight."""
     return all(regs[i] is regs[k] and np.array_equal(alpha_red[i], alpha_red[k]) for i in range(k + 1, len(regs)))
@@ -336,6 +360,14 @@ def red_cg_layers(
     The objective history is filled only with ``objective=True``; it costs
     two reductions per layer.
 
+    Every per-column inner product (``p . Ap``, ``p . p``, ``p . g``,
+    ``||g||^2`` and the objective's) runs through :func:`_column_dot`,
+    picked once per call and again when columns join: ``np.einsum`` on a
+    C-ordered ``(N, S >= 2)`` block or a row-strided view of one, else
+    ``np.add.reduce`` of the product, for ``(N,)`` signals, lone columns and
+    F-ordered blocks.  Both add in the order the reduce does on that
+    layout, so the bits are those of a product-and-reduce loop.
+
     With a ``tape`` list, each layer run appends what a reverse sweep needs:
     ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
     direction, gradient, its squared norm and the converged mask, then the
@@ -359,24 +391,24 @@ def red_cg_layers(
     if joins and (start is None or min(joins) <= start[0]):
         raise ValueError("columns can only join a resumed run, after its first layer")
     full_tol = CONVERGED_TOL * np.maximum(np.linalg.norm(y, axis=0), 1.0)
-    add = np.add.reduce  # the kernel np.sum runs, without its dispatch
 
     def gradient(x, r, k):
         d = x - obs
         if objective:
-            objs.append(0.5 * add(d**2, axis=0) + 0.5 * alpha_red[k] * add(x * r, axis=0))
+            objs.append(0.5 * dot(d, d) + 0.5 * alpha_red[k] * dot(x, r))
         return d + alpha_red[k] * r
 
     objs = []
     if start is None:
-        first, obs, tol = 1, y, full_tol
+        first, obs, tol, dot = 1, y, full_tol, _column_dot(y)
         x = np.zeros_like(y)
         g = gradient(x, regs[0](x), 0)
         p = -g
-        gsq = add(g * g, axis=0)
+        gsq = dot(g, g)
     else:
         first, (x, p, g, gsq) = start
         obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
+        dot = _column_dot(obs, x, p, g)
     gnorm = np.sqrt(gsq)
     gnorms = [gnorm] if start is None else []
     iterations = 0
@@ -385,36 +417,37 @@ def red_cg_layers(
         if k in joins:
             x, p, g, gsq = (np.concatenate(pair, axis=-1) for pair in zip((x, p, g, gsq), joins.pop(k)))
             obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
+            dot = _column_dot(obs, x, p, g)
             converged = np.sqrt(gsq) <= tol
         n_converged = np.count_nonzero(converged)
         if n_converged == converged.size and not joins and _flat_from(regs, alpha_red, k - 1):
             break
         masked = n_converged > 0
         ap = p + alpha_red[k] * regs[k](p)
-        denom = add(p * ap, axis=0)
-        stalled = np.abs(denom) < STAGNATION_TOL * add(p * p, axis=0)
-        if (stalled & ~converged if masked else stalled).any():
+        denom = dot(p, ap)
+        stalled = np.abs(denom) < STAGNATION_TOL * dot(p, p)
+        if np.count_nonzero(stalled & ~converged if masked else stalled):
             raise StagnationError(
                 f"line-search denominator vanished at iteration {k} "
                 "(direction in the operator's null space)"
             )
-        num = add(p * g, axis=0)
+        num = dot(p, g)
         if masked:
             # Converged columns keep x exactly; their direction may have vanished.
             safe = np.where(stalled | converged, 1.0, denom)
             tau = np.where(converged, 0.0, -num / safe)
-            finite = (np.isfinite(denom) | converged).all() and np.isfinite(tau).all()
+            finite = np.count_nonzero(np.isfinite(denom) | converged) == converged.size
         else:
             safe, tau = denom, -num / denom
-            finite = np.isfinite(denom).all() and np.isfinite(tau).all()
-        if not finite:
+            finite = np.count_nonzero(np.isfinite(denom)) == converged.size
+        if not (finite and np.count_nonzero(np.isfinite(tau)) == converged.size):
             raise DivergenceError(f"non-finite line search at iteration {k}", iteration=k)
         x = x + tau * p
         g_new = gradient(x, regs[k](x), k)
-        gsq_new = add(g_new * g_new, axis=0)
+        gsq_new = dot(g_new, g_new)
         # A non-finite entry makes its column's gsq non-finite; the full scan
         # runs only then, to tell it from a gsq overflowed by finite entries.
-        if not np.isfinite(gsq_new).all() and not np.isfinite(g_new).all():
+        if np.count_nonzero(np.isfinite(gsq_new)) < converged.size and not np.isfinite(g_new).all():
             raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
         if masked:
             # Converged columns restart: a ratio over a rounding-level gsq amplifies noise.

@@ -27,7 +27,7 @@ from .denoisers import DEFAULT_PNP_ITERS, KINDS, gain_table
 from .exceptions import ConfigError, TrainingError
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft, table_text, write_text
 from .graphs import mse, rmse  # noqa: F401  (part of this module's API)
-from .red import UnrolledParams, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
+from .red import UnrolledParams, _column_dot, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
 
 FD_STEP = 1e-6
 _N2N_STREAM = 3  # RNG stream tag for re-noising draws
@@ -306,15 +306,16 @@ def _exact_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS
         tape = []
         resid = red_cg_layers(z, regs, a_red, tape).x - t
         total += float(np.sum(resid * resid)) / resid.size
+        dot = _column_dot(z, t)  # the kernel's pick: its arrays, and so the adjoints, share z's layout
         x_bar = 2.0 * resid / resid.size
-        g_bar, p_bar, gsq_bar = 0.0, 0.0, 0.0  # adjoints of the layer's outputs
+        g_bar, p_bar, gsq_bar = 0.0, np.zeros_like(z), 0.0  # adjoints of the layer's outputs
         terms = []  # per layer, last first: the two products whose row sums feed m_bar
         for k in range(len(tape), 0, -1):
             p, g, gsq, converged, safe, tau, x, g_new, gamma = tape[k - 1]
             mk = m_col[k]
             masked = np.count_nonzero(converged) > 0  # as in the forward pass
             # p_new = -g_new + gamma p;  gamma = gsq_new / gsq, 0 where converged
-            gamma_bar = add(p_bar * p, axis=0)
+            gamma_bar = dot(p_bar, p)
             gsq_safe = gsq
             if masked:
                 gamma_bar = np.where(converged, 0.0, gamma_bar)
@@ -328,7 +329,7 @@ def _exact_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS
             terms.append(g_bar * x)
             x_bar = x_bar + mk * g_bar
             # x = x_old + tau p;  tau = -sum(p g) / sum(p m_k p), 0 where converged
-            tau_bar = add(x_bar * p, axis=0)
+            tau_bar = dot(x_bar, p)
             if masked:
                 tau_bar = np.where(converged, 0.0, tau_bar)
             num_bar = tau_bar / safe

@@ -9,6 +9,12 @@ import scipy, which the package itself does not need.
 
 ``from_edges_by_unique`` assembles ``Graph.from_edges``' CSR arrays with
 three sorts: a unique over the pair keys, a lexsort and the validating one.
+
+``red_cg_layers_by_reduce`` is the CG layer loop with every per-column inner
+product a product array and ``np.add.reduce(axis=0)``, and its mask tests
+``.any()``/``.all()``.  ``reduce_dot`` is the matching stand-in for
+``red._column_dot``: patched in, it sends the package's reverse sweep back to
+the reduce too.  The package's loop must give their bits on every layout.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from graphred.denoisers import DEFAULT_PNP_ITERS
-from graphred.exceptions import DivergenceError, NumericalError
+from graphred.exceptions import DivergenceError, NumericalError, StagnationError
 from graphred.graphs import Graph, Laplacian, _check_signal
+from graphred.red import CONVERGED_TOL, STAGNATION_TOL, RedSolveReport, _flat_from
 
 SOLVE_TOL = 1e-8
 
@@ -120,3 +127,100 @@ def from_edges_by_unique(i, j, w, n_nodes: int) -> Graph:
     order = np.lexsort((cols, rows))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
     return Graph(indptr, cols[order], np.tile(w[last], 2)[order], n_nodes)
+
+
+def _reduce(a, b):
+    return np.add.reduce(a * b, axis=0)
+
+
+def reduce_dot(*blocks):
+    """``red._column_dot`` that picks the product-and-reduce for every layout."""
+    return _reduce
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in one of the typed errors below
+def red_cg_layers_by_reduce(
+    y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=None, objective=False
+) -> RedSolveReport:
+    """``red.red_cg_layers`` as it ran before its inner products went through ``red._column_dot``."""
+    K = len(regs) - 1
+    if K < 1 or len(alpha_red) != K + 1:
+        raise ValueError("need K >= 1 reg ops and one alpha_red per op")
+    joins = dict(joins or {})
+    if joins and (start is None or min(joins) <= start[0]):
+        raise ValueError("columns can only join a resumed run, after its first layer")
+    full_tol = CONVERGED_TOL * np.maximum(np.linalg.norm(y, axis=0), 1.0)
+    add = np.add.reduce  # the kernel np.sum runs, without its dispatch
+
+    def gradient(x, r, k):
+        d = x - obs
+        if objective:
+            objs.append(0.5 * add(d**2, axis=0) + 0.5 * alpha_red[k] * add(x * r, axis=0))
+        return d + alpha_red[k] * r
+
+    objs = []
+    if start is None:
+        first, obs, tol = 1, y, full_tol
+        x = np.zeros_like(y)
+        g = gradient(x, regs[0](x), 0)
+        p = -g
+        gsq = add(g * g, axis=0)
+    else:
+        first, (x, p, g, gsq) = start
+        obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
+    gnorm = np.sqrt(gsq)
+    gnorms = [gnorm] if start is None else []
+    iterations = 0
+    converged = gnorm <= tol
+    for k in range(first, K + 1):
+        if k in joins:
+            x, p, g, gsq = (np.concatenate(pair, axis=-1) for pair in zip((x, p, g, gsq), joins.pop(k)))
+            obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
+            converged = np.sqrt(gsq) <= tol
+        n_converged = np.count_nonzero(converged)
+        if n_converged == converged.size and not joins and _flat_from(regs, alpha_red, k - 1):
+            break
+        masked = n_converged > 0
+        ap = p + alpha_red[k] * regs[k](p)
+        denom = add(p * ap, axis=0)
+        stalled = np.abs(denom) < STAGNATION_TOL * add(p * p, axis=0)
+        if (stalled & ~converged if masked else stalled).any():
+            raise StagnationError(
+                f"line-search denominator vanished at iteration {k} "
+                "(direction in the operator's null space)"
+            )
+        num = add(p * g, axis=0)
+        if masked:
+            # Converged columns keep x exactly; their direction may have vanished.
+            safe = np.where(stalled | converged, 1.0, denom)
+            tau = np.where(converged, 0.0, -num / safe)
+            finite = (np.isfinite(denom) | converged).all() and np.isfinite(tau).all()
+        else:
+            safe, tau = denom, -num / denom
+            finite = np.isfinite(denom).all() and np.isfinite(tau).all()
+        if not finite:
+            raise DivergenceError(f"non-finite line search at iteration {k}", iteration=k)
+        x = x + tau * p
+        g_new = gradient(x, regs[k](x), k)
+        gsq_new = add(g_new * g_new, axis=0)
+        # A non-finite entry makes its column's gsq non-finite; the full scan
+        # runs only then, to tell it from a gsq overflowed by finite entries.
+        if not np.isfinite(gsq_new).all() and not np.isfinite(g_new).all():
+            raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
+        if masked:
+            # Converged columns restart: a ratio over a rounding-level gsq amplifies noise.
+            gamma = np.where(converged, 0.0, gsq_new / np.where(converged, 1.0, gsq))
+        else:
+            gamma = gsq_new / gsq
+        if tape is not None:
+            tape.append((p, g, gsq, converged, safe, tau, x, g_new, gamma))
+        p = gamma * p - g_new  # the bits of -g_new + gamma p: IEEE addition commutes
+        g = g_new
+        gsq = gsq_new
+        gnorm = np.sqrt(gsq)
+        gnorms.append(gnorm)
+        iterations = k
+        converged = gnorm <= tol
+    return RedSolveReport(
+        x=x, iterations=iterations, gradient_norm_history=gnorms, objective_history=objs
+    )

@@ -234,6 +234,18 @@ CASES = [
     ("check", {**CHECK, "n_signals": 2.5}, 2, 'config error: n_signals must be an integer, got 2.5'),
     ("eval", {**EVAL, "method": 7}, 2, 'config error: method must be a string, got 7'),
     ("spectrum", {**SPEC, "n_points": 2.5}, 2, 'config error: n_points must be an integer, got 2.5'),
+    # Counts below their range, and integers beyond the float range.  Each of
+    # these once exited 0 on no work, or ended in a traceback.
+    ("check", {**CHECK, "n_signals": 0}, 2, 'config error: n_signals must be >= 1'),
+    ("check", {**CHECK, "n_signals": -1}, 2, 'config error: n_signals must be >= 1'),
+    ("spectrum", {**SPEC, "n_points": 0}, 2, 'config error: n_points must be >= 1'),
+    ("generate", {**GEN, "n_train": -1}, 2, 'config error: n_train must be >= 0'),
+    ("generate", {**GEN, "n_test": -2}, 2, 'config error: n_test must be >= 0'),
+    ("train", {**TRAIN, "start_epoch": -1}, 2, 'config error: start_epoch must be >= 0'),
+    ("train", {**TRAIN, "learning_rate": 10**400},
+     2, 'config error: learning_rate must be a number within the float range, got an integer of 401 digits'),
+    ("generate", {**GEN, "sigmas": [1.0, -10**309]},
+     2, 'config error: sigma must be a number within the float range, got an integer of 310 digits'),
 ]
 
 
