@@ -7,8 +7,8 @@ their JSON type and default, and :func:`_resolve_config` checks every config
 against it before the command runs: an unknown or missing key, or a value of
 the wrong type, is a config error naming the key.  A bool is not a number, an
 integer may be written 200.0 but not 2.7, a string is not a list, a count is
-at least 1 and a number fits a float.  The commands read only the resolved
-values.
+at least 1 and a number is finite.  The commands read only the resolved
+values, and a split they read that holds no records is a config error too.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O or input
 error (a missing file, or a bad line of a point cloud, edge list or signal).
 
@@ -80,6 +80,15 @@ def _write_metrics(out_dir, records, outputs, sigma, **fields) -> dict:
     }
     write_json(os.path.join(out_dir, "metrics.json"), metrics)
     return metrics
+
+
+def _split_records(command, dataset: ds.Dataset, split=None) -> list:
+    """The records of ``split``, or with no split the train records, else the test ones; none is a config error."""
+    names = ("train", "test") if split is None else (split,)
+    records = next(filter(None, map(dataset.split, names)), [])
+    if not records:
+        raise ConfigError(f"{command}: no records in split {' or '.join(map(repr, names))}")
+    return records
 
 
 def _dataset_sigma(dataset: ds.Dataset, sigma: float) -> float:
@@ -252,16 +261,17 @@ def tune_method(
     A dict passed as ``gain_tables`` to several calls keeps the graph's
     decomposition, keyed by its arrays, and each gain table, keyed by
     eigenvalues and grid, between them.  A grid bound that is zero,
-    negative or NaN raises :class:`ConfigError`.
+    negative or not finite raises :class:`ConfigError`.
     """
     from .red import candidate_mse, red_cg_layers
     kind, red = _method_kind(method)
     if grid_points < 1:
         raise ConfigError("grid_points must be >= 1")
     for name, bounds in (("alpha_range", alpha_range), ("rho_range", rho_range)):
-        # NaN fails too; an infinite bound is left to the solvers, which raise on it.
-        if len(bounds) != 2 or not all(float(b) > 0 for b in bounds):
+        if len(bounds) != 2 or not all(float(b) > 0 for b in bounds):  # NaN fails too
             raise ConfigError(f"{name} must be two positive bounds, got {list(bounds)}")
+        if not np.all(np.isfinite(bounds)):
+            raise ConfigError(f"{name} must be finite, got {list(bounds)}")
     alphas = np.geomspace(alpha_range[0], alpha_range[1], grid_points)
     rhos = np.geomspace(rho_range[0], rho_range[1], grid_points)
     if not _records_share_graph(records):
@@ -326,7 +336,6 @@ def _tuned_lookup(tuned_path, method, sigma) -> dict:
 
 
 REQUIRED = object()  # the default of a key every config must give
-_FINITE = (np.isfinite, "{key} must be finite, got {value}")
 _METHOD = (METHODS.__contains__, "unknown method {value!r}")
 _COUNT = (lambda n: n >= 1, "{key} must be >= 1")
 _SIZE = (lambda n: n >= 0, "{key} must be >= 0")
@@ -343,7 +352,7 @@ CONFIG_KEYS = {
     },
     "tune": {
         "dataset": ("string", REQUIRED), "methods": ("list of strings", METHODS, _METHOD),
-        "sigmas": ("list of numbers", None, _FINITE), "split": ("string", "train"),
+        "sigmas": ("list of numbers", None), "split": ("string", "train"),
         "grid_points": ("integer", DEFAULT_GRID_POINTS, _COUNT),
         "alpha_range": ("list of numbers", DEFAULT_ALPHA_RANGE), "rho_range": ("list of numbers", DEFAULT_RHO_RANGE),
         **_SOLVER_KEYS,
@@ -351,12 +360,12 @@ CONFIG_KEYS = {
     "denoise": {
         "dataset": ("string", REQUIRED), "split": ("string", "test"),
         "method": ("string", REQUIRED, ((*METHODS, "unrolled").__contains__, "unknown method {value!r}")),
-        "sigma": ("number", REQUIRED, _FINITE), "params": ("object", None), "tuned": ("string", None),
+        "sigma": ("number", REQUIRED), "params": ("object", None), "tuned": ("string", None),
         "unrolled_params": ("string", None), **_SOLVER_KEYS,
         "rebuild_graph_from_observed": ("boolean", False), "save_diagnostics": ("boolean", False),
     },
     "train": {
-        "dataset": ("string", REQUIRED), "split": ("string", "train"), "sigma": ("number", REQUIRED, _FINITE),
+        "dataset": ("string", REQUIRED), "split": ("string", "train"), "sigma": ("number", REQUIRED),
         "mode": ("string", "supervised"), "K": ("integer", DEFAULT_CG_LAYERS, _COUNT),
         "denoiser": ("string", "lr", (KINDS.__contains__, "unknown denoiser {value!r}")),
         "epochs": ("integer", 200, _COUNT), "learning_rate": ("number", 0.01), "seed": ("integer", 0),
@@ -373,12 +382,13 @@ CONFIG_KEYS = {
     },
     "spectrum": {
         "dataset": ("string", None), "alpha_red": ("number", None), "alpha_lr": ("number", None),
-        "tuned": ("string", None), "sigma": ("number", None, _FINITE), "lambda_max": ("number", 10.0),
+        "tuned": ("string", None), "sigma": ("number", None),
+        "lambda_max": ("number", 10.0, (lambda v: v > 0, "{key} must be > 0")),
         "n_points": ("integer", 200, _COUNT),
     },
     "eval": {
         "dataset": ("string", REQUIRED), "denoised": ("string", REQUIRED), "split": ("string", "test"),
-        "sigma": ("number", REQUIRED, _FINITE), "method": ("string", "unknown"),
+        "sigma": ("number", REQUIRED), "method": ("string", "unknown"),
     },
 }
 # The keys of each dataset kind beyond the ones both kinds share.
@@ -412,6 +422,8 @@ def _typed(key, value, kind, rule, where):
     except OverflowError:  # a JSON integer beyond the float range
         digits = len(str(abs(value)))
         raise ConfigError(f"{key} must be a number within the float range, got an integer of {digits} digits") from None
+    if read is float and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
     if rule is not None and not rule[0](value):
         raise ConfigError(rule[1].format(key=key, value=value))
     return value
@@ -452,7 +464,7 @@ def _resolve_config(command, cfg: dict, seed=None) -> dict:
             keys = METHOD_PARAM_KEYS[method]
             if set(values["params"]) != set(keys):
                 raise ConfigError(f"params for {method} must have exactly {list(keys)}")
-            values["params"] = _parse({key: ("number", REQUIRED, _FINITE) for key in keys}, values["params"], "params")
+            values["params"] = _parse({key: ("number", REQUIRED) for key in keys}, values["params"], "params")
     if seed is not None and "seed" in values:
         values["seed"] = seed
     return values
@@ -462,6 +474,8 @@ def _resolve_config(command, cfg: dict, seed=None) -> dict:
 
 
 def cmd_generate(cfg: dict, out_dir: str, threads: int) -> None:
+    if cfg["n_train"] + cfg["n_test"] == 0:
+        raise ConfigError("generate: n_train + n_test must be >= 1")
     shared = {key: cfg[key] for key in ("k", "sigmas", "n_train", "n_test", "seed")}
     if cfg["kind"] == "synthetic":
         spec = ds.SyntheticSpec(**shared, **{key: cfg[key] for key in DATASET_KIND_KEYS["synthetic"]})
@@ -476,9 +490,7 @@ def cmd_generate(cfg: dict, out_dir: str, threads: int) -> None:
 def cmd_tune(cfg: dict, out_dir: str, threads: int) -> None:
     dataset = ds.load_dataset(cfg["dataset"])
     sigmas = [_dataset_sigma(dataset, s) for s in (dataset.sigmas if cfg["sigmas"] is None else cfg["sigmas"])]
-    records = dataset.split(cfg["split"])
-    if not records:
-        raise ConfigError("tune: selected split is empty")
+    records = _split_records("tune", dataset, cfg["split"])
     settings = {key: cfg[key] for key in ("grid_points", "alpha_range", "rho_range", "cg_layers", "pnp_iters")}
     entries = []
     gain_tables = {}
@@ -495,9 +507,7 @@ def cmd_denoise(cfg: dict, out_dir: str, threads: int) -> None:
     method = cfg["method"]
     red = method == "unrolled" or _method_kind(method)[1]
     sigma = _dataset_sigma(dataset, cfg["sigma"])
-    records = dataset.split(cfg["split"])
-    if not records:
-        raise ConfigError(f"denoise: split {cfg['split']!r} is empty")
+    records = _split_records("denoise", dataset, cfg["split"])
     if method == "unrolled":
         params = {"file": cfg["unrolled_params"]}  # as metrics.json records it
     else:
@@ -565,7 +575,7 @@ def _resolve_train_init(cfg, K, kind) -> UnrolledParams:
             raise ConfigError(f"train init: a {kind} denoiser starts from the red_{kind} entry, not {method!r}")
         return _flat_layers(method, _tuned_lookup(init["tuned"], method, cfg["sigma"]), K)
     # A flat start sets alpha_red, alpha_denoiser (the kind's alpha) and the kind's other parameters by name.
-    values = _finite({key: init[key] for key in ("alpha_red", "alpha_denoiser") + KINDS[kind].fields[1:]})
+    values = [init[key] for key in ("alpha_red", "alpha_denoiser") + KINDS[kind].fields[1:]]
     if values[0] < 0:
         raise ValueError("alpha_red must be nonnegative")
     return UnrolledParams.constant(K, kind, *values)
@@ -575,9 +585,7 @@ def cmd_train(cfg: dict, out_dir: str, threads: int) -> None:
     from .unroll import TrainConfig, TrainSample, save_loss_history, save_params, train, unrolled_forward
     dataset = ds.load_dataset(cfg["dataset"])
     sigma = _dataset_sigma(dataset, cfg["sigma"])
-    records = dataset.split(cfg["split"])
-    if not records:
-        raise ConfigError("train: selected split is empty")
+    records = _split_records("train", dataset, cfg["split"])
     if not _records_share_graph(records):
         raise ConfigError("training expects records on a shared graph")
     kind, K, mode, pnp_iters = cfg["denoiser"], cfg["K"], cfg["mode"], cfg["pnp_iters"]
@@ -614,9 +622,7 @@ def cmd_check(cfg: dict, out_dir: str, threads: int) -> None:
     n_signals, c = cfg["n_signals"], cfg["c"]
     rows = []
     for path in cfg["datasets"]:
-        dataset = ds.load_dataset(path)
-        records = dataset.train or dataset.test
-        lap, decomp = _graph_setup(records[0])
+        lap, decomp = _graph_setup(_split_records("check", ds.load_dataset(path))[0])
         rng = np.random.default_rng(cfg["seed"])
         for method in cfg["methods"]:
             den = method_denoiser(method, {key: cfg[key] for key in METHOD_PARAM_KEYS[method]}, cfg["pnp_iters"])
@@ -660,11 +666,10 @@ def cmd_spectrum(cfg: dict, out_dir: str, threads: int) -> None:
     else:
         if cfg["alpha_red"] is None or cfg["alpha_lr"] is None:
             raise ConfigError("spectrum needs alpha_red and alpha_lr (or a tuned file)")
-        alpha_red, alpha_lr = _finite({"alpha_red": cfg["alpha_red"], "alpha_lr": cfg["alpha_lr"]})
+        alpha_red, alpha_lr = cfg["alpha_red"], cfg["alpha_lr"]
         source_params = {"explicit": True}
     if cfg["dataset"] is not None:
-        dataset = ds.load_dataset(cfg["dataset"])
-        records = dataset.train or dataset.test
+        records = _split_records("spectrum", ds.load_dataset(cfg["dataset"]))
         graph_spec = build_laplacian(records[0].graph)  # decomposed by compare_responses
         source = {"kind": "dataset", "path": cfg["dataset"], **source_params}
     else:
@@ -688,7 +693,7 @@ def cmd_spectrum(cfg: dict, out_dir: str, threads: int) -> None:
 def cmd_eval(cfg: dict, out_dir: str, threads: int) -> None:
     dataset = ds.load_dataset(cfg["dataset"], graphs=False)
     sigma = _dataset_sigma(dataset, cfg["sigma"])
-    records = dataset.split(cfg["split"])
+    records = _split_records("eval", dataset, cfg["split"])
     outputs = []
     for record in records:
         path = os.path.join(cfg["denoised"], f"sample_{record.index:03d}.csv")

@@ -319,9 +319,7 @@ def _flat_from(regs, alpha_red, k) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in one of the typed errors below
-def red_cg_layers(
-    y: np.ndarray, regs, alpha_red, tape=None, start=None, joins=None, objective=False
-) -> RedSolveReport:
+def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, objective=False) -> RedSolveReport:
     """Fletcher-Reeves conjugate gradients on the RED objective, one layer per op.
 
     ``regs[k]`` applies ``v - Dk(v)`` in whatever coordinates ``y`` is given
@@ -347,26 +345,25 @@ def red_cg_layers(
     column's result does not depend on the columns solved beside it, as long
     as ``(N, S)`` arrays have two columns at least (numpy sums a lone column
     pairwise, wider ones row by row).  The loop stops early only once every
-    column has converged, no column is due to join, and every layer left
-    runs the op object and an equal weight of the layer that judged them
-    converged; anything else could un-converge a column.  Raises
-    :class:`StagnationError` if the line-search denominator vanishes while
-    the gradient is still nonzero, and :class:`DivergenceError` on
-    non-finite iterates, or on a non-finite line-search denominator or step
-    of a column not yet converged (an overflowed weight would otherwise
-    leave it at zero).  The converged and stalled masks are built only at
-    layers where some column has converged; with none, a mask would pass
-    every value through unchanged, so the layer skips it and keeps the bits.
-    The objective history is filled only with ``objective=True``; it costs
-    two reductions per layer.
+    column has converged and every layer left runs the op object and an
+    equal weight of the layer that judged them converged; anything else
+    could un-converge a column.  Raises :class:`StagnationError` if the
+    line-search denominator vanishes while the gradient is still nonzero,
+    and :class:`DivergenceError` on non-finite iterates, or on a non-finite
+    line-search denominator or step of a column not yet converged (an
+    overflowed weight would otherwise leave it at zero).  The converged and
+    stalled masks are built only at layers where some column has converged;
+    with none, a mask would pass every value through unchanged, so the
+    layer skips it and keeps the bits.  The objective history is filled
+    only with ``objective=True``; it costs two reductions per layer.
 
     Every per-column inner product (``p . Ap``, ``p . p``, ``p . g``,
     ``||g||^2`` and the objective's) runs through :func:`_column_dot`,
-    picked once per call and again when columns join: ``np.einsum`` on a
-    C-ordered ``(N, S >= 2)`` block or a row-strided view of one, else
-    ``np.add.reduce`` of the product, for ``(N,)`` signals, lone columns and
-    F-ordered blocks.  Both add in the order the reduce does on that
-    layout, so the bits are those of a product-and-reduce loop.
+    picked once per call: ``np.einsum`` on a C-ordered ``(N, S >= 2)``
+    block or a row-strided view of one, else ``np.add.reduce`` of the
+    product, for ``(N,)`` signals, lone columns and F-ordered blocks.  Both
+    add in the order the reduce does on that layout, so the bits are those
+    of a product-and-reduce loop.
 
     With a ``tape`` list, each layer run appends what a reverse sweep needs:
     ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
@@ -374,53 +371,41 @@ def red_cg_layers(
     line-search denominator (1 where unused), the step, the new iterate, the
     new gradient and the Fletcher-Reeves coefficient.
 
-    ``start = (j, (x, p, g, gsq))`` resumes at layer j from the state
-    entering it (the iterate, and the incoming entries of layer j's tape
-    row), and ``joins`` maps later layers to the states of further columns,
-    appended on the right as that layer begins.  ``y`` then holds every
-    column's observation in the final column order, ``regs[k]`` and
-    ``alpha_red[k]`` act on the columns present at layer k (entries before
-    j are unused), and the histories hold the layers run, not the start.
-    Given states equal to another run's, the columns compute what that run
-    computes for them.
+    ``start = (j, (x, p, g, gsq))`` resumes at layer j from the state of
+    every column of ``y`` entering it (the iterate, and the incoming
+    entries of layer j's tape row); entries of ``regs`` and ``alpha_red``
+    before j are unused, and the histories hold the layers run, not the
+    start.  Given states equal to another run's, the columns compute what
+    that run computes for them.
     """
     K = len(regs) - 1
     if K < 1 or len(alpha_red) != K + 1:
         raise ValueError("need K >= 1 reg ops and one alpha_red per op")
-    joins = dict(joins or {})
-    if joins and (start is None or min(joins) <= start[0]):
-        raise ValueError("columns can only join a resumed run, after its first layer")
-    full_tol = CONVERGED_TOL * np.maximum(np.linalg.norm(y, axis=0), 1.0)
+    tol = CONVERGED_TOL * np.maximum(np.linalg.norm(y, axis=0), 1.0)
 
     def gradient(x, r, k):
-        d = x - obs
+        d = x - y
         if objective:
             objs.append(0.5 * dot(d, d) + 0.5 * alpha_red[k] * dot(x, r))
         return d + alpha_red[k] * r
 
     objs = []
     if start is None:
-        first, obs, tol, dot = 1, y, full_tol, _column_dot(y)
+        first, dot = 1, _column_dot(y)
         x = np.zeros_like(y)
         g = gradient(x, regs[0](x), 0)
         p = -g
         gsq = dot(g, g)
     else:
         first, (x, p, g, gsq) = start
-        obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
-        dot = _column_dot(obs, x, p, g)
+        dot = _column_dot(y, x, p, g)
     gnorm = np.sqrt(gsq)
     gnorms = [gnorm] if start is None else []
     iterations = 0
     converged = gnorm <= tol
     for k in range(first, K + 1):
-        if k in joins:
-            x, p, g, gsq = (np.concatenate(pair, axis=-1) for pair in zip((x, p, g, gsq), joins.pop(k)))
-            obs, tol = y[:, : x.shape[1]], full_tol[: x.shape[1]]
-            dot = _column_dot(obs, x, p, g)
-            converged = np.sqrt(gsq) <= tol
         n_converged = np.count_nonzero(converged)
-        if n_converged == converged.size and not joins and _flat_from(regs, alpha_red, k - 1):
+        if n_converged == converged.size and _flat_from(regs, alpha_red, k - 1):
             break
         masked = n_converged > 0
         ap = p + alpha_red[k] * regs[k](p)

@@ -80,6 +80,8 @@ class TrainConfig:
         if self.gradient_method not in ("exact", "finite_difference", "analytic_linear"):
             raise ValueError(f"unknown gradient method {self.gradient_method!r}")
         if self.sigma_n2n_range is not None:
+            if len(self.sigma_n2n_range) != 2:
+                raise ValueError(f"sigma_n2n_range must hold two numbers, got {list(self.sigma_n2n_range)}")
             lo, hi = self.sigma_n2n_range
             if lo < 0 or hi < lo:
                 raise ValueError("sigma_n2n_range must satisfy 0 <= lo <= hi")
@@ -192,20 +194,17 @@ def _fd_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     points and layers.
 
     A point that perturbs layer j computes layers 1 .. j-1 exactly as the
-    centre ``theta`` does.  So the centre runs once, taped, and every other
-    point starts from the centre's state entering its layer.  Ordered by
-    that layer, the points run as extra columns of blocked CG solves
-    (:func:`red.candidate_mse`); a block resumes at its earliest layer and
-    takes each later point on when that point's layer begins.  Per signal
-    that is K + sum over points of (K - j + 1) column-layers, against
-    (2P + 1) K for running every point from ``x = 0``, and every column does
-    the arithmetic of such a full run, so loss and gradient keep their bits.
-    numpy sums a lone column in another order than wider arrays, so a single
-    signal keeps every point a lone column, as a one-signal solve does, and
-    no point's bits depend on the block it lands in.  At layer k every
-    column but those of the points joining there runs the centre's
-    parameters, so a block's op scales by the centre's shortfall column and
-    overwrites only the joining columns.
+    centre ``theta`` does.  So the centre runs once, taped, and for each
+    layer j the 2P points that perturb it run as the columns of blocked CG
+    solves (:func:`red.candidate_mse`), resumed at j from the centre's state
+    entering it.  At layer j each column scales by its own point's shortfall
+    and weight; every later layer runs the centre's op.  Per signal that is
+    K + sum over points of (K - j + 1) column-layers, against (2P + 1) K for
+    running every point from ``x = 0``, and every column does the arithmetic
+    of such a full run, so loss and gradient keep their bits.  numpy sums a
+    lone column in another order than wider arrays, so a single signal keeps
+    every point a lone column, as a one-signal solve does, and no point's
+    bits depend on the block it lands in.
     """
     n = K + 1
     live = np.flatnonzero(np.arange(theta.size) % n)
@@ -222,52 +221,31 @@ def _fd_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     row_of = [numbers.setdefault(row, len(numbers)) for row in map(tuple, np.vstack([centre[1:].T, rows]).tolist())]
     shortfall = 1.0 - gain_table(kind, decomp.eigenvalues, list(numbers), pnp_iters)
     centre_short, own_short = shortfall[row_of[:n]], shortfall[row_of[n:]]
-    order = np.argsort(perturbed, kind="stable")  # points 1 .. 2P, as indices 0 .. 2P-1, by layer
-    layer = perturbed[order]
+    by_layer = [np.flatnonzero(perturbed == j) for j in range(1, n)]  # layer j's points 1 .. 2P, as indices 0 .. 2P-1
     # An op object per layer: no early stop, every layer taped.
     centre_ops = [(lambda v, s=s[:, None]: s * v, a) for s, a in zip(centre_short, centre[0])]
 
-    total = np.zeros(1 + len(order))
+    total = np.zeros(1 + len(perturbed))
     for z, t in coeffs:
         n_sig = z.shape[1]
-
-        def joined_op(k, held, joining):
-            """Layer k's op and weights: ``held`` points on the centre's parameters, then the ``joining`` ones."""
-            if not len(joining):
-                return centre_ops[k]
-            s, split = np.repeat(own_short[joining].T, n_sig, axis=1), held * n_sig
-            weights = np.repeat(np.concatenate([np.full(held, centre[0, k]), own_a[joining]]), n_sig)
-            if not held:
-                return (lambda v: s * v), weights
-
-            def op(v):
-                out = centre_short[k][:, None] * v
-                np.multiply(s, v[:, split:], out=out[:, split:])
-                return out
-
-            return op, weights
-
         tape = []
         total[0] += candidate_mse(z, t, 1, lambda cand, obs: red_cg_layers(obs, *zip(*centre_ops), tape).x)[0]
         iterates = [np.zeros_like(z)] + [row[6] for row in tape]
-        entering = [None] + [(iterates[k - 1],) + tape[k - 1][:3] for k in range(1, n)]  # x, p, g, gsq
 
-        def resume(cand, obs):
-            points, lay = order[cand], layer[cand]
-            first = int(lay[0])
-            bounds = np.searchsorted(lay, np.arange(first, n + 1)).tolist()  # points before layers first .. K + 1
-            spans = list(zip(range(first, n), bounds, bounds[1:]))  # layer k, then its joining points lo .. hi - 1
-            state = lambda k, count: tuple(np.concatenate([a] * count, axis=-1) for a in entering[k])
-            ops = [(None, None)] * first + [joined_op(k, lo, points[lo:hi]) for k, lo, hi in spans]
-            joins = {k: state(k, hi - lo) for k, lo, hi in spans[1:] if hi > lo}
-            return red_cg_layers(obs, *zip(*ops), start=(first, state(first, bounds[1])), joins=joins).x
+        def resume(j, points, obs):
+            """The ``points`` that perturb layer j, run from the centre's state entering it."""
+            s = np.repeat(own_short[points].T, n_sig, axis=1)
+            ops = centre_ops[:j] + [(lambda v: s * v, np.repeat(own_a[points], n_sig))] + centre_ops[j + 1 :]
+            state = (iterates[j - 1],) + tape[j - 1][:3]  # x, p, g, gsq
+            return red_cg_layers(obs, *zip(*ops), start=(j, tuple(np.tile(a, len(points)) for a in state))).x
 
-        def run_block(cand, obs):  # not recursive: a self-calling closure is a cycle that would hold the tape
+        def run_block(j, points, obs):  # not recursive: a self-calling closure is a cycle that would hold the tape
             if n_sig == 1:  # a lone signal: every point stays a lone column
-                return np.hstack([resume(cand[i : i + 1], obs[:, i : i + 1]) for i in range(len(cand))])
-            return resume(cand, obs)
+                return np.hstack([resume(j, points[i : i + 1], obs[:, i : i + 1]) for i in range(len(points))])
+            return resume(j, points, obs)
 
-        total[1 + order] += candidate_mse(z, t, len(order), run_block)
+        for j, own in enumerate(by_layer, 1):
+            total[1 + own] += candidate_mse(z, t, len(own), lambda cand, obs: run_block(j, own[cand], obs))
     loss = total / len(coeffs)
     grad = np.zeros(theta.size)
     grad[live] = (loss[1 : live.size + 1] - loss[live.size + 1 :]) / (2.0 * h)

@@ -377,9 +377,9 @@ class TestScreenedTune:
         assert "iters must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tuned.json").exists()
 
-    def test_overflowing_alpha_range_exits_3(self, dataset_dir, tmp_path):
-        # 1e309 overflows to inf when parsed.  The grid's own geomspace warns
-        # about it, so the CLI runs in a process of its own, as users run it.
+    def test_infinite_alpha_range_is_a_config_error(self, dataset_dir, tmp_path):
+        # 1e309 overflows to inf when parsed, which a config number may not be.
+        # The CLI runs in a process of its own, as users run it.
         cfg = tmp_path / "tune.json"
         cfg.write_text(
             '{"dataset": %s, "methods": ["red_lr", "red_pnp"], "grid_points": 4, '
@@ -390,8 +390,8 @@ class TestScreenedTune:
             [sys.executable, "-m", "graphred.cli", "tune", "--config", str(cfg), "--out", str(tmp_path / "o")],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         )
-        assert out.returncode == 3, out.stderr
-        assert "numerical failure" in out.stderr
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.splitlines()[-1] == "config error: alpha_range entry must be finite, got inf"
         assert not (tmp_path / "o" / "tuned.json").exists()
 
 

@@ -2,8 +2,9 @@
 
 ``red._column_dot`` runs ``np.einsum`` on C-ordered blocks of two columns or
 more and ``np.add.reduce(a * b, axis=0)`` on everything else.  These
-properties hold it, the layer loop and both loss-gradient passes to the bits
-of ``oracles.red_cg_layers_by_reduce`` and ``oracles.reduce_dot`` on every
+properties hold it, the layer loop (run from ``x = 0`` or resumed from a
+given state) and both loss-gradient passes to the bits of
+``oracles.red_cg_layers_by_reduce`` and ``oracles.reduce_dot`` on every
 layout, so a numpy whose einsum adds in another order fails here instead of
 moving artifacts.
 """
@@ -91,11 +92,11 @@ class TestKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        K=st.integers(2, 10), n_sig=st.integers(2, 5), layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * 3),
+        K=st.integers(2, 10), n_sig=st.integers(1, 5), layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * 2),
         objective=st.booleans(), data=st.data(),
     )
-    def test_resumed_and_joined_runs_match_the_reduce_oracle(self, graph, K, n_sig, layouts, objective, data):
-        """The observation, the resumed state and the joining state each take a layout; a side may be a lone column."""
+    def test_resumed_runs_match_the_reduce_oracle(self, graph, K, n_sig, layouts, objective, data):
+        """The observation and the resumed state each take a layout; both may be a lone column."""
         lap, dec, _, _ = graph
         z = dec.basis.T @ draw_signal(data, dec, n_sig)
         ops, weights = draw_layers(data, dec.eigenvalues, K, 0)
@@ -104,23 +105,20 @@ class TestKernel:
             red_cg_layers_by_reduce(z, ops, weights, tape)
         except GraphRedError:
             assume(False)
-        start = data.draw(st.integers(1, K - 1))
-        join = data.draw(st.integers(start + 1, K))
-        assume(len(tape) >= join)
-        split = data.draw(st.integers(1, n_sig - 1))
+        start = data.draw(st.integers(1, K))
+        assume(len(tape) >= start)
 
-        def entering(k, cols, layout):
-            """The state of columns ``cols`` entering layer k, laid out: the iterate, then p, g and gsq."""
+        def entering(k, layout):
+            """The state entering layer k, laid out: the iterate, then p, g and gsq."""
             x = tape[k - 2][6] if k > 1 else np.zeros_like(z)
-            return tuple(laid_out(a[..., cols], layout) for a in (x,) + tape[k - 1][:3])
+            return tuple(laid_out(a, layout) for a in (x,) + tape[k - 1][:3])
 
         y = laid_out(z, layouts[0])
-        begin = (start, entering(start, slice(None, split), layouts[1]))
-        joins = {join: entering(join, slice(split, None), layouts[2])}
+        begin = (start, entering(start, layouts[1]))
         runs = []
         for cg in (red_cg_layers, red_cg_layers_by_reduce):
             resumed = []
-            run = lambda: cg(y, ops, weights, resumed, start=begin, joins=joins, objective=objective)  # noqa: E731
+            run = lambda: cg(y, ops, weights, resumed, start=begin, objective=objective)  # noqa: E731
             runs.append(outcome(lambda: report_bits(run(), resumed)))
         assert runs[0] == runs[1]
 

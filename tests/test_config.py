@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphred.cli import CONFIG_KEYS, DATASET_KIND_KEYS, REQUIRED, TRAIN_INIT_KEYS, _resolve_config, main
+from graphred.cli import CONFIG_KEYS, DATASET_KIND_KEYS, REQUIRED, TRAIN_INIT_KEYS, _resolve_config, main, tune_method
+from graphred.datasets import SyntheticSpec, generate_synthetic_dataset, load_dataset, save_dataset
+from graphred.exceptions import ConfigError
 from graphred.red import UnrolledParams
 from graphred.unroll import save_params
 
@@ -47,11 +49,14 @@ def files(tmp_path_factory):
     entries = [{"method": "red_lr", "sigma": 0.5, "alpha_red": 1.0, "alpha_lr": 1.0, "train_rmse": 0.0}]
     (base / "tuned.json").write_text(json.dumps({"schema": "graphred-tuned-v1", "entries": entries}))
     save_params(UnrolledParams.constant(3, "lr", 1.0, 1.0), base / "params.json")
+    # A bundle of no records, as the library still writes one.
+    save_dataset(generate_synthetic_dataset(SyntheticSpec(n_nodes=20, k=4, sigmas=(1.0,), n_train=0, n_test=0)),
+                 base / "empty")
     denoised = base / "denoised"
     denoised.mkdir()
     for i in range(2):
         shutil.copy(base / "data" / "test" / f"sample_{i:03d}" / "clean.csv", denoised / f"sample_{i:03d}.csv")
-    names = ("data", "cloud", "tuned.json", "params.json", "denoised")
+    names = ("data", "cloud", "tuned.json", "params.json", "denoised", "empty")
     return {"tmp": str(base), **{name.split(".")[0]: str(base / name) for name in names}}
 
 
@@ -246,6 +251,34 @@ CASES = [
      2, 'config error: learning_rate must be a number within the float range, got an integer of 401 digits'),
     ("generate", {**GEN, "sigmas": [1.0, -10**309]},
      2, 'config error: sigma must be a number within the float range, got an integer of 310 digits'),
+    # Numbers that are not finite, a spectrum grid end below 0, a range of three
+    # numbers and a bundle of no records.  Each of these once exited 0 on NaN or
+    # infinite values, or ended in a traceback or a message that named no key.
+    ("generate", {**GEN, "side": float("inf")}, 2, 'config error: side must be finite, got inf'),
+    ("generate", {**GEN, "offset": float("nan")}, 2, 'config error: offset must be finite, got nan'),
+    ("generate", {**GEN, "sigmas": [float("nan")]}, 2, 'config error: sigma must be finite, got nan'),
+    ("generate", {**GEN, "n_train": 0, "n_test": 0}, 2, 'config error: generate: n_train + n_test must be >= 1'),
+    ("check", {**CHECK, "c": float("nan")}, 2, 'config error: c must be finite, got nan'),
+    ("check", {**CHECK, "c": float("inf")}, 2, 'config error: c must be finite, got inf'),
+    ("tune", {**TUNE, "alpha_range": [1e-3, float("inf")]},
+     2, 'config error: alpha_range entry must be finite, got inf'),
+    ("train", {**TRAIN, "learning_rate": float("nan")}, 2, 'config error: learning_rate must be finite, got nan'),
+    ("train", {**TRAIN, "mode": "noise2noise", "sigma_n2n_range": [1.0, float("inf")]},
+     2, 'config error: sigma_n2n_range entry must be finite, got inf'),
+    ("train", {**TRAIN, "mode": "noise2noise", "sigma_n2n_range": [1.0, 2.0, 3.0]},
+     2, 'config error: sigma_n2n_range must hold two numbers, got [1.0, 2.0, 3.0]'),
+    ("spectrum", {**SPEC, "lambda_max": -5.0}, 2, 'config error: lambda_max must be > 0'),
+    ("spectrum", {**SPEC, "lambda_max": float("inf")}, 2, 'config error: lambda_max must be finite, got inf'),
+    ("tune", {"dataset": "{empty}", "methods": ["lr"]}, 2, "config error: tune: no records in split 'train'"),
+    ("denoise", {"dataset": "{empty}", "sigma": 1.0, "method": "lr", "params": {"alpha_lr": 1.0}},
+     2, "config error: denoise: no records in split 'test'"),
+    ("train", {"dataset": "{empty}", "sigma": 1.0, "K": 2, "epochs": 2},
+     2, "config error: train: no records in split 'train'"),
+    ("check", {"datasets": ["{empty}"], "n_signals": 2},
+     2, "config error: check: no records in split 'train' or 'test'"),
+    ("spectrum", {**SPEC, "dataset": "{empty}"}, 2, "config error: spectrum: no records in split 'train' or 'test'"),
+    ("eval", {"dataset": "{empty}", "sigma": 1.0, "denoised": "{denoised}"},
+     2, "config error: eval: no records in split 'test'"),
 ]
 
 
@@ -274,6 +307,12 @@ def test_type_rules(files, tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
     assert outcome(command, fill(cfg, files), out, capsys) == (2, f"config error: {message}")
     assert os.listdir(out) == []
+
+
+def test_tune_method_rejects_an_infinite_bound(files):
+    records = load_dataset(files["data"]).train
+    with pytest.raises(ConfigError, match=r"alpha_range must be finite, got \[0.001, inf\]"):
+        tune_method(records, 0.5, "lr", grid_points=3, alpha_range=(1e-3, np.inf))
 
 
 @pytest.mark.parametrize("command, cfg, key, value", [

@@ -362,7 +362,7 @@ class TestSharedCgCore:
             alone = red_cg_layers(np.tile(z[:, j : j + 1], 2), regs, a_red).x
             assert np.array_equal(alone[:, 0], batch[:, j]) and np.array_equal(alone[:, 1], batch[:, j])
 
-    def test_resumed_and_joined_columns_match_a_full_run(self, graph30):
+    def test_resumed_columns_match_a_full_run(self, graph30):
         lap, dec = graph30
         z = gft(dec, np.random.default_rng(5).standard_normal((lap.n_nodes, 3)))
         alphas = (1.0, 0.5, 2.0, 4.0, 3.0)
@@ -374,15 +374,11 @@ class TestSharedCgCore:
         tape = []
         full = red_cg_layers(z, regs, a_red, tape)
         xs = [np.zeros_like(z)] + [row[6] for row in tape]
-        entering = lambda k, cols: tuple(a[..., cols].copy() for a in (xs[k - 1],) + tape[k - 1][:3])  # noqa: E731
-        # Columns 0-1 resume at layer 2, column 2 joins at layer 4.
-        out = red_cg_layers(
-            z, [None] + regs[1:], [None] + a_red[1:], start=(2, entering(2, [0, 1])), joins={4: entering(4, [2])}
-        )
-        assert np.array_equal(out.x, full.x)
-        assert out.iterations == 4 and len(out.gradient_norm_history) == 3
-        with pytest.raises(ValueError, match="join"):
-            red_cg_layers(z, regs, a_red, joins={2: entering(2, [2])})
+        entering = lambda k: tuple(a.copy() for a in (xs[k - 1],) + tape[k - 1][:3])  # noqa: E731
+        for k in (2, 4):  # every column resumes at layer k
+            out = red_cg_layers(z, [None] * k + regs[k:], [None] * k + a_red[k:], start=(k, entering(k)))
+            assert np.array_equal(out.x, full.x)
+            assert out.iterations == 4 and len(out.gradient_norm_history) == 5 - k
 
     @pytest.mark.parametrize("blowup, iteration", [(np.inf, 1), (1e200, 2)])
     def test_divergence_is_reported_at_its_layer(self, graph30, blowup, iteration):
