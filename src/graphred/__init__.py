@@ -16,28 +16,25 @@ __version__ = "0.1.0"
 
 # The module that defines each public name.
 _EXPORTS = {
+    "cmd_check": ("check_homogeneity", "check_passivity"),
     "construct": ("knn_graph", "normalize_weights"),
     "datasets": (
-        "Dataset", "DatasetRecord", "SyntheticSpec", "add_noise", "fps", "generate_bandlimited",
-        "generate_pointcloud_dataset", "generate_sensor_points", "generate_synthetic_dataset", "load_dataset",
-        "load_point_cloud", "save_dataset", "save_point_cloud",
+        "SyntheticSpec", "add_noise", "fps", "generate_bandlimited", "generate_pointcloud_dataset",
+        "generate_sensor_points", "generate_synthetic_dataset", "load_point_cloud", "save_dataset", "save_point_cloud",
     ),
-    "denoisers": (
-        "Denoiser", "apply_denoiser", "denoiser_gains", "lr_denoise", "lr_denoise_cg", "lr_gains", "pnp_gains",
-    ),
+    "denoisers": ("Denoiser", "apply_denoiser", "denoiser_gains", "lr_denoise", "lr_gains", "pnp_gains"),
     "exceptions": (
         "ConfigError", "ConvergenceError", "DegenerateDistanceError", "DivergenceError", "GraphRedError",
         "GraphTooLargeError", "InvalidGraphError", "NoEdgesError", "NumericalError", "ParseError", "StagnationError",
         "TrainingError",
     ),
+    "files": ("Dataset", "DatasetRecord", "load_dataset", "mse", "rmse"),
     "graphs": (
         "Graph", "Laplacian", "SpectralDecomp", "build_laplacian", "eigendecompose", "gft", "igft", "load_edge_list",
-        "mse", "quadratic_form", "rmse", "save_edge_list",
+        "quadratic_form", "save_edge_list",
     ),
-    "red": (
-        "RedProblem", "RedSolveReport", "UnrolledParams", "check_homogeneity", "check_passivity", "red_cg_layers",
-        "red_cg_solve", "red_gradient", "red_gradient_descent", "red_objective", "softplus", "softplus_inv",
-    ),
+    "problem": ("RedProblem", "lr_denoise_cg", "red_cg_solve", "red_gradient", "red_gradient_descent", "red_objective"),
+    "red": ("RedSolveReport", "UnrolledParams", "red_cg_layers", "softplus", "softplus_inv"),
     "spectral": (
         "FilterResponse", "ResponseComparison", "compare_responses", "h_lr", "h_red", "red_filter_matrix",
         "write_response_csv",

@@ -250,9 +250,7 @@ def knn_graph(
         # Report the pair that a row-by-row scan in neighbour order meets first.
         first = bad[i[bad] == i[bad].min()]
         pick = first[np.lexsort((j[first], dist[first]))[0]]
-        raise DegenerateDistanceError(
-            f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}"
-        )
+        raise DegenerateDistanceError(f"points {i[pick]} and {j[pick]} are closer than {MIN_NEIGHBOR_DISTANCE:g}")
     # Distances are exactly symmetric: a pair chosen from both ends gets one weight.
     return Graph.from_edges(i, j, np.divide(1.0, d, out=d) if weighted else np.ones(len(i)), n)
 

@@ -1,4 +1,4 @@
-"""Synthetic data generation, point sampling, and dataset bundles on disk.
+"""Synthetic data generation, point sampling, and writing dataset bundles.
 
 The synthetic protocol: uniform sensor positions in a square, a normalized
 inverse-distance kNN graph, one bandlimited signal shared by all samples,
@@ -8,32 +8,28 @@ sampling, and use their coordinates as a 3-channel signal.
 
 All randomness goes through PCG64 generators keyed by
 ``SeedSequence([seed, split, sample, stream, ...])`` so every artifact is
-reproducible from the manifest alone; signals, point clouds and edge lists
-go through the text reader and writer of :mod:`graphred.graphs`.
+reproducible from the manifest alone.  Files go through :mod:`graphred.files`,
+which also reads bundles back.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigError, InvalidGraphError, NumericalError, ParseError
-from .graphs import (
-    Graph, SpectralDecomp, build_laplacian, edge_list_text, eigendecompose, load_edge_list, read_csv, table_text,
-    write_json, write_text,
+from .exceptions import InvalidGraphError, NumericalError, ParseError
+from .files import (
+    MANIFEST_SCHEMA, SPLIT_CODES, Dataset, DatasetRecord, read_csv, sigma_file, table_text, write_json, write_text,
 )
-
-MANIFEST_SCHEMA = "graphred-dataset-v1"
+from .graphs import SpectralDecomp, build_laplacian, edge_list_text, eigendecompose
 
 # RNG stream tags (documented scheme: SeedSequence([seed, split, sample, stream, ...])).
 STREAM_POINTS = 0
 STREAM_NOISE = 2
-SPLIT_CODES = {"train": 0, "test": 1}
 
 
 def generate_sensor_points(n: int, side: float = 100.0, seed: int = 0) -> np.ndarray:
@@ -81,12 +77,11 @@ def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     ``np.linalg.norm(points - p, axis=1)`` below 8 coordinates; from 8 on
     they may differ in the last bits, and so may the picks.
 
-    A pick at running-minimum distance ``r`` (the largest) updates only a
-    slab of the points, kept sorted along their widest coordinate: a point
-    whose computed gap ``g`` to the pick along it has ``sqrt(g * g) >= r``
-    keeps its minimum, since its computed distance is at least that (the
-    argument of :func:`construct._grid_neighbours`).  Points without
-    coordinates, and non-finite ones, raise :class:`InvalidGraphError`.
+    A pick at running-minimum distance ``r`` updates only a slab of the
+    points, kept sorted along their widest coordinate: one whose computed gap
+    ``g`` to the pick has ``sqrt(g * g) >= r`` keeps its minimum (the argument
+    of :func:`construct._grid_neighbours`).  Points without coordinates, and
+    non-finite ones, raise :class:`InvalidGraphError`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or not points.shape[1]:
@@ -177,8 +172,7 @@ def load_point_cloud(path, format: str | None = None) -> np.ndarray:
     raise ValueError(f"unknown point-cloud format {format!r}")
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     """Parameters of the synthetic sensor-graph protocol."""
 
     n_nodes: int = 100
@@ -192,42 +186,13 @@ class SyntheticSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    """One sample: its graph, the clean signal, and observations per sigma."""
-
-    graph: Graph | None
-    clean: np.ndarray
-    observed: dict
-    split: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Dataset:
-    manifest: dict
-    train: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-
-    def split(self, name: str) -> list:
-        if name not in SPLIT_CODES:
-            raise ValueError(f"unknown split {name!r}")
-        return self.train if name == "train" else self.test
-
-    @property
-    def sigmas(self):
-        return [float(s) for s in self.manifest["sigmas"]]
-
-
 def _checked_noise(clean, sigma, rng):
     y = add_noise(clean, sigma, rng)
     if sigma > 0 and clean.size >= 50:
         std = float(np.sqrt(np.mean((y - clean) ** 2)))
         # ~7 standard errors at N=100; only a wiring bug can trip this.
         if abs(std - sigma) > 0.5 * sigma:
-            raise NumericalError(
-                f"generated noise std {std:.3g} inconsistent with sigma {sigma:.3g}"
-            )
+            raise NumericalError(f"generated noise std {std:.3g} inconsistent with sigma {sigma:.3g}")
     return y
 
 
@@ -276,13 +241,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec) -> Dataset:
 
 
 def generate_pointcloud_dataset(
-    points: np.ndarray,
-    sigmas,
-    m: int = 500,
-    k: int = 5,
-    n_train: int = 10,
-    n_test: int = 5,
-    seed: int = 0,
+    points: np.ndarray, sigmas, m: int = 500, k: int = 5, n_train: int = 10, n_test: int = 5, seed: int = 0,
     start: int = 0,
 ) -> Dataset:
     """Dataset whose clean signal is the (FPS-thinned) coordinates themselves.
@@ -301,15 +260,6 @@ def generate_pointcloud_dataset(
         "pointcloud", graph, sampled, sigmas, seed, n_train, n_test,
         dims=int(sampled.shape[1]), k=k, fps_m=m, fps_start=start,
     )
-
-
-def _sigma_name(sigma: float) -> str:
-    return f"observed_sigma{sigma:g}.csv"
-
-
-def load_signal(path) -> np.ndarray:
-    """A signal file in the shape numpy's ``loadtxt`` gives with ``ndmin=1``: ``(N,)`` for one column."""
-    return np.atleast_1d(read_csv(path, empty="signal file holds no values").squeeze())
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
@@ -333,46 +283,4 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
             write_text(os.path.join(sample_dir, "graph.edges"), text(record.graph, edge_list_text))
             write_text(os.path.join(sample_dir, "clean.csv"), text(record.clean, table_text))
             for sigma, y in sorted(record.observed.items()):
-                write_text(os.path.join(sample_dir, _sigma_name(sigma)), table_text(y))
-
-
-def load_dataset(path, graphs: bool = True) -> Dataset:
-    """Read a bundle; records whose edge lists have identical bytes share one Graph.
-
-    With ``graphs=False`` only the signals are read: no edge list is opened
-    and every record's ``graph`` is ``None``.
-    """
-    manifest_path = os.path.join(path, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad manifest JSON: {exc}", path=manifest_path, line=exc.lineno) from exc
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ConfigError(
-            f"unsupported dataset schema {manifest.get('schema')!r} (expected {MANIFEST_SCHEMA})"
-        )
-    n_nodes = int(manifest["n_nodes"])
-    sigmas = [float(s) for s in manifest["sigmas"]]
-    splits = {"train": [], "test": []}
-    parsed = {}  # edge-list bytes -> parsed graph
-    for split, count_key in (("train", "n_train"), ("test", "n_test")):
-        for idx in range(int(manifest[count_key])):
-            sample_dir = os.path.join(path, split, f"sample_{idx:03d}")
-            graph = None
-            if graphs:
-                edges_path = os.path.join(sample_dir, "graph.edges")
-                with open(edges_path, "rb") as fh:
-                    edges = fh.read()
-                if edges not in parsed:
-                    parsed[edges] = load_edge_list(edges_path, n_nodes=n_nodes)
-                graph = parsed[edges]
-            clean = load_signal(os.path.join(sample_dir, "clean.csv"))
-            observed = {
-                sigma: load_signal(os.path.join(sample_dir, _sigma_name(sigma)))
-                for sigma in sigmas
-            }
-            splits[split].append(
-                DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx)
-            )
-    return Dataset(manifest=manifest, train=splits["train"], test=splits["test"])
+                write_text(os.path.join(sample_dir, sigma_file(sigma)), table_text(y))

@@ -6,7 +6,7 @@ reads a kind from there.  Two kinds are registered:
 
 * ``"lr"``, Laplacian regularization: the closed-form smoother
   ``x = (I + alpha L)^{-1} y`` (:func:`lr_denoise`), with a matrix-free
-  conjugate-gradient solve as an iterative reference (:func:`lr_denoise_cg`).
+  conjugate-gradient solve as an iterative reference (:func:`problem.lr_denoise_cg`).
 * ``"pnp"``, plug-and-play ADMM: a fixed number of ADMM iterations on the
   denoising objective, with the LR smoother plugged in as the proximal
   step for the prior.
@@ -17,17 +17,22 @@ denoiser runs here.  :func:`apply_denoiser` evaluates it at the eigenvalues
 of a decomposition, or else at the Ritz values of one Lanczos basis per
 signal column; nothing here factors a matrix.  Everything accepts ``(N,)``
 or ``(N, S)`` signals; batches are independent columns.
+
+Each kind gives two methods, itself and ``red_<kind>`` (plugged into RED),
+whose scalar parameters ``METHOD_PARAM_KEYS`` names; :func:`apply_method`
+runs one, and the commands that run methods share the helpers after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import ConvergenceError, NumericalError
-from .graphs import Laplacian, SpectralDecomp, _check_signal, gft, igft, on_frequencies
+from .exceptions import ConfigError
+from .files import read_config
+from .graphs import Laplacian, SpectralDecomp, build_laplacian, eigendecompose, gft, igft, on_frequencies
 
 DEFAULT_PNP_ITERS = 10
 
@@ -57,61 +62,6 @@ def lr_denoise(lap: Laplacian, y: np.ndarray, alpha: float) -> np.ndarray:
     """Solve ``(I + alpha L) x = y``: the LR gains at the Ritz values of one
     Lanczos basis per column (:func:`apply_denoiser` without a decomposition)."""
     return apply_denoiser(Denoiser("lr", alpha), lap, y)
-
-
-def lr_denoise_cg(
-    lap: Laplacian,
-    y: np.ndarray,
-    alpha: float,
-    tol: float = 1e-10,
-    max_iters: int | None = None,
-) -> np.ndarray:
-    """Matrix-free conjugate gradients on ``(I + alpha L) x = y``.
-
-    Stops when the relative residual drops below ``tol``; raises
-    :class:`ConvergenceError` (carrying the final residual and iteration
-    count) if ``max_iters`` sweeps are not enough.
-    """
-    y = _check_signal(y, lap.n_nodes)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha == 0:
-        return y.copy()
-    if max_iters is None:
-        max_iters = 10 * lap.n_nodes
-    b_norm = np.linalg.norm(y)
-    if b_norm == 0:
-        return np.zeros_like(y)
-
-    def apply(v):
-        return v + alpha * lap.matvec(v)
-
-    x = np.zeros_like(y)
-    r = y - apply(x)
-    p = r.copy()
-    rs = np.sum(r * r)
-    residual = np.sqrt(rs) / b_norm
-    for k in range(max_iters):
-        if residual <= tol:
-            return x
-        ap = apply(p)
-        denom = np.sum(p * ap)
-        if denom <= 0:
-            raise NumericalError("CG curvature is not positive; system is not SPD")
-        step = rs / denom
-        x = x + step * p
-        r = r - step * ap
-        rs_next = np.sum(r * r)
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-        residual = np.sqrt(rs) / b_norm
-    if residual <= tol:
-        return x
-    raise ConvergenceError(
-        f"CG stalled at relative residual {residual:.3e} after {max_iters} iterations",
-        residual=float(residual),
-        iterations=max_iters,
-    )
 
 
 def lr_gains(lambdas: np.ndarray, alpha: float) -> np.ndarray:
@@ -173,17 +123,15 @@ def _pnp_jacobian(lam, params, iters):
     return x, dx
 
 
-@dataclass(frozen=True)
-class DenoiserKind:
+class DenoiserKind(NamedTuple):
     """One denoiser kind.
 
     ``fields`` are its :class:`Denoiser` parameters in gain-table column
     order (``alpha >= 0`` first, later ones positive), ``keys`` their config
-    keys and ``layers`` their per-layer :class:`unroll.UnrolledParams`
-    fields.  ``gains(lam, params, iters)`` is one filter's gains for one
-    scalar per field (the kind's public gain function); ``table(lam, params,
-    iters)`` runs the same elementwise steps and checks on ``(R, 1, ...)``
-    columns, one row per filter, so each row has ``gains``' bits.
+    keys and ``layers`` their :class:`red.UnrolledParams` fields.  ``gains(lam,
+    params, iters)`` is one filter's gains for one scalar per field;
+    ``table`` runs its steps on ``(R, 1, ...)`` columns, one row per filter,
+    with ``gains``' bits in each row.
     ``jacobian(lam, params, iters)``, for a ``(1, N)`` row ``lam`` and one
     ``(F, 1)`` column per field, returns the ``(F, N)`` gains (``table``
     rows, bit for bit) and their ``(P, F, N)`` derivatives in the P fields.
@@ -264,13 +212,100 @@ def gain_filter(decomp: SpectralDecomp, gains: np.ndarray):
 
 
 def apply_denoiser(
-    denoiser: Denoiser,
-    lap: Laplacian,
-    y: np.ndarray,
-    decomp: SpectralDecomp | None = None,
+    denoiser: Denoiser, lap: Laplacian, y: np.ndarray, decomp: SpectralDecomp | None = None
 ) -> np.ndarray:
     """Run ``denoiser`` on ``y``: its gains on GFT coefficients when ``decomp``
     is given, otherwise at the Ritz values of one Lanczos basis per column
     (:func:`graphs.on_frequencies`)."""
     filtered = lambda z, lam: (denoiser_gains(denoiser, lam) * z, None)  # noqa: E731
     return on_frequencies(lap, y, filtered, decomp, 1.0 + denoiser.alpha * lap.norm_bound)[0]
+
+
+# A method applies a registered denoiser kind, alone or plugged into RED as "red_<kind>": (kind, red).
+_METHOD_KINDS = {**{kind: (kind, False) for kind in KINDS}, **{f"red_{kind}": (kind, True) for kind in KINDS}}
+METHODS = tuple(_METHOD_KINDS)
+METHOD_PARAM_KEYS = {m: ("alpha_red",) * red + KINDS[kind].keys for m, (kind, red) in _METHOD_KINDS.items()}
+DEFAULT_CG_LAYERS = 10
+# Config rules and keys of the commands that run methods.
+METHOD_RULE = (METHODS.__contains__, "unknown method {value!r}")
+SOLVER_KEYS = {"cg_layers": ("integer", DEFAULT_CG_LAYERS), "pnp_iters": ("integer", DEFAULT_PNP_ITERS)}
+
+
+def graph_setup(record):
+    """Laplacian + decomposition of one record's graph."""
+    lap = build_laplacian(record.graph)
+    return lap, eigendecompose(lap)
+
+
+def records_share_graph(records) -> bool:
+    first = records[0].graph
+    arrays = lambda g: (g.indptr, g.indices, g.weights)
+    return all(r.graph is first or all(map(np.array_equal, arrays(r.graph), arrays(first))) for r in records[1:])
+
+
+def method_kind(method) -> tuple[str, bool]:
+    """``(kind, red)`` of ``method``: the denoiser kind it applies, and whether RED wraps it."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    return _METHOD_KINDS[method]
+
+
+def finite(named: dict) -> list:
+    """The values of ``named`` as floats; raises ``ValueError`` naming the first key whose value is not a finite number."""
+    values = []
+    for key, value in named.items():
+        try:
+            values.append(float(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be a number, got {value!r}") from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"{key} must be finite, got {values[-1]}")
+    return values
+
+
+def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
+    """The denoiser that ``method`` applies (a kind) or plugs into RED (red_<kind>).
+
+    ``params`` holds the method's scalar parameters, keyed as in
+    ``METHOD_PARAM_KEYS``; each must be finite.
+    """
+    kind = method_kind(method)[0]
+    finite({key: params[key] for key in METHOD_PARAM_KEYS[method]})
+    values = {field: params[key] for field, key in zip(KINDS[kind].fields, KINDS[kind].keys)}
+    return Denoiser(kind=kind, **values, iters=pnp_iters)
+
+
+def flat_layers(method, params, K, pnp_iters=None):
+    """The K flat layers of ``red_<kind>`` ``method``, set to its scalar ``params`` (keyed as in ``METHOD_PARAM_KEYS``)."""
+    from .red import UnrolledParams
+    values = finite({key: params[key] for key in METHOD_PARAM_KEYS[method]})
+    if pnp_iters is not None:  # a denoise: the checks a RedProblem makes, in its order
+        method_denoiser(method, params, pnp_iters)
+    if values[0] < 0:
+        raise ValueError("alpha_red must be nonnegative")
+    return UnrolledParams.constant(K, method_kind(method)[0], *values)
+
+
+def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pnp_iters=DEFAULT_PNP_ITERS):
+    """Run one denoising method with explicit scalar parameters (on Lanczos bases if no ``decomp``)."""
+    if not method_kind(method)[1]:
+        return apply_denoiser(method_denoiser(method, params, pnp_iters), lap, y, decomp=decomp)
+    from .red import red_cg_unrolled
+    return red_cg_unrolled(lap, y, flat_layers(method, params, cg_layers, pnp_iters), pnp_iters, decomp).x
+
+
+def tuned_lookup(tuned_path, method, sigma) -> dict:
+    """The parameters of ``method`` at ``sigma`` in the ``tuned.json`` file at ``tuned_path``."""
+    payload = read_config(tuned_path)
+    entries = payload.get("entries", []) if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{tuned_path}: expected an object whose 'entries' is a list of objects")
+    for entry in entries:
+        if entry.get("method") != method:
+            continue
+        try:
+            if float(entry["sigma"]) == float(sigma):
+                return {k: float(entry[k]) for k in METHOD_PARAM_KEYS[method]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{tuned_path}: malformed {method} entry: {exc!r}") from exc
+    raise ConfigError(f"{tuned_path}: no entry for method={method} sigma={sigma:g}")

@@ -5,26 +5,22 @@ Graphs are compressed sparse rows (CSR) in plain numpy arrays (importing
 :func:`eigendecompose` builds an N x N array; the dense ``Graph.adjacency``
 and ``Laplacian.matrix`` views are for tests, demos and inspection.
 
-Signals are plain numpy arrays with one value per node.  Functions accept
-either a single signal of shape ``(N,)`` or a batch of independent signals
-stacked as columns of an ``(N, S)`` array; the output matches the input
-shape.  All container types are frozen dataclasses and every operation is a
-pure function, so shared instances are safe to use from multiple threads.
-
-Every numeric text file is formatted by :func:`table_text` and parsed by
-:func:`read_table`; JSON artifacts are written by :func:`write_json`.
+Signals are numpy arrays with one value per node: one signal ``(N,)``, or
+independent signals as the columns of an ``(N, S)`` array, and outputs keep
+the input's shape.  Containers are immutable and operations pure functions,
+so shared instances are safe to use from several threads.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConvergenceError, GraphTooLargeError, InvalidGraphError, NumericalError, ParseError
+from .exceptions import ConvergenceError, GraphTooLargeError, InvalidGraphError, NumericalError
+from .files import read_table, table_text, write_text
 
 # Relative residual allowed of an eigendecomposition.
 DECOMP_TOL = 1e-8
@@ -187,8 +183,7 @@ class Laplacian:
         return self.degree * x - wx
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
+class SpectralDecomp(NamedTuple):
     """Orthonormal eigenbasis and ascending eigenvalues of a Laplacian."""
 
     basis: np.ndarray        # columns are eigenvectors
@@ -222,12 +217,10 @@ def build_laplacian(graph: Graph) -> Laplacian:
 def eigendecompose(lap: Laplacian, tol: float = DECOMP_TOL) -> SpectralDecomp:
     """Full symmetric eigendecomposition of a Laplacian.
 
-    Eigenvalues are returned ascending.  Each eigenvector is sign-normalized
-    so its largest-magnitude entry is positive, which makes the basis
-    deterministic across runs.  Raises :class:`NumericalError` if the solver
-    fails or the reconstruction residual exceeds ``tol``, and
-    :class:`GraphTooLargeError`, before allocating anything, above
-    ``MAX_DENSE_NODES`` nodes.
+    Eigenvalues ascend, and each eigenvector's largest-magnitude entry is
+    positive, so the basis is deterministic.  Raises :class:`NumericalError`
+    if the solver fails or the reconstruction residual exceeds ``tol``, and
+    :class:`GraphTooLargeError` above ``MAX_DENSE_NODES`` nodes, before allocating.
     """
     if lap.n_nodes > MAX_DENSE_NODES:
         raise GraphTooLargeError(
@@ -249,9 +242,7 @@ def eigendecompose(lap: Laplacian, tol: float = DECOMP_TOL) -> SpectralDecomp:
     if norm > 0:
         residual = np.linalg.norm((basis * eigenvalues) @ basis.T - mat) / norm
         if residual > tol:
-            raise NumericalError(
-                f"eigendecomposition residual {residual:.3e} exceeds tolerance {tol:.3e}"
-            )
+            raise NumericalError(f"eigendecomposition residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return SpectralDecomp(basis=basis, eigenvalues=eigenvalues)
 
 
@@ -277,18 +268,16 @@ def igft(decomp: SpectralDecomp, spectrum: np.ndarray) -> np.ndarray:
 def lanczos(matvec, b: np.ndarray, floor, reorthogonalize: bool = False):
     """Lanczos on a symmetric operator from each row of ``b`` (``(C, N)``, one signal per row).
 
-    ``matvec`` applies the operator to a ``(C, N)`` block, row by row.  The
-    generator yields once per step; after step k it yields ``(basis, diag,
-    off)``: the ``(C, k, N)`` basis vectors and the tridiagonal's diagonal
-    and off-diagonal, ``(C, k)`` each (the last off-diagonal entry couples to
-    the next basis vector and sizes the residual).  A row whose residual
-    falls to ``floor`` (a scalar or one value per row) has exhausted its
-    Krylov space: its later basis vectors and tridiagonal entries are zero,
-    so it adds nothing past there.  With ``reorthogonalize``, each new vector
-    is orthogonalized against all earlier ones of its row (one classical
-    Gram-Schmidt pass), which keeps the basis orthonormal to rounding.  The
-    yielded arrays are views of storage that a later step may replace by a
-    larger copy; a caller holding them into that step keeps the old storage alive.
+    ``matvec`` applies the operator to a ``(C, N)`` block, row by row.  After
+    step k the generator yields ``(basis, diag, off)``: the ``(C, k, N)`` basis
+    and the tridiagonal's diagonal and off-diagonal, ``(C, k)`` each (the last
+    off-diagonal entry sizes the residual).  A row whose residual falls to
+    ``floor`` (a scalar or one per row) has exhausted its Krylov space: its
+    later basis vectors and tridiagonal entries are zero.  ``reorthogonalize``
+    runs one classical Gram-Schmidt pass per new vector against its row's
+    earlier ones.  The yielded arrays are views of storage that a later step
+    may replace by a larger copy; holding them into that step keeps the old
+    storage alive.
     """
     n_rows, n = b.shape
     norm = np.sqrt(np.sum(b * b, axis=1))
@@ -322,32 +311,28 @@ def lanczos(matvec, b: np.ndarray, floor, reorthogonalize: bool = False):
 def krylov_solve(lap: Laplacian, v: np.ndarray, solve, cond: float = 1.0):
     """Node-space result of a per-frequency computation, run on one Lanczos basis per column of ``v``.
 
-    This is the GFT's counterpart when no eigendecomposition is available.
-    ``L 1 = 0``, so each column's constant part ``c 1 / sqrt(N)`` sits at
-    frequency 0 exactly.  m Lanczos steps on ``L`` from the rest ``r`` give
+    The GFT's counterpart without an eigendecomposition.  ``L 1 = 0``, so a
+    column's constant part ``c 1 / sqrt(N)`` sits at frequency 0 exactly, and
+    m Lanczos steps on ``L`` from the rest ``r`` give
     the basis ``Q`` and the tridiagonal ``T = V diag(theta) V^T``, and
     ``r = ||r|| Q V V^T e1``.  So on the vectors ``[1 / sqrt(N), Q V]`` the
     column has coefficients ``z = [c, ||r|| V[0, :]]`` at frequencies
     ``[0, theta]`` (the Ritz values).  ``solve(z, lam)`` gets these,
     ``(m + 1, C)`` each (``(m + 1,)`` for an ``(N,)`` signal), and returns
-    ``(out, extra)`` with ``out`` the output coefficients in that layout.
-    For any function of ``L`` this is the spectral computation restricted
-    to the Krylov space, exact once that space holds the signal.  The result
-    is ``v`` plus the mapped ``out - z`` where that is the shorter vector
-    (then a coefficient left unchanged keeps ``v``'s bits), else the mapped
-    ``out``, so rounding stays relative to the output.
+    ``(out, extra)`` with ``out`` the output coefficients in that layout:
+    for any function of ``L``, the spectral computation restricted to the
+    Krylov space.  The result is ``v`` plus the mapped ``out - z`` where that
+    is the shorter vector (a coefficient left unchanged keeps ``v``'s bits),
+    else the mapped ``out``, so rounding stays relative to the output.
 
-    Stopping rule: every ``KRYLOV_STRIDE`` steps the output is formed again,
-    and it is returned once no column moved by more than
-    ``max(KRYLOV_TOL, KRYLOV_ROUNDING * cond)`` of its norm since the
-    previous look (``cond``, the caller's condition bound of its
-    computation, sizes the rounding floor of that change), or once every
-    column's Krylov space is exhausted (a residual below ``BREAKDOWN_TOL *
-    lap.norm_bound``, or N - 1 steps).  The Lanczos basis holds ``m N C``
-    floats, at most ``MAX_KRYLOV_STEPS * 8`` bytes per node and column, in
-    storage of at most 1.5 times the basis (2.5 times while it grows);
-    :class:`ConvergenceError` (a :class:`NumericalError`) is raised if that
-    many steps do not meet the rule.  Returns ``(x, extra)``.
+    Every ``KRYLOV_STRIDE`` steps the output is formed again; it is returned
+    once no column moved by more than ``max(KRYLOV_TOL, KRYLOV_ROUNDING *
+    cond)`` of its norm since the last look (``cond`` is the caller's
+    condition bound), or once every column's Krylov space is exhausted (a
+    residual below ``BREAKDOWN_TOL * lap.norm_bound``, or N - 1 steps).  The
+    basis holds ``m N C`` floats, in storage of at most 1.5 times that (2.5
+    while it grows), and :class:`ConvergenceError` is raised if
+    ``MAX_KRYLOV_STEPS`` steps do not meet the rule.  Returns ``(x, extra)``.
     """
     n = lap.n_nodes
     v = _check_signal(v, n)
@@ -426,88 +411,6 @@ def quadratic_form(lap: Laplacian, x: np.ndarray):
     """
     x = _check_signal(x, lap.n_nodes)
     return np.sum(x * lap.matvec(x), axis=0)
-
-
-def mse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
-    x_hat = np.asarray(x_hat, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if x_hat.shape != x_star.shape:
-        raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_star.shape}")
-    return float(np.mean((x_hat - x_star) ** 2))
-
-
-def rmse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
-    return float(np.sqrt(mse(x_hat, x_star)))
-
-
-def table_text(values, header: str = "", sep: str = ",") -> str:
-    """``header`` on a line if given, then one line per row of ``values`` (``(N,)`` or ``(N, C)``).
-
-    Fields are ``%.17g`` (the shortest ``%g`` that round-trips float64) joined by ``sep``, all formatted
-    by one ``%``: the bytes numpy's ``savetxt`` writes with that format, and ``%d``'s for integers below 2**53.
-    """
-    values = np.asarray(values, dtype=float)
-    row = sep.join(["%.17g"] * (values.shape[1] if values.ndim == 2 else 1)) + "\n"
-    return header + "\n" * bool(header) + (row * len(values)) % tuple(values.ravel().tolist())
-
-
-def write_text(path, text: str) -> None:
-    """Write ASCII ``text`` to ``path``, making its directory if needed."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
-def write_json(path, payload: dict) -> None:
-    """Write a JSON artifact: indent 2, sorted keys, a final newline."""
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_table(path, convert, check):
-    """``convert(lines)`` of the data lines (stripped, not blank, not ``#...``) of the ASCII file at ``path``.
-
-    ``convert`` parses all lines at once, raising ``ValueError`` or ``OverflowError`` if one breaks the
-    format.  Only then are the lines numbered, and ``check(line, line_no, first_line)`` runs on each data
-    line in turn, to raise the format's own error at the first bad one; if none does, the conversion's
-    error is raised.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
-    try:
-        return convert(lines)
-    except (ValueError, OverflowError):
-        for line_no, line in enumerate(map(str.strip, text.split("\n")), start=1):
-            if line and line[0] != "#":
-                check(line, line_no, lines[0])
-        raise
-
-
-def read_csv(path, empty="no points found") -> np.ndarray:
-    """The ``(N, C)`` array of a file of comma-separated numbers, one row per data line.
-
-    A field ``float`` rejects or a row wider or narrower than the first raises :class:`ParseError`, and
-    so does a file without data lines, with the message ``empty``.  Rows are split at once, as one line.
-    """
-
-    def convert(lines):
-        if not lines:
-            raise ParseError(empty, path=str(path), line=0)
-        width = lines[0].count(",") + 1
-        if any(line.count(",") != width - 1 for line in lines):
-            raise ValueError("rows of unequal width")
-        return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
-
-    def check(line, line_no, first_line):
-        parts, width = line.split(","), first_line.count(",") + 1
-        try:
-            list(map(float, parts))
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=line_no) from exc
-        if len(parts) != width:
-            raise ParseError(f"expected {width} columns, got {len(parts)}", path=str(path), line=line_no)
-
-    return read_table(path, convert, check)
 
 
 def edge_list_text(graph: Graph) -> str:

@@ -1,89 +1,43 @@
-"""Denoiser-regularized signal recovery (RED).
+"""The spectral conjugate-gradient core of RED (regularization by denoising).
 
-The objective is
+RED minimizes ``J(x) = 1/2 ||x - y||^2 + (alpha_red / 2) x^T (x - D(x))`` for
+a plugged-in denoiser D.  When D is locally homogeneous and strongly
+passive, its gradient is ``x - y + alpha_red (x - D(x))``, with no Jacobian
+of D.  This module holds the unrollable Fletcher-Reeves CG solver on it
+(per-layer parameters, which :class:`UnrolledParams` holds for any denoiser
+kind), and the blocked candidate evaluation that tuning and training run on
+it.  The node-space API of one problem is in :mod:`graphred.problem`, which
+no command loads.
 
-    J(x) = 1/2 ||x - y||^2 + (alpha_red / 2) x^T (x - D(x))
-
-for a plugged-in denoiser D.  When D is locally homogeneous and strongly
-passive the regularizer gradient collapses to ``x - D(x)``, so the full
-gradient is ``x - y + alpha_red (x - D(x))`` with no Jacobian of D anywhere.
-This module provides the objective and that simplified gradient, a
-fixed-step gradient-descent solver, a Fletcher-Reeves conjugate-gradient
-solver (the unrollable one: it accepts per-layer parameters, which
-:class:`UnrolledParams` holds for any denoiser kind), the blocked
-candidate evaluation that tuning and training run on it, a Krylov screen
-that scores flat CG candidates for a whole ``alpha_red`` grid from one
-Lanczos basis, and empirical checkers for the two admissibility conditions.
-
-Every denoiser here is a per-frequency gain of the Laplacian, so all solvers
-run on frequency coefficients: GFT coefficients when a decomposition is
-attached, else the Ritz coefficients of one Lanczos basis per observed
-column (:func:`graphs.krylov_solve`), with gains at the Ritz values.
-
-Signals may be ``(N,)`` or ``(N, S)``; batched columns are treated as
-independent signals, with per-column line searches in the CG solver so a
-batched solve matches column-by-column solves exactly.
+Every denoiser is a per-frequency gain of the Laplacian, so the solvers run
+on GFT coefficients when a decomposition is attached, else on the Ritz
+coefficients of one Lanczos basis per column (:func:`graphs.krylov_solve`).
+Signals may be ``(N,)`` or ``(N, S)``; columns are independent signals, with
+per-column line searches, so a batched solve matches column-by-column ones.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .denoisers import (
-    DEFAULT_PNP_ITERS, KINDS, Denoiser, apply_denoiser, check_params, denoiser_gains, kind_spec,
-)
+from .denoisers import DEFAULT_PNP_ITERS, KINDS, check_params, kind_spec
 from .exceptions import ConfigError, DivergenceError, StagnationError
-from .graphs import (
-    BREAKDOWN_TOL, Laplacian, SpectralDecomp, _check_signal, lanczos, on_frequencies,
-)
+from .graphs import Laplacian, _check_signal, on_frequencies
 
 # Stagnation guard on the line-search denominator, relative to ||direction||^2.
 STAGNATION_TOL = 1e-14
 # A column counts as converged when its gradient norm falls this far below
 # the observation norm; at that point the direction recursion degenerates.
 CONVERGED_TOL = 1e-13
-# Objective growth factor treated as divergence in gradient descent.
-DIVERGENCE_OBJECTIVE_FACTOR = 1e6
 # Signal columns per batched pass over candidates (tuning grid points,
 # finite-difference training points, Krylov screen columns); bounds peak memory.
 BLOCK_COLUMNS = 100
-# Loss of orthogonality max|Q^T Q - I| of a Krylov basis at which the
-# screen's spread takes the full residual bound (scaled down below it).
-ORTHOGONALITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RedProblem:
-    """One denoising instance: observation, regularization weight, denoiser.
-
-    ``alpha_red = 0`` is allowed and reduces the objective to the data term.
-    Attaching a ``decomp`` runs solvers on its GFT coefficients; without one
-    they run on Lanczos bases.  Both are exact for both denoiser kinds (all
-    their steps are diagonal in the eigenbasis).
-    """
-
-    y: np.ndarray
-    alpha_red: float
-    denoiser: Denoiser
-    lap: Laplacian
-    decomp: SpectralDecomp | None = None
-
-    def __post_init__(self):
-        y = _check_signal(self.y, self.lap.n_nodes)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observation must be finite")
-        if self.alpha_red < 0:
-            raise ValueError("alpha_red must be nonnegative")
-        if self.decomp is not None and self.decomp.n_nodes != self.lap.n_nodes:
-            raise ValueError("decomp size does not match Laplacian")
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class RedSolveReport:
+class RedSolveReport(NamedTuple):
     """Solver output plus per-iteration diagnostics.
 
     Histories have length ``iterations + 1`` (the initial point is entry 0;
@@ -94,8 +48,8 @@ class RedSolveReport:
 
     x: np.ndarray
     iterations: int
-    gradient_norm_history: list = field(default_factory=list)
-    objective_history: list = field(default_factory=list)
+    gradient_norm_history: list
+    objective_history: list
 
     def to_dict(self) -> dict:
         return {
@@ -122,16 +76,12 @@ class UnrolledParams:
     """Per-layer solver parameters, indices 0..K.
 
     Index 0 parameterizes the solver's initialization lines and indices
-    1..K the loop bodies; with the zero initial iterate the index-0 values
-    never influence the output, but they are kept so the layer count and
-    the serialized parameter count stay aligned with the unrolled depth
-    ((1 + P)(K+1) values for a kind of P parameters: 2(K+1) for LR, 3(K+1)
-    for PnP).  The denoiser's layer fields are those its :data:`KINDS`
-    entry lists; the others stay ``None``.
-
-    Alphas may be zero in the container; the training path goes through the
-    softplus encoding and therefore only ever produces strictly positive
-    values.
+    1..K the loop bodies.  From the zero initial iterate the index-0 values
+    never reach the output; they keep the parameter count at (1 + P)(K+1)
+    for a kind of P parameters (22 for LR and 33 for PnP at K = 10).  The
+    denoiser's layer fields are those its :data:`KINDS` entry lists; the
+    others stay ``None``.  Alphas may be zero here; training decodes them by
+    softplus, so only ever produces positive ones.
     """
 
     K: int
@@ -216,9 +166,8 @@ class UnrolledParams:
 def _layer_regs(kind, lam, rows, iters):
     """Per-layer ``reg(v) = v - D(v)`` ops at frequencies ``lam``, where every denoiser is an elementwise gain.
 
-    ``rows[k]`` holds layer k's ``kind`` parameters.  Each distinct row gets
-    the kind's gains once, and one op object that equal rows share, which is
-    what lets :func:`red_cg_layers` stop early.
+    ``rows[k]`` holds layer k's ``kind`` parameters.  Each distinct row gets its gains once, in
+    one op object that equal rows share, which lets :func:`red_cg_layers` stop early.
     """
     gains = KINDS[kind].gains
     ops, regs = {}, []
@@ -233,60 +182,6 @@ def _on_frequencies(lap, v, solve, decomp, a_red, a_den):
     """:func:`graphs.on_frequencies` with the condition bound ``(1 + max a_red) (1 + max a_den ||L||)``
     of the layer weights and denoiser strengths."""
     return on_frequencies(lap, v, solve, decomp, (1.0 + max(a_red)) * (1.0 + max(a_den) * lap.norm_bound))
-
-
-def _reg(prob: RedProblem, x: np.ndarray) -> np.ndarray:
-    """``x - D(x)`` in node space."""
-    x = _check_signal(x, prob.lap.n_nodes)
-    reg = lambda v, lam: ((1.0 - denoiser_gains(prob.denoiser, lam)) * v, None)  # noqa: E731
-    return _on_frequencies(prob.lap, x, reg, prob.decomp, (0.0,), (prob.denoiser.alpha,))[0]
-
-
-def red_objective(prob: RedProblem, x: np.ndarray):
-    """Objective value at ``x`` (per column for batched input)."""
-    x = _check_signal(x, prob.lap.n_nodes)
-    r = _reg(prob, x)
-    if not np.all(np.isfinite(r)):
-        raise DivergenceError("denoiser returned non-finite values", iteration=0)
-    data = 0.5 * np.sum((x - prob.y) ** 2, axis=0)
-    return data + 0.5 * prob.alpha_red * np.sum(x * r, axis=0)
-
-
-def red_gradient(prob: RedProblem, x: np.ndarray) -> np.ndarray:
-    """Simplified gradient ``x - y + alpha_red (x - D(x))``."""
-    x = _check_signal(x, prob.lap.n_nodes)
-    return x - prob.y + prob.alpha_red * _reg(prob, x)
-
-
-def red_gradient_descent(prob: RedProblem, step: float, iters: int) -> RedSolveReport:
-    """Fixed-step gradient descent from ``x = 0``.
-
-    Raises :class:`DivergenceError` once the objective exceeds a million
-    times its initial value; reduce ``step`` when that happens.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
-    a = prob.alpha_red
-
-    def descend(y, lam):
-        shortfall = 1.0 - denoiser_gains(prob.denoiser, lam)
-        x, gnorms, objs = np.zeros_like(y), [], []
-        for k in range(iters + 1):
-            x = x - step * grad if k else x
-            r = shortfall * x
-            grad = x - y + a * r
-            gnorms.append(np.linalg.norm(grad, axis=0))
-            objs.append(0.5 * np.sum((x - y) ** 2, axis=0) + 0.5 * a * np.sum(x * r, axis=0))
-            if k == 0:
-                limit = DIVERGENCE_OBJECTIVE_FACTOR * max(float(np.max(objs[0], initial=0.0)), 1e-12)
-            elif not np.all(np.isfinite(objs[-1])) or np.max(objs[-1]) > limit:
-                raise DivergenceError(f"objective exploded at iteration {k}; try a smaller step", iteration=k)
-        return x, (gnorms, objs)
-
-    x, (gnorms, objs) = _on_frequencies(prob.lap, prob.y, descend, prob.decomp, (a,), (prob.denoiser.alpha,))
-    return RedSolveReport(x=x, iterations=iters, gradient_norm_history=gnorms, objective_history=objs)
 
 
 def _einsum_dot(a, b):
@@ -341,13 +236,11 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, objecti
 
     A column whose gradient norm is negligible relative to its observation
     counts as converged: it takes no step, and its direction restarts
-    (``gamma = 0``) in case a later layer's operator un-converges it.  A
-    column's result does not depend on the columns solved beside it, as long
-    as ``(N, S)`` arrays have two columns at least (numpy sums a lone column
-    pairwise, wider ones row by row).  The loop stops early only once every
-    column has converged and every layer left runs the op object and an
-    equal weight of the layer that judged them converged; anything else
-    could un-converge a column.  Raises :class:`StagnationError` if the
+    (``gamma = 0``) in case a later layer un-converges it.  A column's result
+    does not depend on the columns beside it, as long as ``(N, S)`` arrays
+    have two columns at least (numpy sums a lone column pairwise).  The loop
+    stops early only once every column has converged and every layer left
+    runs the op object and weight of the layer that judged them converged.  Raises :class:`StagnationError` if the
     line-search denominator vanishes while the gradient is still nonzero,
     and :class:`DivergenceError` on non-finite iterates, or on a non-finite
     line-search denominator or step of a column not yet converged (an
@@ -358,12 +251,8 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, objecti
     only with ``objective=True``; it costs two reductions per layer.
 
     Every per-column inner product (``p . Ap``, ``p . p``, ``p . g``,
-    ``||g||^2`` and the objective's) runs through :func:`_column_dot`,
-    picked once per call: ``np.einsum`` on a C-ordered ``(N, S >= 2)``
-    block or a row-strided view of one, else ``np.add.reduce`` of the
-    product, for ``(N,)`` signals, lone columns and F-ordered blocks.  Both
-    add in the order the reduce does on that layout, so the bits are those
-    of a product-and-reduce loop.
+    ``||g||^2`` and the objective's) runs through the :func:`_column_dot`
+    pick for the call's layout, so the bits are those of a product-and-reduce loop.
 
     With a ``tape`` list, each layer run appends what a reverse sweep needs:
     ``(p, g, gsq, converged, safe, tau, x, g_new, gamma)``, i.e. the incoming
@@ -372,11 +261,9 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, objecti
     new gradient and the Fletcher-Reeves coefficient.
 
     ``start = (j, (x, p, g, gsq))`` resumes at layer j from the state of
-    every column of ``y`` entering it (the iterate, and the incoming
-    entries of layer j's tape row); entries of ``regs`` and ``alpha_red``
-    before j are unused, and the histories hold the layers run, not the
-    start.  Given states equal to another run's, the columns compute what
-    that run computes for them.
+    every column entering it (the iterate, and the incoming entries of layer
+    j's tape row), and the histories hold the layers run.  Given states equal
+    to another run's, the columns compute what that run computes for them.
     """
     K = len(regs) - 1
     if K < 1 or len(alpha_red) != K + 1:
@@ -448,9 +335,7 @@ def red_cg_layers(y: np.ndarray, regs, alpha_red, tape=None, start=None, objecti
         gnorms.append(gnorm)
         iterations = k
         converged = gnorm <= tol
-    return RedSolveReport(
-        x=x, iterations=iterations, gradient_norm_history=gnorms, objective_history=objs
-    )
+    return RedSolveReport(x=x, iterations=iterations, gradient_norm_history=gnorms, objective_history=objs)
 
 
 def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve, needed=None) -> np.ndarray:
@@ -458,12 +343,10 @@ def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve, needed=
 
     ``y`` and ``target`` are ``(N, S)``.  Candidates run in blocks of at most
     ``BLOCK_COLUMNS`` signal columns (one candidate at least):
-    ``solve(cand, obs)`` gets a block's candidate indices and ``y`` tiled
-    once per candidate, so candidate ``cand[i]`` owns columns
-    ``i*S .. (i+1)*S - 1``, and returns the outputs in that layout.  With
-    ``needed`` (candidate indices), only the blocks holding them run and the
-    other entries are NaN; the blocks that run are the ones a full pass
-    runs, so their values carry the same bits.
+    ``solve(cand, obs)`` gets a block's candidate indices and ``y`` tiled once
+    per candidate (``cand[i]`` owns columns ``i*S .. (i+1)*S - 1``) and
+    returns the outputs in that layout.  With ``needed``, only the blocks
+    holding those candidates run, as a full pass runs them; the rest are NaN.
     """
     n_nodes, n_sig = y.shape
     per_block = max(1, BLOCK_COLUMNS // n_sig)
@@ -479,117 +362,6 @@ def candidate_mse(y: np.ndarray, target: np.ndarray, n_cand: int, solve, needed=
         sq = ((x - target[:, None, :]) ** 2).sum(axis=2)
         out[cand] = np.cumsum(sq, axis=0)[-1] / (n_nodes * n_sig)
     return out
-
-
-def _shifted_tridiagonal_solve(diag, off, rhs, alpha_red):
-    """``c`` with ``(I + a T) c = rhs e1`` for every ``a`` in ``alpha_red``: ``(K, C, A)``.
-
-    Thomas elimination, which needs no pivoting here: the eigenvalues of the
-    Lanczos matrix ``T`` lie in the range of the shortfalls, which are
-    nonnegative up to rounding, so ``I + a T`` is positive definite.
-    """
-    K = len(diag)
-    a = alpha_red[None, :]
-    piv = np.empty((K, len(rhs), len(alpha_red)))
-    z = np.empty_like(piv)
-    piv[0] = 1.0 + a * diag[0][:, None]
-    z[0] = rhs[:, None]
-    for k in range(1, K):
-        e = a * off[k - 1][:, None]
-        m = e / piv[k - 1]
-        piv[k] = 1.0 + a * diag[k][:, None] - m * e
-        z[k] = -m * z[k - 1]
-    c = np.empty_like(z)
-    c[-1] = z[-1] / piv[-1]
-    for k in range(K - 2, -1, -1):
-        c[k] = (z[k] - a * off[k][:, None] * c[k + 1]) / piv[k]
-    return c
-
-
-def krylov_screen_mse(
-    y: np.ndarray, target: np.ndarray, shortfalls: np.ndarray, alpha_red: np.ndarray, K: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean squared error of K-layer flat RED CG outputs, screened from one Krylov basis per row.
-
-    ``y`` and ``target`` are ``(N, S)`` GFT coefficients, ``shortfalls`` the
-    ``(R, N)`` rows ``1 - gains`` of a gain table and ``alpha_red`` the
-    ``(A,)`` weights.  Candidate ``i * R + r`` pairs ``alpha_red[i]`` with
-    row ``r``, the layout of a tuning grid.  With flat parameters the
-    gradient operator ``I + a diag(s)`` has the Krylov spaces of
-    ``diag(s)``, so K Lanczos steps per row and column give the output of
-    K layers of :func:`red_cg_layers` for every ``a`` at once:
-    ``x = Q c`` with ``(I + a T) c = ||y|| e1``.  Each is scored as
-    ``c^T (Q^T Q) c - 2 c^T Q^T t + t^T t`` with the Gram matrix formed
-    explicitly, so no orthogonality of ``Q`` is assumed.  Rows run in blocks
-    of at most ``BLOCK_COLUMNS`` columns.
-
-    Returns ``(mse, spread)``, one entry per candidate.  While a column's
-    basis stays orthogonal, screen and CG core run one recursion in two
-    rounding orders and agree to rounding.  Once it loses orthogonality
-    (``dev = max|Q^T Q - I|``), the two can drift apart by up to their
-    residuals, since the inverse operator has norm at most 1.  ``spread``
-    sizes that drift by the screen's residual ``rho = a beta_K |c_K|``:
-    ``2 sum(w rho ||x - t||) / (N S)`` over the candidate's columns, with
-    ``w = min(1, dev / ORTHOGONALITY_TOL)``.  In 120,000 random candidates
-    (N 5-120, K 1-24, LR and PnP rows) the CG core's MSE stayed within 3 %
-    of ``spread``, plus 1e-8 relative, of ``mse``.
-    Raises :class:`DivergenceError` on a non-finite weight or result, and
-    ``ValueError`` if ``K < 1``.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    n_nodes, n_sig = y.shape
-    alpha_red = np.asarray(alpha_red, dtype=float)
-    if not np.all(np.isfinite(alpha_red)):
-        raise DivergenceError("non-finite alpha_red in the screen", iteration=0)
-    per_block = max(1, BLOCK_COLUMNS // n_sig)
-    sq, spread = np.empty((2, len(shortfalls), len(alpha_red)))
-    for start in range(0, len(shortfalls), per_block):
-        rows = shortfalls[start : start + per_block]
-        s, b = np.repeat(rows, n_sig, axis=0), np.tile(y.T, (len(rows), 1))  # one row per column, as np.tile(y, R)
-        floor = BREAKDOWN_TOL * np.max(np.abs(s), axis=1)
-        for basis, diag, off in itertools.islice(lanczos(lambda q: s * q, b, floor), K):
-            pass  # keep only the last step: earlier views would hold outgrown storage
-        t = np.tile(target, len(rows))
-        gram = basis @ basis.transpose(0, 2, 1)
-        live = np.einsum("ckk->ck", gram) > 0  # vectors before a breakdown
-        dev = np.max(np.abs(gram - live[:, :, None] * np.eye(K)), axis=(1, 2))
-        proj = basis @ t.T[:, :, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = _shifted_tridiagonal_solve(diag.T, off.T, np.sqrt(np.sum(b * b, axis=1)), alpha_red).transpose(1, 0, 2)
-            err = np.sum(c * (gram @ c - 2.0 * proj), axis=1) + np.sum(t * t, axis=0)[:, None]
-            rho = alpha_red * off[:, -1, None] * np.abs(c[:, -1])
-            drift = np.minimum(dev / ORTHOGONALITY_TOL, 1.0)[:, None] * rho * np.sqrt(np.maximum(err, 0.0))
-        sq[start : start + len(rows)] = err.reshape(len(rows), n_sig, -1).sum(axis=1)
-        spread[start : start + len(rows)] = drift.reshape(len(rows), n_sig, -1).sum(axis=1)
-    mse = (sq / (n_nodes * n_sig)).T.ravel()
-    spread = (2.0 * spread / (n_nodes * n_sig)).T.ravel()
-    if not (np.all(np.isfinite(mse)) and np.all(np.isfinite(spread))):
-        raise DivergenceError("non-finite screened error", iteration=0)
-    return mse, spread
-
-
-def red_cg_solve(
-    prob: RedProblem,
-    K: int,
-    alpha_red_layers=None,
-    alpha_denoiser_layers=None,
-    pnp_rho_layers=None,
-) -> RedSolveReport:
-    """K iterations of :func:`red_cg_layers` on ``prob``, returned in node space.
-
-    Optional per-layer sequences (length K+1; index 0 covers the
-    initialization lines, index k the k-th loop body) override the
-    problem's flat parameters and make the solver unrollable.  The
-    denoiser's sequences are those its kind lists as ``layers``.
-    """
-    den = prob.denoiser
-    flat = UnrolledParams.constant(K, den.kind, prob.alpha_red, *(getattr(den, f) for f in KINDS[den.kind].fields))
-    given = dict(
-        alpha_red_layers=alpha_red_layers, alpha_denoiser_layers=alpha_denoiser_layers, pnp_rho_layers=pnp_rho_layers
-    )
-    params = replace(flat, **{name: v for name, v in given.items() if v is not None})
-    return red_cg_unrolled(prob.lap, prob.y, params, den.iters, prob.decomp, objective=True)
 
 
 def red_cg_unrolled(
@@ -612,54 +384,4 @@ def red_cg_unrolled(
         return report.x, report
 
     x, report = _on_frequencies(lap, y, cg, decomp, a_red, rows[:, 0])
-    return replace(report, x=x)
-
-
-def _as_callable(denoiser, lap, decomp):
-    if callable(denoiser) and not isinstance(denoiser, Denoiser):
-        return denoiser
-    if lap is None:
-        raise ValueError("a Laplacian is required to apply a Denoiser config")
-    return lambda v: apply_denoiser(denoiser, lap, v, decomp=decomp)
-
-
-def check_homogeneity(
-    denoiser,
-    x: np.ndarray,
-    c: float = 1.1,
-    lap: Laplacian | None = None,
-    decomp: SpectralDecomp | None = None,
-) -> float:
-    """Local-homogeneity deviation ``||D(c x) - c D(x)|| / ||c D(x)||``.
-
-    ``denoiser`` is a :class:`Denoiser` (then ``lap`` is required) or any
-    signal-to-signal callable.  Zero deviation means the denoiser commutes
-    exactly with scaling by ``c``.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0:
-        raise ValueError("homogeneity check needs a nonzero signal")
-    fn = _as_callable(denoiser, lap, decomp)
-    ref = c * fn(x)
-    ref_norm = np.linalg.norm(ref)
-    if ref_norm == 0:
-        raise ValueError("denoiser output is zero; deviation undefined")
-    return float(np.linalg.norm(fn(c * x) - ref) / ref_norm)
-
-
-def check_passivity(
-    denoiser,
-    x: np.ndarray,
-    lap: Laplacian | None = None,
-    decomp: SpectralDecomp | None = None,
-) -> float:
-    """Strong-passivity proxy ``||D(x)||^2 / ||x||^2`` (should be <= 1)."""
-    x = np.asarray(x, dtype=float)
-    xsq = float(np.sum(x * x))
-    if xsq == 0:
-        raise ValueError("passivity check needs a nonzero signal")
-    fn = _as_callable(denoiser, lap, decomp)
-    out = fn(x)
-    return float(np.sum(out * out) / xsq)
+    return report._replace(x=x)

@@ -14,10 +14,12 @@ an actual graph, and exports plot-ready CSV.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Laplacian, SpectralDecomp, eigendecompose, table_text, write_text
+from .files import table_text, write_text
+from .graphs import Laplacian, SpectralDecomp, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ def h_red(lambdas: np.ndarray, alpha_red: float, alpha_lr: float) -> FilterRespo
     return FilterResponse(lambdas, alpha_red * t / (1.0 + t), label="h_red")
 
 
-@dataclass(frozen=True)
-class ResponseComparison:
+class ResponseComparison(NamedTuple):
     """Per-eigenvalue pairing of the two responses on one graph."""
 
     eigenvalues: np.ndarray

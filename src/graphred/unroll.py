@@ -9,24 +9,23 @@ observation and uses the original observation as the target, so no clean
 signals are needed.
 
 Gradients are exact by default: one taped forward pass of the spectral CG
-core and one reverse (adjoint) sweep through it, for either denoiser, at
-about the cost of two forward passes whatever the parameter count.  Central
-finite differences (denoiser-agnostic) remain as an option: the centre runs
-once through the same core, and each perturbed point runs as an extra column
-of a batched solve from the centre's state entering the layer it perturbs.
+core and one reverse (adjoint) sweep through it, about two forward passes
+whatever the parameter count.  Central finite differences remain as an
+option (:func:`_fd_loss_grad`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .denoisers import DEFAULT_PNP_ITERS, KINDS, gain_table
 from .exceptions import ConfigError, TrainingError
-from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft, table_text, write_text
-from .graphs import mse, rmse  # noqa: F401  (part of this module's API)
+from .files import mse, rmse, table_text, write_text  # noqa: F401  (mse and rmse are part of this module's API)
+from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
 from .red import UnrolledParams, _column_dot, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
 
 FD_STEP = 1e-6
@@ -51,8 +50,7 @@ def save_loss_history(history, path) -> None:
     write_text(path, table_text(np.column_stack([np.arange(len(history)), history]), header="epoch,loss"))
 
 
-@dataclass(frozen=True)
-class TrainSample:
+class TrainSample(NamedTuple):
     """One training signal; ``target`` is the clean signal in supervised
     mode and is ignored by Noise2Noise.  ``y`` may be (N,) or (N, S) with
     columns counting as independent realizations."""
@@ -88,10 +86,7 @@ class TrainConfig:
 
 
 def unrolled_forward(
-    lap: Laplacian,
-    y: np.ndarray,
-    params: UnrolledParams,
-    decomp: SpectralDecomp | None = None,
+    lap: Laplacian, y: np.ndarray, params: UnrolledParams, decomp: SpectralDecomp | None = None,
     pnp_iters: int = DEFAULT_PNP_ITERS,
 ) -> np.ndarray:
     """K-layer solver pass with ``params``; the trained forward model."""
@@ -117,8 +112,7 @@ def make_n2n_pair(y: np.ndarray, sigma_range, rng: np.random.Generator):
     return y + sigma * rng.standard_normal(y.shape), y
 
 
-@dataclass(frozen=True)
-class AdamState:
+class AdamState(NamedTuple):
     m: np.ndarray
     v: np.ndarray
     t: int
@@ -159,9 +153,7 @@ def _epoch_pairs(samples, config: TrainConfig, epoch: int):
                 raise ValueError("supervised training needs clean targets")
             pairs.append((y, np.asarray(sample.target, dtype=float)))
         else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, _N2N_STREAM, epoch, idx])
-            )
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, _N2N_STREAM, epoch, idx]))
             if config.sigma_n2n_range is not None:
                 rng_range = config.sigma_n2n_range
             else:
@@ -185,26 +177,20 @@ def _fd_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS):
     """Loss at ``theta`` and its central-difference gradient, each point run from the layer it perturbs.
 
     ``coeffs`` holds the (input, target) pairs as GFT coefficients
-    (:func:`_spectral_pairs`), where the loss equals its node-space value
-    (the basis is orthonormal).  The points are ``theta``, each
-    ``theta + h_j e_j`` and each ``theta - h_j e_j``.  Index-0 entries are
-    not perturbed: layer 0 only ever sees ``x = 0``, so their gradient is
-    exactly 0.  The layer shortfalls ``1 - D_k`` are rows of one table, one
-    row per distinct denoiser ``(alpha,)`` or ``(alpha, rho)`` among all
-    points and layers.
+    (:func:`_spectral_pairs`), where the loss equals its node-space value.
+    The points are ``theta`` and each ``theta +- h_j e_j``; index-0 entries
+    are not perturbed (layer 0 only sees ``x = 0``, so their gradient is 0).
+    The layer shortfalls ``1 - D_k`` are rows of one table, one row per
+    distinct denoiser among all points and layers.
 
-    A point that perturbs layer j computes layers 1 .. j-1 exactly as the
-    centre ``theta`` does.  So the centre runs once, taped, and for each
-    layer j the 2P points that perturb it run as the columns of blocked CG
-    solves (:func:`red.candidate_mse`), resumed at j from the centre's state
-    entering it.  At layer j each column scales by its own point's shortfall
-    and weight; every later layer runs the centre's op.  Per signal that is
-    K + sum over points of (K - j + 1) column-layers, against (2P + 1) K for
-    running every point from ``x = 0``, and every column does the arithmetic
-    of such a full run, so loss and gradient keep their bits.  numpy sums a
-    lone column in another order than wider arrays, so a single signal keeps
-    every point a lone column, as a one-signal solve does, and no point's
-    bits depend on the block it lands in.
+    A point that perturbs layer j computes layers 1 .. j-1 as the centre
+    does.  So the centre runs once, taped, and for each layer j the 2P points
+    that perturb it run as the columns of blocked CG solves
+    (:func:`red.candidate_mse`) resumed at j from the centre's state, each
+    with its own shortfall and weight at j and the centre's ops after it.
+    Every column does the arithmetic of a full run from ``x = 0``, so loss
+    and gradient keep their bits.  numpy sums a lone column in another order
+    than wider arrays, so a single signal keeps every point a lone column.
     """
     n = K + 1
     live = np.flatnonzero(np.arange(theta.size) % n)
@@ -256,18 +242,15 @@ def _exact_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS
     """Loss at ``theta`` and its exact gradient, by one reverse sweep per pair of ``coeffs``.
 
     ``coeffs`` holds the (input, target) pairs as GFT coefficients
-    (:func:`_spectral_pairs`).  There layer k's gradient operator is the diagonal
-    ``m_k = 1 + alpha_red[k] (1 - gain_k)``.  The forward pass is a taped
-    :func:`red_cg_layers` run; the reverse sweep walks the tape back and
-    sums ``dL/dm_k`` per frequency over columns, and the chain rule takes
-    that through ``1 - gain_k``, the gain Jacobian and softplus' to
-    ``theta``.  The solver's guards hold in reverse too: a converged column
-    took no step and passes no adjoint through ``tau`` or ``gamma`` (its
-    direction restarts), and layers never run get no gradient.  As in the
-    forward pass, those masks are built only at layers where some column
-    has converged.  The sweep carries the recursive adjoints only; the row
-    sums feeding ``dL/dm_k`` run once per pair after it, in the order a
-    per-layer accumulation would add them.
+    (:func:`_spectral_pairs`), where layer k's gradient operator is the
+    diagonal ``m_k = 1 + alpha_red[k] (1 - gain_k)``.  The reverse sweep walks
+    the tape of a :func:`red_cg_layers` run back, sums ``dL/dm_k`` per
+    frequency over columns, and takes it through ``1 - gain_k``, the gain
+    Jacobian and softplus' to ``theta``.  The solver's guards hold in reverse:
+    a converged column passes no adjoint through ``tau`` or ``gamma``, layers
+    never run get no gradient, and the masks are built only where the
+    forward pass built them.  The row sums feeding ``dL/dm_k`` run once per
+    pair after the sweep, in the order a per-layer accumulation adds them.
     """
     n = K + 1
     decoded = softplus(theta).reshape(-1, n)  # alpha_red, then the denoiser's parameters
@@ -327,13 +310,8 @@ def _exact_loss_grad(coeffs, decomp, K, kind, theta, pnp_iters=DEFAULT_PNP_ITERS
 
 
 def train(
-    samples,
-    config: TrainConfig,
-    init: UnrolledParams,
-    lap: Laplacian,
-    decomp: SpectralDecomp | None = None,
-    start_epoch: int = 0,
-    pnp_iters: int = DEFAULT_PNP_ITERS,
+    samples, config: TrainConfig, init: UnrolledParams, lap: Laplacian, decomp: SpectralDecomp | None = None,
+    start_epoch: int = 0, pnp_iters: int = DEFAULT_PNP_ITERS
 ):
     """Full-batch Adam over the unrolled parameters.
 

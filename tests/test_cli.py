@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import graphred.cli
+import graphred.cmd_denoise
+import graphred.cmd_tune
 import graphred.denoisers
 import graphred.graphs
 import graphred.red
@@ -20,7 +22,7 @@ from graphred import (
     knn_graph, normalize_weights, red_cg_solve, save_loss_history, save_params, train, unrolled_forward,
 )
 from graphred.cli import METHOD_PARAM_KEYS, METHODS, apply_method, main, tune_method
-from graphred.datasets import load_dataset
+from graphred.files import load_dataset
 from graphred.denoisers import gain_table
 from graphred.exceptions import DivergenceError
 from graphred.graphs import gft
@@ -201,8 +203,8 @@ class TestTune:
 
     def test_one_decomposition_for_every_method(self, dataset_dir, tmp_path, monkeypatch):
         calls = []
-        real = graphred.cli.eigendecompose
-        monkeypatch.setattr(graphred.cli, "eigendecompose", lambda *args: calls.append(1) or real(*args))
+        real = graphred.denoisers.eigendecompose
+        monkeypatch.setattr(graphred.denoisers, "eigendecompose", lambda *args: calls.append(1) or real(*args))
         cfg = write_config(
             tmp_path / "tune.json",
             {"dataset": str(dataset_dir), "methods": ["lr", "pnp", "red_lr", "red_pnp"], "sigmas": [1.0],
@@ -318,12 +320,12 @@ class TestScreenedTune:
         # so the rows are screened in stages and the worst ones dropped.
         records = self.records(wide_dataset_dir, 1.0, shape)
         columns = []
-        real = graphred.red.krylov_screen_mse
+        real = graphred.cmd_tune.krylov_screen_mse
         def counted(y, target, shortfalls, *rest):
             columns.append(len(shortfalls) * y.shape[1])
             return real(y, target, shortfalls, *rest)
 
-        monkeypatch.setattr(graphred.red, "krylov_screen_mse", counted)
+        monkeypatch.setattr(graphred.cmd_tune, "krylov_screen_mse", counted)
         entry = tune_method(records, 1.0, "red_pnp", grid_points=8)
         assert entry == exhaustive_red_tune(records, 1.0, "red_pnp", 8)
         assert len(spy) == 1 and spy[0] is not None  # no fallback
@@ -338,7 +340,7 @@ class TestScreenedTune:
     @pytest.mark.parametrize("method", ["red_lr", "red_pnp"])
     def test_untrusted_screen_falls_back_to_cg(self, dataset_dir, method, fault, spy, monkeypatch):
         records = self.records(dataset_dir, 1.0, "with_constant")
-        real = graphred.red.krylov_screen_mse
+        real = graphred.cmd_tune.krylov_screen_mse
 
         def faulty(*args):
             if fault == "diverge":
@@ -348,7 +350,7 @@ class TestScreenedTune:
             mse[worst] = 0.5 * mse.min()  # the worst candidate now screens best
             return mse, spread
 
-        monkeypatch.setattr(graphred.red, "krylov_screen_mse", faulty)
+        monkeypatch.setattr(graphred.cmd_tune, "krylov_screen_mse", faulty)
         entry = tune_method(records, 1.0, method, grid_points=5)
         assert entry == exhaustive_red_tune(records, 1.0, method, 5)
         assert spy[-1] is None  # the exhaustive pass ran
@@ -641,7 +643,7 @@ class TestDenoiseNodeSpace:
         def forbidden(*args, **kwargs):
             raise AssertionError("denoise must not eigendecompose")
 
-        for module in (graphred.cli, graphred.graphs, graphred.unroll):
+        for module in (graphred.denoisers, graphred.graphs, graphred.unroll):
             monkeypatch.setattr(module, "eigendecompose", forbidden)
 
     @pytest.mark.parametrize("method", sorted(CASES))
@@ -752,8 +754,8 @@ class TestDenoiseNodeSpace:
             {"dataset": str(tmp_path / "pc"), "method": "red_pnp", "sigma": 0.1, "params": params},
         )
         calls = []
-        real = graphred.cli.build_laplacian
-        monkeypatch.setattr(graphred.cli, "build_laplacian", lambda graph: calls.append(graph) or real(graph))
+        real = graphred.cmd_denoise.build_laplacian
+        monkeypatch.setattr(graphred.cmd_denoise, "build_laplacian", lambda graph: calls.append(graph) or real(graph))
         assert main(["denoise", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         monkeypatch.undo()
         assert len(calls) == 1
@@ -1034,6 +1036,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"input error: {output}:5: bad number: could not convert string to float: 'abc'" in err
 
+    @pytest.mark.parametrize("line", ["nan,nan,nan", "1.5,inf,-2.0", "-1e400,0,0"])
+    def test_non_finite_denoised_output_is_input_error_at_its_line(self, tmp_path, capsys, line):
+        # A point-cloud bundle's outputs are three columns; these are its clean signals but for one line.
+        np.savetxt(tmp_path / "cloud.csv", np.random.default_rng(0).uniform(0.0, 10.0, size=(60, 3)), delimiter=",")
+        gen = write_config(tmp_path / "gen.json", {"kind": "pointcloud", "source": str(tmp_path / "cloud.csv"), "m": 30,
+                                                   "k": 4, "sigmas": [0.1], "n_train": 0, "n_test": 2})
+        assert main(["generate", "--config", gen, "--out", str(tmp_path / "pc")]) == 0
+        denoised = tmp_path / "denoised"
+        denoised.mkdir()
+        for i in range(2):
+            shutil.copy(tmp_path / "pc" / "test" / f"sample_{i:03d}" / "clean.csv", denoised / f"sample_{i:03d}.csv")
+        put_line(denoised / "sample_001.csv", 7, line)
+        cfg = write_config(tmp_path / "eval.json", {"dataset": str(tmp_path / "pc"), "denoised": str(denoised), "sigma": 0.1})
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 4
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == f"input error: {denoised / 'sample_001.csv'}:7: value not finite: {line!r}"
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
     def test_empty_clean_signal_is_input_error_naming_a_signal(self, dataset_dir, tmp_path, capsys):
         den_cfg = write_config(
             tmp_path / "den.json",
@@ -1141,3 +1162,40 @@ class TestConfigValues:
         assert main(["train", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == f"config error: {message}"
         assert os.listdir(out) == []
+
+
+class TestFlags:
+    """The flag parser: exit 0 after ``-h``, and exit 2 with the usage and the fault on a bad line, as argparse."""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["eval", "--help"]])
+    def test_help_prints_the_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: graphred {generate,tune,denoise,train,check,spectrum,eval}")
+
+    @pytest.mark.parametrize("argv, fault", [
+        ([], "the first argument must be a command"),
+        (["--config", "c.json", "eval"], "the first argument must be a command"),
+        (["bogus", "--config", "c.json"], "the first argument must be a command"),
+        (["eval"], "the --config flag is required"),
+        (["eval", "--config"], "--config needs a value"),
+        (["eval", "--config", "c.json", "--out"], "--out needs a value"),
+        (["eval", "--config", "c.json", "--threads", "x"], "invalid literal for int()"),
+        (["eval", "--config", "c.json", "--what", "1"], "unrecognized argument '--what'"),
+    ])
+    def test_bad_line_exits_2_naming_the_fault(self, tmp_path, capsys, argv, fault):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert err.startswith("usage: graphred ") and f"graphred: error: {fault}" in err
+
+    def test_flags_take_a_separate_or_attached_value(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"seed": 3, "n_nodes": 20, "k": 3, "sigmas": [1.0], "n_train": 1,
+                                                 "n_test": 1})
+        apart, joined = tmp_path / "apart", tmp_path / "joined"
+        assert main(["generate", "--config", cfg, "--seed", "5", "--out", str(apart), "--threads", "1"]) == 0
+        assert main(["generate", f"--config={cfg}", "--seed=5", f"--out={joined}", "--threads=1"]) == 0
+        assert tree_bytes(apart) == tree_bytes(joined)
+        assert json.loads((apart / "manifest.json").read_text())["seed"] == 5

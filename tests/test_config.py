@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from graphred.cli import CONFIG_KEYS, DATASET_KIND_KEYS, REQUIRED, TRAIN_INIT_KEYS, _resolve_config, main, tune_method
-from graphred.datasets import SyntheticSpec, generate_synthetic_dataset, load_dataset, save_dataset
+from graphred.datasets import SyntheticSpec, generate_synthetic_dataset, save_dataset
+from graphred.files import load_dataset
 from graphred.exceptions import ConfigError
 from graphred.red import UnrolledParams
 from graphred.unroll import save_params

@@ -34,8 +34,8 @@ from graphred import (
     save_point_cloud,
 )
 from graphred.construct import _pairwise_distances
-from graphred.datasets import _load_off_points, load_signal
-from graphred.graphs import read_csv, table_text
+from graphred.datasets import _load_off_points
+from graphred.files import load_signal, read_csv, table_text
 from graphred.spectral import ResponseComparison, write_response_csv
 from graphred.unroll import save_loss_history
 
@@ -578,7 +578,7 @@ class TestSyntheticDataset:
                 assert np.array_equal(a.observed[s], b.observed[s])
 
     def test_identical_edge_lists_parsed_once(self, tmp_path, monkeypatch):
-        import graphred.datasets
+        import graphred.graphs
 
         out = tmp_path / "bundle"
         save_dataset(generate_synthetic_dataset(small_spec()), out)
@@ -586,9 +586,9 @@ class TestSyntheticDataset:
         edges = out / "test" / "sample_000" / "graph.edges"
         edges.write_text("# comment\n" + edges.read_text())
         calls = []
-        parse = graphred.datasets.load_edge_list
+        parse = graphred.graphs.load_edge_list
         monkeypatch.setattr(
-            graphred.datasets, "load_edge_list", lambda *a, **kw: calls.append(a) or parse(*a, **kw)
+            graphred.graphs, "load_edge_list", lambda *a, **kw: calls.append(a) or parse(*a, **kw)
         )
         back = load_dataset(out)
         assert len(calls) == 2

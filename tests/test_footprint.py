@@ -16,7 +16,7 @@ from graphred import (
     Denoiser, RedProblem, apply_denoiser, build_laplacian, knn_graph, load_edge_list, lr_denoise, normalize_weights,
     red_cg_solve, save_edge_list,
 )
-from graphred.red import krylov_screen_mse
+from graphred.cmd_tune import krylov_screen_mse
 from test_construct import torus
 
 N = 2000
@@ -125,23 +125,29 @@ def test_krylov_screen_keeps_only_its_last_step():
 def run_probe(body):
     """Run ``body`` in a fresh process with scipy blocked (an import of it fails loudly).
 
-    ``body`` sets ``code``; returns it and the set of modules the process loaded.
+    ``body`` sets ``code``; returns it, the set of modules the process loaded, and the
+    summed source lines and the dataclasses of the ``graphred`` modules among them.
     """
     src = os.path.dirname(os.path.dirname(graphred.__file__))
     probe = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         f"{body}"
-        "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() if mod is not None)]))\n"
+        "import dataclasses, inspect\n"
+        "own = [mod for m, mod in sys.modules.items() if mod is not None and m.split('.')[0] == 'graphred']\n"
+        "lines = sum(len(open(mod.__file__).readlines()) for mod in own)\n"
+        "classes = sum(inspect.isclass(v) and v.__module__ == mod.__name__ and dataclasses.is_dataclass(v)\n"
+        "              for mod in own for v in vars(mod).values())\n"
+        "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() if mod is not None), lines, classes]))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    return code, set(modules)
+    code, modules, lines, classes = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, set(modules), lines, classes
 
 
 def run_command(tmp_path, command, config, out=None):
-    """Run one CLI command by :func:`run_probe`; returns its exit code and the modules loaded."""
+    """Run one CLI command by :func:`run_probe`, and return what it returns."""
     out = out or command
     cfg = tmp_path / f"{out}.json"
     cfg.write_text(json.dumps(config))
@@ -178,7 +184,7 @@ def test_spectral_commands_import_no_scipy(tmp_path):
     """Neither the library's pinned API nor any command imports scipy."""
 
     def check(result, what):
-        code, modules = result
+        code, modules = result[:2]
         assert (code, sorted(m for m in modules if m.split(".")[0] == "scipy")) == (0, []), what
 
     check(run_probe(LIBRARY_CALLS), "library")
@@ -211,43 +217,112 @@ def test_spectral_commands_import_no_scipy(tmp_path):
         "denoise_rebuild")
 
 
-def test_commands_import_only_the_modules_they_run(tmp_path):
-    """No command loads a graph-construction, solver, trainer, spectrum or thread-pool module it does not run.
-
-    generate loads graph construction only; tune, train and check load RED,
-    and train the trainer; spectrum loads spectral analysis only; eval loads
-    none of them; denoise loads RED only for red_* and unrolled, the trainer
-    only for unrolled, graph construction only to rebuild graphs, and the
-    thread pool only above one thread.
-    """
-    watched = {"graphred.construct", "graphred.red", "graphred.unroll", "graphred.spectral", "concurrent.futures"}
-
-    def loaded(command, config, out):
-        code, modules = run_command(tmp_path, command, config, out)
-        assert code == 0, command
-        return modules & watched
-
-    bundle = str(tmp_path / "synthetic")
-    assert loaded("generate", {"kind": "synthetic", "seed": 1, "n_nodes": 20, "k": 3, "sigmas": [1.0],
-                               "n_train": 2, "n_test": 1}, "synthetic") == {"graphred.construct"}
-    np.savetxt(tmp_path / "cloud.csv", np.random.default_rng(1).uniform(0.0, 10.0, size=(80, 3)), delimiter=",")
-    assert loaded("generate", {"kind": "pointcloud", "source": str(tmp_path / "cloud.csv"), "m": 40, "k": 5,
-                               "sigmas": [1.0], "n_train": 0, "n_test": 1}, "cloud") == {"graphred.construct"}
+@pytest.fixture(scope="module")
+def footprints(tmp_path_factory):
+    """Exit code, modules, and graphred source lines and dataclasses of each README-chain command in a fresh process."""
+    tmp = tmp_path_factory.mktemp("footprints")
+    bundle, cloud = str(tmp / "synthetic"), str(tmp / "cloud")
+    np.savetxt(tmp / "cloud.csv", np.random.default_rng(1).uniform(0.0, 10.0, size=(80, 3)), delimiter=",")
     common = {"dataset": bundle, "sigma": 1.0}
     red_pnp = {"alpha_red": 3.0, "alpha_pnp": 0.3, "rho": 1.0}
-    assert loaded("tune", {"dataset": bundle, "grid_points": 2}, "tune") == {"graphred.red"}
-    assert loaded("train", {**common, "K": 2, "epochs": 2}, "train") == {"graphred.red", "graphred.unroll"}
-    unrolled = {**common, "method": "unrolled", "unrolled_params": str(tmp_path / "train" / "params.json")}
-    assert loaded("denoise", unrolled, "unrolled") == {"graphred.red", "graphred.unroll"}
-    assert loaded("check", {"datasets": [bundle], "n_signals": 2}, "check") == {"graphred.red"}
-    assert loaded("spectrum", {"alpha_red": 3.0, "alpha_lr": 1.0, "n_points": 5}, "spectrum") == {"graphred.spectral"}
-    assert loaded("denoise", {**common, "method": "red_pnp", "params": red_pnp, "save_diagnostics": True},
-                  "red_pnp") == {"graphred.red"}
-    assert loaded("denoise", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}, "lr") == set()
-    assert loaded("eval", {**common, "denoised": str(tmp_path / "red_pnp" / "denoised")}, "eval") == set()
-    rebuild = {"dataset": str(tmp_path / "cloud"), "sigma": 1.0, "method": "red_lr",
-               "params": {"alpha_red": 3.0, "alpha_lr": 1.0}, "rebuild_graph_from_observed": True}
-    assert loaded("denoise", rebuild, "rebuild") == {"graphred.construct", "graphred.red"}
+    runs = [
+        ("generate", "synthetic", {"kind": "synthetic", "seed": 1, "n_nodes": 20, "k": 3, "sigmas": [1.0],
+                                   "n_train": 2, "n_test": 1}),
+        ("generate", "cloud", {"kind": "pointcloud", "source": str(tmp / "cloud.csv"), "m": 40, "k": 5,
+                               "sigmas": [1.0], "n_train": 0, "n_test": 1}),
+        ("tune", "tune", {"dataset": bundle, "grid_points": 2}),
+        ("train", "train", {**common, "K": 2, "epochs": 2}),
+        ("denoise", "lr", {**common, "method": "lr", "params": {"alpha_lr": 1.0}}),
+        ("denoise", "red_pnp", {**common, "method": "red_pnp", "params": red_pnp, "save_diagnostics": True}),
+        ("denoise", "rebuild", {"dataset": cloud, "sigma": 1.0, "method": "red_lr",
+                                "params": {"alpha_red": 3.0, "alpha_lr": 1.0}, "rebuild_graph_from_observed": True}),
+        ("denoise", "unrolled", {**common, "method": "unrolled", "unrolled_params": str(tmp / "train" / "params.json")}),
+        ("check", "check", {"datasets": [bundle], "n_signals": 2}),
+        ("spectrum", "spectrum", {"alpha_red": 3.0, "alpha_lr": 1.0, "n_points": 5}),
+        ("spectrum", "spectrum_tuned", {"dataset": bundle, "tuned": str(tmp / "tune" / "tuned.json"), "sigma": 1.0}),
+        ("eval", "eval", {**common, "denoised": str(tmp / "red_pnp" / "denoised")}),
+    ]
+    return {out: run_command(tmp, command, config, out) for command, out, config in runs}
+
+
+# The graphred modules each command loads besides graphred, cli, exceptions and files.
+COMMAND_MODULES = {
+    "synthetic": {"cmd_generate", "construct", "datasets", "graphs"},
+    "cloud": {"cmd_generate", "construct", "datasets", "graphs"},
+    "tune": {"cmd_tune", "denoisers", "graphs", "red"},
+    "train": {"cmd_train", "denoisers", "graphs", "red", "unroll"},
+    "lr": {"cmd_denoise", "denoisers", "graphs"},
+    "red_pnp": {"cmd_denoise", "denoisers", "graphs", "red"},
+    "rebuild": {"cmd_denoise", "construct", "denoisers", "graphs", "red"},
+    "unrolled": {"cmd_denoise", "denoisers", "graphs", "red", "unroll"},
+    "check": {"cmd_check", "denoisers", "graphs"},
+    "spectrum": {"cmd_spectrum", "graphs", "spectral"},
+    "spectrum_tuned": {"cmd_spectrum", "denoisers", "graphs", "spectral"},
+    "eval": {"cmd_eval"},
+}
+
+
+def test_commands_import_only_the_modules_they_run(footprints):
+    """No command loads a construction, solver, trainer, spectrum or thread-pool module it does not run, or argparse.
+
+    generate loads graph construction and the generators only; tune, train
+    and check load the denoisers, tune and train RED, and train the trainer;
+    spectrum loads spectral analysis, and the denoisers only to read a tuned
+    file; eval loads neither graphs nor denoisers; denoise loads RED only for
+    red_* and unrolled, the trainer only for unrolled, graph construction
+    only to rebuild graphs, and the thread pool only above one thread.  No
+    command loads the node-space RED API (``graphred.problem``).
+    """
+    for out, (code, modules, _, _) in footprints.items():
+        assert code == 0, out
+        own = {m.split(".", 1)[1] for m in modules if m.startswith("graphred.")}
+        assert own == {"cli", "exceptions", "files"} | COMMAND_MODULES[out], out
+        assert not {"argparse", "concurrent.futures"} & modules, out
+
+
+# Summed source lines and dataclasses of the graphred modules each command loads, at most: the lines
+# about 5 % above their count when each command got a module of its own, and the dataclasses as then.
+STARTUP_BUDGET = {
+    "synthetic": (1660, 3), "cloud": (1660, 3), "tune": (2060, 5), "train": (2210, 6), "lr": (1460, 4),
+    "red_pnp": (1870, 5), "rebuild": (2150, 5), "unrolled": (2230, 6), "check": (1460, 4), "spectrum": (1200, 4),
+    "spectrum_tuned": (1530, 5), "eval": (580, 1),
+}
+
+
+def test_startup_budget_per_command(footprints):
+    """Each command compiles at most its budget of package source lines and builds at most its budget of dataclasses.
+
+    A fresh process compiles every module it loads unless a bytecode cache
+    exists (none is written under ``PYTHONDONTWRITEBYTECODE``), and builds
+    each dataclass those modules define, so both are start-up cost.
+    """
+    measured = {out: tuple(footprints[out][2:]) for out in STARTUP_BUDGET}
+    over = {out: (got, STARTUP_BUDGET[out]) for out, got in measured.items()
+            if got[0] > STARTUP_BUDGET[out][0] or got[1] > STARTUP_BUDGET[out][1]}
+    assert not over, over
+
+
+def test_cli_sets_unset_blas_thread_variables_before_numpy_loads(tmp_path):
+    """``import graphred.cli`` loads no numpy, and ``main`` sets each unset BLAS variable to ``--threads``."""
+    from graphred.cli import BLAS_THREAD_VARS
+
+    cfg = tmp_path / "spectrum.json"
+    cfg.write_text(json.dumps({"alpha_red": 3.0, "alpha_lr": 1.0, "n_points": 5}))
+    probe = (
+        "import json, os, sys\n"
+        "import graphred.cli\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "os.environ['MKL_NUM_THREADS'] = '3'\n"
+        f"code = graphred.cli.main(['spectrum', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r},"
+        " '--threads', '2'])\n"
+        "print(json.dumps([loaded, code, [os.environ.get(v) for v in graphred.cli.BLAS_THREAD_VARS]]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(graphred.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded, code, values = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (loaded, code) == (False, 0)
+    assert dict(zip(BLAS_THREAD_VARS, values)) == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}
 
 
 def test_tune_loads_no_numpy_ma(tmp_path):
@@ -257,7 +332,7 @@ def test_tune_loads_no_numpy_ma(tmp_path):
     """
     run_command(tmp_path, "generate", {"kind": "synthetic", "seed": 1, "n_nodes": 30, "k": 4, "sigmas": [1.0],
                                        "n_train": 8, "n_test": 1})
-    code, modules = run_command(tmp_path, "tune", {"dataset": str(tmp_path / "generate"), "grid_points": 8})
+    code, modules = run_command(tmp_path, "tune", {"dataset": str(tmp_path / "generate"), "grid_points": 8})[:2]
     assert code == 0 and "numpy.ma" not in modules
 
 

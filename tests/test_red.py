@@ -31,7 +31,8 @@ from graphred.datasets import generate_sensor_points
 from graphred.graphs import Graph
 from graphred.cli import SCREEN_MARGIN
 from graphred.denoisers import gain_table
-from graphred.red import CONVERGED_TOL, candidate_mse, krylov_screen_mse
+from graphred.cmd_tune import krylov_screen_mse
+from graphred.red import CONVERGED_TOL, candidate_mse
 
 from oracles import lr_denoise, pnp_admm_denoise
 
