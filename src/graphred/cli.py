@@ -79,8 +79,6 @@ def main(argv=None) -> int:
     try:
         from .files import read_config  # loads numpy, so after the variables are set
         cfg = read_config(args["--config"])
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{args['--config']}: config must be a JSON object")
         os.makedirs(args["--out"], exist_ok=True)
         _module(COMMANDS[command]).run(_resolve_config(command, cfg, args["--seed"]), args["--out"], threads)
         return 0

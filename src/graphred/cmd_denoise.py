@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from .denoisers import METHOD_PARAM_KEYS, METHODS, SOLVER_KEYS, apply_method, flat_layers, method_kind, tuned_lookup
+from .denoisers import METHOD_KEYS, METHODS, SOLVER_KEYS, apply_method, flat_layers, method_kind, tuned_lookup
 from .exceptions import ConfigError
 from .files import (
     REQUIRED, dataset_sigma, load_dataset, parse, split_records, table_text, write_json, write_metrics, write_text,
@@ -35,10 +35,9 @@ def resolve(cfg: dict, seed=None) -> dict:
     if method != "unrolled" and values["params"] is None and values["tuned"] is None:
         raise ConfigError(f"no parameters given for method {method!r} (use 'params' or 'tuned')")
     if method != "unrolled" and values["params"] is not None:
-        keys = METHOD_PARAM_KEYS[method]
-        if set(values["params"]) != set(keys):
-            raise ConfigError(f"params for {method} must have exactly {list(keys)}")
-        values["params"] = parse({key: ("number", REQUIRED) for key in keys}, values["params"], "params")
+        if set(values["params"]) != set(METHOD_KEYS[method]):
+            raise ConfigError(f"params for {method} must have exactly {list(METHOD_KEYS[method])}")
+        values["params"] = parse(METHOD_KEYS[method], values["params"], "params")
     return values
 
 
@@ -54,7 +53,7 @@ def run(cfg: dict, out_dir: str, threads: int) -> None:
     else:
         params = cfg["params"] if cfg["params"] is not None else tuned_lookup(cfg["tuned"], method, sigma)
     cg_layers, pnp_iters = cfg["cg_layers"], cfg["pnp_iters"]
-    if rebuild and dataset.manifest.get("kind") != "pointcloud":
+    if rebuild and dataset.manifest["kind"] != "pointcloud":
         raise ConfigError("rebuild_graph_from_observed only applies to pointcloud datasets")
     if rebuild:
         from .construct import knn_graph, normalize_weights
@@ -66,7 +65,7 @@ def run(cfg: dict, out_dir: str, threads: int) -> None:
         else:
             layers = flat_layers(method, params, cg_layers, pnp_iters)
     save_diag = cfg["save_diagnostics"]
-    k = int(dataset.manifest.get("k", 5))
+    k = dataset.manifest["k"]
 
     # One solve per record, on one Lanczos basis per signal column: a few
     # dozen sparse products with L cost less than an eigendecomposition.  A

@@ -2,9 +2,7 @@
 
 import os
 
-import numpy as np
-
-from .exceptions import ConfigError
+from .exceptions import ParseError
 from .files import REQUIRED, dataset_sigma, load_dataset, load_signal, split_records, write_metrics
 
 KEYS = {
@@ -21,8 +19,8 @@ def run(cfg: dict, out_dir: str, threads: int) -> None:
     for record in records:
         path = os.path.join(cfg["denoised"], f"sample_{record.index:03d}.csv")
         x = load_signal(path, finite=True)
-        if x.shape != np.asarray(record.clean).shape:
-            raise ConfigError(f"{path}: shape {x.shape} does not match dataset")
+        if x.shape != record.clean.shape:
+            raise ParseError(f"shape {x.shape} does not match dataset", path=path)
         outputs.append(x)
     metrics = write_metrics(out_dir, records, outputs, sigma, method=cfg["method"], split=cfg["split"])
     print(f"eval mean_rmse={metrics['mean_rmse']:.6g} over {len(records)} samples")

@@ -4,7 +4,7 @@ from .datasets import (
     SyntheticSpec, generate_pointcloud_dataset, generate_synthetic_dataset, load_point_cloud, save_dataset,
 )
 from .exceptions import ConfigError
-from .files import REQUIRED, SIZE, parse
+from .files import REQUIRED, SIZE, parse_kind
 
 KEYS = {
     "kind": ("string", "synthetic", (("synthetic", "pointcloud").__contains__, "unknown dataset kind {value!r}")),
@@ -20,10 +20,8 @@ DATASET_KIND_KEYS = {
 
 
 def resolve(cfg: dict, seed=None) -> dict:
-    """``cfg`` read against the shared keys and its kind's own; both kinds' until the kind is known."""
-    kind = cfg.get("kind", "synthetic")
-    own = [DATASET_KIND_KEYS[kind]] if kind in tuple(DATASET_KIND_KEYS) else DATASET_KIND_KEYS.values()
-    return parse({**KEYS, **{key: spec for keys in own for key, spec in keys.items()}}, cfg, "generate config", seed)
+    """``cfg`` read against the shared keys and its kind's own."""
+    return parse_kind(KEYS, DATASET_KIND_KEYS, "kind", cfg, "generate config", seed)
 
 
 def run(cfg: dict, out_dir: str, threads: int) -> None:

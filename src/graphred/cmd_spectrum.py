@@ -21,8 +21,8 @@ def run(cfg: dict, out_dir: str, threads: int) -> None:
     if cfg["tuned"] is not None:
         if cfg["sigma"] is None:
             raise ConfigError("spectrum: 'tuned' needs 'sigma' to select the entry")
-        from .denoisers import finite, tuned_lookup  # the method registry loads only to read a tuned file
-        alpha_red, alpha_lr = finite(tuned_lookup(cfg["tuned"], "red_lr", cfg["sigma"]))
+        from .denoisers import tuned_lookup  # the method registry loads only to read a tuned file
+        alpha_red, alpha_lr = tuned_lookup(cfg["tuned"], "red_lr", cfg["sigma"]).values()
         source_params = {"tuned": cfg["tuned"], "sigma": cfg["sigma"]}
     else:
         if cfg["alpha_red"] is None or cfg["alpha_lr"] is None:

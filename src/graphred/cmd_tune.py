@@ -6,8 +6,8 @@ import os
 import numpy as np
 
 from .denoisers import (
-    DEFAULT_CG_LAYERS, DEFAULT_PNP_ITERS, KINDS, METHOD_PARAM_KEYS, METHOD_RULE, METHODS, SOLVER_KEYS, gain_table,
-    graph_setup, method_kind, records_share_graph,
+    DEFAULT_CG_LAYERS, DEFAULT_PNP_ITERS, KINDS, METHOD_PARAM_KEYS, METHOD_RULE, METHODS, SOLVER_KEYS, TUNED_SCHEMA,
+    gain_table, graph_setup, method_kind, records_share_graph,
 )
 from .exceptions import ConfigError, DivergenceError
 from .files import COUNT, REQUIRED, dataset_sigma, load_dataset, split_records, write_json
@@ -272,4 +272,4 @@ def run(cfg: dict, out_dir: str, threads: int) -> None:
         for method in cfg["methods"]:
             entries.append(tune_method(records, sigma, method, **settings, gain_tables=gain_tables))
             print(f"tuned {method} at sigma={sigma:g}: train_rmse={entries[-1]['train_rmse']:.6g}")
-    write_json(os.path.join(out_dir, "tuned.json"), {"schema": "graphred-tuned-v1", "entries": entries})
+    write_json(os.path.join(out_dir, "tuned.json"), {"schema": TUNED_SCHEMA, "entries": entries})

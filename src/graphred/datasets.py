@@ -155,18 +155,20 @@ def _load_off_points(path) -> np.ndarray:
             points.append([float(v) for v in parts[:3]])
         except ValueError as exc:
             raise ParseError(f"bad coordinate: {exc}", path=str(path), line=line_no) from exc
+        if not all(map(math.isfinite, points[-1])):
+            raise ParseError(f"coordinate not finite: {text!r}", path=str(path), line=line_no)
     if len(points) < n_vertices:
         raise ParseError(f"expected {n_vertices} vertices, file ended early", path=str(path), line=len(lines))
     return np.array(points)
 
 
 def load_point_cloud(path, format: str | None = None) -> np.ndarray:
-    """Read points from CSV (one point per row) or OFF (faces skipped)."""
+    """Read points from CSV (one point per row) or OFF (faces skipped); a non-finite one is a :class:`ParseError`."""
     if format is None:
         ext = os.path.splitext(str(path))[1].lower()
         format = "off" if ext == ".off" else "csv"
     if format == "csv":
-        return read_csv(path)
+        return read_csv(path, finite=True)
     if format == "off":
         return _load_off_points(path)
     raise ValueError(f"unknown point-cloud format {format!r}")

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import ConfigError
-from .files import read_config
+from .files import REQUIRED, parse, parse_kind, read_config
 from .graphs import Laplacian, SpectralDecomp, build_laplacian, eigendecompose, gft, igft, on_frequencies
 
 DEFAULT_PNP_ITERS = 10
@@ -174,11 +174,13 @@ def kind_spec(kind) -> DenoiserKind:
 
 def check_params(kind, values) -> None:
     """Raise :class:`ValueError` unless ``values`` (one scalar or array per
-    parameter of ``kind``, in field order) has ``alpha >= 0`` and every later
-    parameter positive."""
+    parameter of ``kind``, in field order) is finite, with ``alpha >= 0`` and
+    every later parameter positive."""
     for i, (name, value) in enumerate(zip(kind_spec(kind).fields, values)):
         if value is None or np.any(np.less(value, 0) if i == 0 else np.less_equal(value, 0)):
             raise ValueError(f"{kind} denoiser needs {name} {'>= 0' if i == 0 else '> 0'}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{kind} denoiser needs a finite {name}, got {value}")
 
 
 def denoiser_gains(denoiser: Denoiser, lambdas: np.ndarray) -> np.ndarray:
@@ -229,6 +231,14 @@ DEFAULT_CG_LAYERS = 10
 # Config rules and keys of the commands that run methods.
 METHOD_RULE = (METHODS.__contains__, "unknown method {value!r}")
 SOLVER_KEYS = {"cg_layers": ("integer", DEFAULT_CG_LAYERS), "pnp_iters": ("integer", DEFAULT_PNP_ITERS)}
+# Each method's parameters as a key table: a denoise config's "params" object, or a tuned.json entry's.
+METHOD_KEYS = {m: dict.fromkeys(keys, ("number", REQUIRED)) for m, keys in METHOD_PARAM_KEYS.items()}
+# The keys of a tuned.json file (tune writes it), and of each entry besides its method's parameter keys.
+TUNED_SCHEMA = "graphred-tuned-v1"
+TUNED_KEYS = {"schema": ("string", REQUIRED, (TUNED_SCHEMA.__eq__, "unsupported tuned-file schema {value!r}")),
+              "entries": ("list of objects", REQUIRED)}
+TUNED_ENTRY_KEYS = {"method": ("string", REQUIRED, METHOD_RULE), "sigma": ("number", REQUIRED),
+                    "train_rmse": ("number", REQUIRED)}
 
 
 def graph_setup(record):
@@ -250,19 +260,6 @@ def method_kind(method) -> tuple[str, bool]:
     return _METHOD_KINDS[method]
 
 
-def finite(named: dict) -> list:
-    """The values of ``named`` as floats; raises ``ValueError`` naming the first key whose value is not a finite number."""
-    values = []
-    for key, value in named.items():
-        try:
-            values.append(float(value))
-        except (TypeError, ValueError):
-            raise ValueError(f"{key} must be a number, got {value!r}") from None
-        if not np.isfinite(values[-1]):
-            raise ValueError(f"{key} must be finite, got {values[-1]}")
-    return values
-
-
 def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
     """The denoiser that ``method`` applies (a kind) or plugs into RED (red_<kind>).
 
@@ -270,7 +267,6 @@ def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
     ``METHOD_PARAM_KEYS``; each must be finite.
     """
     kind = method_kind(method)[0]
-    finite({key: params[key] for key in METHOD_PARAM_KEYS[method]})
     values = {field: params[key] for field, key in zip(KINDS[kind].fields, KINDS[kind].keys)}
     return Denoiser(kind=kind, **values, iters=pnp_iters)
 
@@ -278,7 +274,7 @@ def method_denoiser(method, params, pnp_iters=DEFAULT_PNP_ITERS) -> Denoiser:
 def flat_layers(method, params, K, pnp_iters=None):
     """The K flat layers of ``red_<kind>`` ``method``, set to its scalar ``params`` (keyed as in ``METHOD_PARAM_KEYS``)."""
     from .red import UnrolledParams
-    values = finite({key: params[key] for key in METHOD_PARAM_KEYS[method]})
+    values = [params[key] for key in METHOD_PARAM_KEYS[method]]
     if pnp_iters is not None:  # a denoise: the checks a RedProblem makes, in its order
         method_denoiser(method, params, pnp_iters)
     if values[0] < 0:
@@ -294,18 +290,21 @@ def apply_method(method, params, lap, decomp, y, cg_layers=DEFAULT_CG_LAYERS, pn
     return red_cg_unrolled(lap, y, flat_layers(method, params, cg_layers, pnp_iters), pnp_iters, decomp).x
 
 
+def read_tuned(path) -> dict:
+    """The ``tuned.json`` file at ``path``, read against ``TUNED_KEYS``, each entry with its method's keys."""
+
+    def read(payload):
+        values = parse(TUNED_KEYS, payload, "tuned file")
+        values["entries"] = [parse_kind(TUNED_ENTRY_KEYS, METHOD_KEYS, "method", entry, f"entry {i}")
+                             for i, entry in enumerate(values["entries"])]
+        return values
+
+    return read_config(path, read)
+
+
 def tuned_lookup(tuned_path, method, sigma) -> dict:
     """The parameters of ``method`` at ``sigma`` in the ``tuned.json`` file at ``tuned_path``."""
-    payload = read_config(tuned_path)
-    entries = payload.get("entries", []) if isinstance(payload, dict) else None
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigError(f"{tuned_path}: expected an object whose 'entries' is a list of objects")
-    for entry in entries:
-        if entry.get("method") != method:
-            continue
-        try:
-            if float(entry["sigma"]) == float(sigma):
-                return {k: float(entry[k]) for k in METHOD_PARAM_KEYS[method]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{tuned_path}: malformed {method} entry: {exc!r}") from exc
+    for entry in read_tuned(tuned_path)["entries"]:
+        if entry["method"] == method and entry["sigma"] == sigma:
+            return {key: entry[key] for key in METHOD_PARAM_KEYS[method]}
     raise ConfigError(f"{tuned_path}: no entry for method={method} sigma={sigma:g}")

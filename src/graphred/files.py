@@ -1,15 +1,13 @@
 """The files a command reads and writes: configs, numeric text files, JSON artifacts and dataset bundles.
 
-A command's key table maps each config key to ``(JSON type, default, rule)``.
-:data:`REQUIRED` marks a key every config must give, and a default of
-``None`` one the command reads as "not given"; a rule is a test and the
-message its failure raises, applied to each item of a list.  A value of the
-wrong type (README lists the rules), an unknown key and a missing one are
-config errors naming the key.  Numeric text files are formatted by
-:func:`table_text` and parsed by :func:`read_table`, and JSON artifacts
-written by :func:`write_json`.  A bundle is the directory
-:func:`datasets.save_dataset` writes; :func:`load_dataset` reads one without
-the generators and, with ``graphs=False``, without :mod:`graphred.graphs`.
+A key table maps each key of a JSON object to ``(JSON type, default, rule)``: :data:`REQUIRED` marks a key the
+object must give, and a default of ``None`` one read as "not given"; a rule is a test and the message its failure
+raises, applied to each item of a list.  A value of the wrong type (README lists the rules), an unknown key and a
+missing one are config errors naming the key.  Every JSON file a command reads, its config, a bundle's manifest,
+``tuned.json`` and ``params.json``, goes through :func:`read_config` and such a table.  Numeric text files are
+formatted by :func:`table_text` and parsed by :func:`read_table`, and JSON artifacts written by :func:`write_json`.
+A bundle is the directory :func:`datasets.save_dataset` writes; :func:`load_dataset` reads one without the
+generators and, with ``graphs=False``, without :mod:`graphred.graphs`.
 """
 
 from __future__ import annotations
@@ -33,19 +31,26 @@ SIZE = (lambda n: n >= 0, "{key} must be >= 0")
 _TYPES = {"integer": int, "number": float, "string": str, "boolean": bool, "object": dict}
 
 
-def read_config(path) -> dict:
-    """The JSON value in the file at ``path``; invalid JSON is a config error."""
+def read_config(path, read=dict, error=ConfigError):
+    """``read`` of the JSON object in the file at ``path``; invalid JSON (at its line), another top level,
+    and a :class:`ConfigError` or ``ValueError`` from ``read`` raise ``error`` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            value = json.load(fh)
+        if not isinstance(value, dict):
+            raise ConfigError(f"expected a JSON object, got {type(value).__name__}")
+        return read(value)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raise error(f"{path}:{exc.lineno}: invalid JSON: {exc.msg} at column {exc.colno}") from exc
+    except (ConfigError, ValueError) as exc:  # a ValueError: also a file that is not UTF-8
+        raise error(f"{path}: {exc}") from exc
 
 
 def _typed(key, value, kind, rule, where):
     """``value`` of config ``key`` read as JSON type ``kind`` (see the module docstring) and checked by ``rule``."""
     if kind.startswith("list of ") and isinstance(value, list):
-        item = key[:-1] if key.endswith("s") else f"{key} entry"  # "sigmas" items are each a "sigma"
+        # "sigmas" items are each a "sigma", and "entries" items an "entry"
+        item = key[:-3] + "y" if key.endswith("ies") else key[:-1] if key.endswith("s") else f"{key} entry"
         return tuple(_typed(item, v, kind[8:-1], rule, where) for v in value)
     read, got = _TYPES.get(kind), type(value)
     if not (got is read or (read, got) == (float, int) or read is int and got is float and value.is_integer()):
@@ -80,6 +85,15 @@ def parse(table, cfg, where, seed=None) -> dict:
     if seed is not None and "seed" in values:
         values["seed"] = seed
     return values
+
+
+def parse_kind(table, kinds, key, cfg, where, seed=None) -> dict:
+    """:func:`parse` against ``table`` and the keys of the kind ``cfg[key]`` names in ``kinds``; while
+    it names none, ``table`` alone, so that the kind key's own error is raised (by its rule if unknown)."""
+    kind = cfg.get(key, table[key][1])
+    if kind not in tuple(kinds):
+        parse(table, {k: v for k, v in cfg.items() if k in table}, where)
+    return parse({**table, **kinds[kind]}, cfg, where, seed)
 
 
 def mse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
@@ -172,6 +186,18 @@ def read_csv(path, empty="no points found", finite=False) -> np.ndarray:
 
 MANIFEST_SCHEMA = "graphred-dataset-v1"
 SPLIT_CODES = {"train": 0, "test": 1}
+# The keys of a bundle's manifest.json, as datasets.save_dataset writes them: each kind's own, then every kind's.
+MANIFEST_KIND_KEYS = {
+    "synthetic": {"side": ("number", REQUIRED), "n_band": ("integer", REQUIRED), "offset": ("number", REQUIRED)},
+    "pointcloud": {"dims": ("integer", REQUIRED), "fps_m": ("integer", REQUIRED), "fps_start": ("integer", REQUIRED)},
+}
+MANIFEST_KEYS = {
+    "schema": ("string", REQUIRED, (MANIFEST_SCHEMA.__eq__, "unsupported dataset schema {value!r}")),
+    "kind": ("string", REQUIRED, (MANIFEST_KIND_KEYS.__contains__, "unknown dataset kind {value!r}")),
+    "seed": ("integer", REQUIRED), "n_nodes": ("integer", REQUIRED, COUNT), "k": ("integer", REQUIRED, COUNT),
+    "sigmas": ("list of numbers", REQUIRED), "n_train": ("integer", REQUIRED, SIZE),
+    "n_test": ("integer", REQUIRED, SIZE), "rng": ("string", REQUIRED),
+}
 
 
 @dataclass(frozen=True)
@@ -197,7 +223,7 @@ class Dataset(NamedTuple):
 
     @property
     def sigmas(self):
-        return [float(s) for s in self.manifest["sigmas"]]
+        return list(self.manifest["sigmas"])
 
 
 def sigma_file(sigma: float) -> str:
@@ -212,28 +238,28 @@ def load_signal(path, finite=False) -> np.ndarray:
     return np.atleast_1d(read_csv(path, empty="signal file holds no values", finite=finite).squeeze())
 
 
-def load_dataset(path, graphs: bool = True) -> Dataset:
-    """Read a bundle; records whose edge lists have identical bytes share one Graph.
+def _bundle_signal(path, n_nodes) -> np.ndarray:
+    """A bundle's signal file: finite values, one row per node, else :class:`ParseError` naming the file."""
+    signal = load_signal(path, finite=True)
+    if len(signal) != n_nodes:
+        raise ParseError(f"expected {n_nodes} rows, one per node, got {len(signal)}", path=str(path))
+    return signal
 
-    With ``graphs=False`` only the signals are read: no edge list is opened
-    and every record's ``graph`` is ``None``.
+
+def load_dataset(path, graphs: bool = True) -> Dataset:
+    """Read a bundle, its manifest against ``MANIFEST_KEYS``; records whose edge lists have identical bytes
+    share one Graph.  With ``graphs=False`` no edge list is opened and every record's ``graph`` is ``None``.
+    A fault in any file of the bundle raises :class:`ParseError` naming the file.
     """
-    manifest_path = os.path.join(path, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad manifest JSON: {exc}", path=manifest_path, line=exc.lineno) from exc
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ConfigError(f"unsupported dataset schema {manifest.get('schema')!r} (expected {MANIFEST_SCHEMA})")
+    read = lambda cfg: parse_kind(MANIFEST_KEYS, MANIFEST_KIND_KEYS, "kind", cfg, "manifest")  # noqa: E731
+    manifest = read_config(os.path.join(path, "manifest.json"), read, ParseError)
     if graphs:
         from .graphs import load_edge_list
-    n_nodes = int(manifest["n_nodes"])
-    sigmas = [float(s) for s in manifest["sigmas"]]
+    n_nodes = manifest["n_nodes"]
     splits = {"train": [], "test": []}
     parsed = {}  # edge-list bytes -> parsed graph
-    for split, count_key in (("train", "n_train"), ("test", "n_test")):
-        for idx in range(int(manifest[count_key])):
+    for split, records in splits.items():
+        for idx in range(manifest[f"n_{split}"]):
             sample_dir = os.path.join(path, split, f"sample_{idx:03d}")
             graph = None
             if graphs:
@@ -243,9 +269,9 @@ def load_dataset(path, graphs: bool = True) -> Dataset:
                 if edges not in parsed:
                     parsed[edges] = load_edge_list(edges_path, n_nodes=n_nodes)
                 graph = parsed[edges]
-            clean = load_signal(os.path.join(sample_dir, "clean.csv"))
-            observed = {sigma: load_signal(os.path.join(sample_dir, sigma_file(sigma))) for sigma in sigmas}
-            splits[split].append(DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx))
+            clean = _bundle_signal(os.path.join(sample_dir, "clean.csv"), n_nodes)
+            observed = {s: _bundle_signal(os.path.join(sample_dir, sigma_file(s)), n_nodes) for s in manifest["sigmas"]}
+            records.append(DatasetRecord(graph=graph, clean=clean, observed=observed, split=split, index=idx))
     return Dataset(manifest=manifest, train=splits["train"], test=splits["test"])
 
 

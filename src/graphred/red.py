@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .denoisers import DEFAULT_PNP_ITERS, KINDS, check_params, kind_spec
-from .exceptions import ConfigError, DivergenceError, StagnationError
+from .exceptions import DivergenceError, StagnationError
+from .files import COUNT, REQUIRED, parse_kind
 from .graphs import Laplacian, _check_signal, on_frequencies
 
 # Stagnation guard on the line-search denominator, relative to ||direction||^2.
@@ -148,19 +149,14 @@ class UnrolledParams:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        names = [f.name for f in fields(cls)]
-        unknown = set(data) - set(names)
-        if unknown:
-            raise ConfigError(f"unknown parameter-file keys: {sorted(unknown)}")
-        missing = {"K", "denoiser_kind"} - set(data)
-        if missing:
-            raise ConfigError(f"parameter file missing keys: {sorted(missing)}")
-        if not isinstance(data["K"], int) or isinstance(data["K"], bool):
-            raise ConfigError(f"parameter file: K must be an integer, got {data['K']!r}")
-        try:
-            return cls(K=data["K"], denoiser_kind=data["denoiser_kind"], **{n: data.get(n) for n in names[2:]})
-        except ValueError as exc:  # a missing, unused or invalid layer field, or an unknown kind
-            raise ConfigError(f"parameter file: {exc}") from exc
+        """Parameters from a ``params.json`` object, read against ``PARAMS_KEYS`` and its kind's layer fields."""
+        return cls(**parse_kind(PARAMS_KEYS, PARAMS_KIND_KEYS, "denoiser_kind", data, "parameter file"))
+
+
+# The keys of a params.json file (unroll.save_params writes it), and each kind's layer fields.
+PARAMS_KEYS = {"K": ("integer", REQUIRED, COUNT),
+               "denoiser_kind": ("string", REQUIRED, (KINDS.__contains__, "unknown denoiser kind {value!r}"))}
+PARAMS_KIND_KEYS = {k: dict.fromkeys(UnrolledParams.layer_names(k), ("list of numbers", REQUIRED)) for k in KINDS}
 
 
 def _layer_regs(kind, lam, rows, iters):

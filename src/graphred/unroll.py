@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .denoisers import DEFAULT_PNP_ITERS, KINDS, gain_table
-from .exceptions import ConfigError, TrainingError
-from .files import mse, rmse, table_text, write_text  # noqa: F401  (mse and rmse are part of this module's API)
+from .exceptions import TrainingError
+from .files import mse, read_config, rmse, table_text, write_text  # noqa: F401  (mse and rmse are this module's API)
 from .graphs import Laplacian, SpectralDecomp, eigendecompose, gft
 from .red import UnrolledParams, _column_dot, candidate_mse, red_cg_layers, red_cg_unrolled, softplus
 
@@ -38,12 +38,7 @@ def save_params(params: UnrolledParams, path) -> None:
 
 def load_params(path) -> UnrolledParams:
     """Parameters saved by :func:`save_params`; a bad file raises :class:`ConfigError` naming it."""
-    with open(path, "r", encoding="ascii") as fh:
-        data = json.load(fh)
-    try:
-        return UnrolledParams.from_json_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return read_config(path, UnrolledParams.from_json_dict)
 
 
 def save_loss_history(history, path) -> None:

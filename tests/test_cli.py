@@ -142,7 +142,8 @@ class TestGenerate:
         )
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
         err = capsys.readouterr().err
-        assert "points must be finite" in err and "RuntimeWarning" not in err
+        assert f"input error: {tmp_path / 'cloud.csv'}:8: value not finite: '0.5,{bad},0.5'" in err
+        assert "RuntimeWarning" not in err
         assert not (tmp_path / "x" / "manifest.json").exists()
 
 
@@ -825,9 +826,11 @@ class TestTrain:
     def test_tuned_init_needs_the_denoisers_red_method(self, dataset_dir, tmp_path, capsys, denoiser, method):
         # A plain method's entry has no alpha_red, and another kind's entry would
         # seed the denoiser with that kind's parameters.
-        entry = {"sigma": 0.5, "alpha_red": 1.0, "alpha_lr": 1.0, "alpha_pnp": 1.0, "rho": 1.0, "train_rmse": 0.1}
+        values = {"alpha_red": 1.0, "alpha_lr": 1.0, "alpha_pnp": 1.0, "rho": 1.0}
+        entries = [{"method": m, "sigma": 0.5, "train_rmse": 0.1, **{key: values[key] for key in keys}}
+                   for m, keys in METHOD_PARAM_KEYS.items()]
         tuned = tmp_path / "tuned.json"
-        tuned.write_text(json.dumps({"entries": [{"method": m, **entry} for m in METHODS]}))
+        tuned.write_text(json.dumps({"schema": "graphred-tuned-v1", "entries": entries}))
         cfg = write_config(
             tmp_path / "train.json",
             {
@@ -880,7 +883,7 @@ class TestTrain:
         assert "iters >= 1" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("K", [2.7, "3", True, 3.0])
+    @pytest.mark.parametrize("K", [2.7, "3", True])
     def test_non_integer_K_in_params_file_is_config_error(self, dataset_dir, tmp_path, capsys, K):
         path = tmp_path / "params.json"
         save_params(UnrolledParams.constant(3, "lr", 1.0, 1.0), path)

@@ -20,9 +20,10 @@ import pytest
 
 from graphred.cli import CONFIG_KEYS, DATASET_KIND_KEYS, REQUIRED, TRAIN_INIT_KEYS, _resolve_config, main, tune_method
 from graphred.datasets import SyntheticSpec, generate_synthetic_dataset, save_dataset
-from graphred.files import load_dataset
+from graphred.denoisers import METHOD_KEYS, TUNED_ENTRY_KEYS, TUNED_KEYS
+from graphred.files import MANIFEST_KEYS, MANIFEST_KIND_KEYS, load_dataset
 from graphred.exceptions import ConfigError
-from graphred.red import UnrolledParams
+from graphred.red import PARAMS_KEYS, PARAMS_KIND_KEYS, UnrolledParams
 from graphred.unroll import save_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +59,60 @@ def files(tmp_path_factory):
     for i in range(2):
         shutil.copy(base / "data" / "test" / f"sample_{i:03d}" / "clean.csv", denoised / f"sample_{i:03d}.csv")
     names = ("data", "cloud", "tuned.json", "params.json", "denoised", "empty")
-    return {"tmp": str(base), **{name.split(".")[0]: str(base / name) for name in names}}
+    paths = {"tmp": str(base), **{name.split(".")[0]: str(base / name) for name in names}}
+    shutil.copy(ROOT / "data" / "torus.off", base / "torus.off")
+    for name, (source, inner, edit) in FAULTS.items():  # each a copy of a file above, or of a bundle, with one fault
+        copy = base / name
+        (shutil.copytree if os.path.isdir(base / source) else shutil.copy)(base / source, copy)
+        target = copy / inner if inner else copy
+        target.write_text(edit(target.read_text()))
+        paths[name.split(".")[0]] = str(copy)
+    return paths
+
+
+def edit_json(change):
+    """An edit of a JSON file's text: ``change`` applied to its value."""
+
+    def edit(text):
+        value = json.loads(text)
+        change(value)
+        return json.dumps(value)
+
+    return edit
+
+
+def edit_line(number, line=None):
+    """An edit of a text file: its line ``number`` (from 1) replaced by ``line``, or dropped."""
+
+    def edit(text):
+        lines = text.splitlines()
+        lines[number - 1:number] = [] if line is None else [line]
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
+# Fixture files with one fault each: (the file or bundle copied, the file edited in a bundle, the edit).
+FAULTS = {
+    "no_n_train": ("data", "manifest.json", edit_json(lambda m: m.pop("n_train"))),
+    "sigmas_20": ("data", "manifest.json", edit_json(lambda m: m.update(sigmas=20))),
+    "n_test_text": ("data", "manifest.json", edit_json(lambda m: m.update(n_test="2"))),
+    "n_nodes_2_5": ("data", "manifest.json", edit_json(lambda m: m.update(n_nodes=2.5))),
+    "sigma_text": ("data", "manifest.json", edit_json(lambda m: m.update(sigmas=["x"]))),
+    "no_schema": ("data", "manifest.json", edit_json(lambda m: m.pop("schema"))),
+    "manifest_json": ("data", "manifest.json", lambda text: text.replace(",", "", 1)),
+    "nan_observed": ("data", "test/sample_000/observed_sigma0.5.csv", edit_line(4, "nan")),
+    "short_clean": ("data", "test/sample_001/clean.csv", edit_line(50)),
+    "alpha_bool.json": ("tuned.json", "", edit_json(lambda t: t["entries"][0].update(alpha_lr=True))),
+    "sigma_string.json": ("tuned.json", "", edit_json(lambda t: t["entries"][0].update(sigma="0.5"))),
+    "no_alpha_red.json": ("tuned.json", "", edit_json(lambda t: t["entries"][0].pop("alpha_red"))),
+    "layer_bool.json": ("params.json", "", edit_json(lambda p: p["alpha_red_layers"].__setitem__(1, True))),
+    "invalid.json": ("params.json", "", lambda text: text.replace(",", "", 1)),
+    "list.json": ("params.json", "", lambda text: "[1, 2]"),
+    "nan_point.csv": ("cloud.csv", "", edit_line(3, "nan,1,2")),
+    "nan_vertex.off": ("torus.off", "", edit_line(5, "nan 1 2")),
+    "short_denoised": ("denoised", "sample_001.csv", edit_line(50)),
+}
 
 
 def fill(value, files):
@@ -283,6 +337,57 @@ CASES = [
 ]
 
 
+# Faults in the files a command reads besides its config.  A fault in a bundle
+# file, a point cloud or a denoised output is an input error (4); one in a
+# tuned.json or params.json, which a config names, is a config error (2).
+# Each names its file.  Each of these once ended in a traceback, was read
+# silently, or exited with another code or without the file's name.
+LR = {**D, "method": "lr", "params": {"alpha_lr": 1.0}}
+M = "manifest.json: "
+FILE_CASES = [
+    ("denoise", {**LR, "dataset": "{no_n_train}"},
+     4, "input error: {no_n_train}/" + M + "manifest: missing keys ['n_train']"),
+    ("denoise", {**LR, "dataset": "{sigmas_20}"},
+     4, "input error: {sigmas_20}/" + M + "sigmas must be a list of numbers, got 20"),
+    ("denoise", {**LR, "dataset": "{n_test_text}"},
+     4, "input error: {n_test_text}/" + M + "n_test must be an integer, got '2'"),
+    ("denoise", {**LR, "dataset": "{n_nodes_2_5}"},
+     4, "input error: {n_nodes_2_5}/" + M + "n_nodes must be an integer, got 2.5"),
+    ("denoise", {**LR, "dataset": "{sigma_text}"},
+     4, "input error: {sigma_text}/" + M + "sigma must be a number, got 'x'"),
+    ("denoise", {**LR, "dataset": "{no_schema}"},
+     4, "input error: {no_schema}/" + M + "manifest: missing keys ['schema']"),
+    ("denoise", {**LR, "dataset": "{manifest_json}"},
+     4, "input error: {manifest_json}/manifest.json:3: invalid JSON: Expecting ',' delimiter at column 3"),
+    ("tune", {**TUNE, "dataset": "{no_schema}"},
+     4, "input error: {no_schema}/" + M + "manifest: missing keys ['schema']"),
+    ("eval", {**EVAL, "dataset": "{no_n_train}"},
+     4, "input error: {no_n_train}/" + M + "manifest: missing keys ['n_train']"),
+    ("denoise", {**LR, "dataset": "{nan_observed}"},
+     4, "input error: {nan_observed}/test/sample_000/observed_sigma0.5.csv:4: value not finite: 'nan'"),
+    ("train", {**TRAIN, "dataset": "{short_clean}"},
+     4, "input error: {short_clean}/test/sample_001/clean.csv: expected 50 rows, one per node, got 49"),
+    ("denoise", {**D, "method": "red_lr", "tuned": "{alpha_bool}"},
+     2, "config error: {alpha_bool}: alpha_lr must be a number, got True"),
+    ("spectrum", {"tuned": "{sigma_string}", "sigma": 0.5},
+     2, "config error: {sigma_string}: sigma must be a number, got '0.5'"),
+    ("train", {**TRAIN, "init": {"tuned": "{no_alpha_red}"}},
+     2, "config error: {no_alpha_red}: entry 0: missing keys ['alpha_red']"),
+    ("denoise", {**D, "method": "unrolled", "unrolled_params": "{layer_bool}"},
+     2, "config error: {layer_bool}: alpha_red_layer must be a number, got True"),
+    ("denoise", {**D, "method": "unrolled", "unrolled_params": "{invalid}"},
+     2, "config error: {invalid}:3: invalid JSON: Expecting ',' delimiter at column 3"),
+    ("train", {**TRAIN, "init": {"params": "{list}"}}, 2, "config error: {list}: expected a JSON object, got list"),
+    ("generate", {"kind": "pointcloud", "source": "{nan_point}", "m": 20, "k": 4, "sigmas": [0.1]},
+     4, "input error: {nan_point}:3: value not finite: 'nan,1,2'"),
+    ("generate", {"kind": "pointcloud", "source": "{nan_vertex}", "m": 20, "k": 4, "sigmas": [0.1]},
+     4, "input error: {nan_vertex}:5: coordinate not finite: 'nan 1 2'"),
+    ("eval", {**EVAL, "denoised": "{short_denoised}"},
+     4, "input error: {short_denoised}/sample_001.csv: shape (49,) does not match dataset"),
+]
+CASES += FILE_CASES
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, cfg, code, last", CASES)
 def test_config_outcome(files, tmp_path, capsys, command, cfg, code, last):
@@ -371,6 +476,36 @@ def render_default(default):
     return f"`{json.dumps(list(default) if isinstance(default, tuple) else default)}`"
 
 
+def rendered(table):
+    """``table`` as README prints it: each key's type and default."""
+    return {key: (kind, render_default(default)) for key, (kind, default, *_) in table.items()}
+
+
+def readme_table(section):
+    """Each key row of the README's table in ``section``: its key, type and default."""
+    rows = {}
+    for line in readme_section(section).splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if cells and re.fullmatch(r"`[\w.]+`", cells[0]):
+            rows[cells[0].strip("`")] = tuple(cells[1:3])
+    return rows
+
+
+# The key tables of the JSON files the commands read, by file, with a kind's keys and a list's item keys.
+FILE_TABLES = {
+    "manifest.json": {**MANIFEST_KEYS, **{k: v for keys in MANIFEST_KIND_KEYS.values() for k, v in keys.items()}},
+    "tuned.json": {**TUNED_KEYS, **{f"entries.{k}": v for keys in (TUNED_ENTRY_KEYS, *METHOD_KEYS.values())
+                                    for k, v in keys.items()}},
+    "params.json": {**PARAMS_KEYS, **{k: v for keys in PARAMS_KIND_KEYS.values() for k, v in keys.items()}},
+}
+
+
+@pytest.mark.parametrize("name", list(FILE_TABLES))
+def test_readme_file_tables_match_their_key_tables(name):
+    """README prints the key table of each JSON file a command reads, as it prints a command's."""
+    assert readme_table(name) == rendered(FILE_TABLES[name])
+
+
 @pytest.mark.parametrize("command", list(CONFIG_KEYS))
 def test_readme_key_tables_match_the_config_tables(command):
     """Each command's README key table lists its table's keys, types and defaults, and nothing else."""
@@ -380,9 +515,4 @@ def test_readme_key_tables_match_the_config_tables(command):
             table.update(keys)
     if command == "train":
         table.update({f"init.{key}": spec for key, spec in TRAIN_INIT_KEYS.items()})
-    rows = {}
-    for line in readme_section(command).splitlines():
-        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
-        if cells and re.fullmatch(r"`[\w.]+`", cells[0]):
-            rows[cells[0].strip("`")] = tuple(cells[1:3])
-    assert rows == {key: (kind, render_default(default)) for key, (kind, default, *_) in table.items()}
+    assert readme_table(command) == rendered(table)

@@ -11,7 +11,6 @@ import graphred.construct
 import graphred.datasets
 
 from graphred import (
-    ConfigError,
     InvalidGraphError,
     ParseError,
     SyntheticSpec,
@@ -413,6 +412,8 @@ def stream_off_points(path):
             points.append([float(v) for v in parts[:3]])
         except ValueError as exc:
             raise ParseError(f"bad coordinate: {exc}", path=str(path), line=line_no) from exc
+        if not np.all(np.isfinite(points[-1])):
+            raise ParseError(f"coordinate not finite: {text!r}", path=str(path), line=line_no)
     return np.array(points)
 
 
@@ -633,7 +634,7 @@ class TestSyntheticDataset:
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["schema"] = "other-v9"
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParseError, match="unsupported dataset schema 'other-v9'"):
             load_dataset(out)
 
     def test_corrupt_manifest_is_parse_error(self, tmp_path):
